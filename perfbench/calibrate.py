@@ -8,8 +8,9 @@ For each seed, starts the workload's server process and sends the
 workload's request stream back to back over its connections (each
 connection sends its next request as soon as the previous one is
 answered), then prints the answered requests per second.  The fixed
-``rate_qps`` in ``workloads.json`` is about half the median capacity
-measured this way; the benchmark itself never recalibrates.
+``rate_qps`` in ``workloads.json`` is set well below the median capacity
+measured this way (``rate_calibration`` there gives the share and why);
+the benchmark itself never recalibrates.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-#: Workload definitions: instances, rates, reasons and the layer map.
+#: Workload names and reasons, metric names, units and directions.
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+#: Workload definitions: instances, rates and the layer map.
 SPEC = json.loads((HERE / "workloads.json").read_text(encoding="utf-8"))
 
 

@@ -133,11 +133,11 @@ def _targets():
 class LayerTrace:
     """Wraps the layer entry points and folds their spans per layer."""
 
-    def __init__(self, keep_events: int = KEEP_EVENTS):
+    def __init__(self):
         self._epoch = time.perf_counter()
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._events: deque = deque(maxlen=keep_events)
+        self._events: deque = deque(maxlen=KEEP_EVENTS)
         self._installed: list = []
         self.reset()
 

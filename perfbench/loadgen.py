@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -21,16 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Request mix.  A repeat re-issues a request sent between ``RECENT[0]``
-#: and ``RECENT[1]`` places earlier: answered by then, and still in the
-#: service's result cache.  The other requests are fresh, in these shares.
-REPEAT_SHARE = 0.50
+#: Request mix, as shares of all requests.  A repeat re-issues a request
+#: sent between ``RECENT[0]`` and ``RECENT[1]`` places earlier: answered by
+#: then, and still in the service's result cache.  The server is bound by
+#: one interpreter lock, and a cheap request that meets a select miss or a
+#: min_targets waits for it, so the costly kinds are kept few: cache hits
+#: are the fastest quarter and the median falls inside the metrics/coverage
+#: requests, while the slowest selects and the min_targets hold the tail.
+SHARES = {"repeat": 0.25, "select": 0.07, "metrics": 0.339,
+          "coverage": 0.339, "min_targets": 0.002}
 RECENT = (8, 40)
-FRESH_SHARES = {"select": 0.35, "metrics": 0.275, "coverage": 0.275,
-                "min_targets": 0.10}
-F1_SHARE = 0.1  # of fresh selects; the rest are f2
-BUDGETS = range(1, 201)
-FRACTIONS = tuple(round(0.10 + 0.02 * i, 2) for i in range(21))
+BUDGETS = (1, 200)  # fresh select budgets k, evenly spread over this range
+F1_EVERY = 10  # every tenth fresh select, in budget order, is f1; others f2
+FRACTIONS = (0.10, 0.50)  # min_targets coverage fractions, evenly spread
+TIMEOUT = 60.0  # seconds a connection waits for an answer
 
 
 @dataclass(frozen=True)
@@ -45,25 +50,24 @@ class Request:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in self.body}
 
 
-class _Deck:
-    """Draws without replacement from ``values``, reshuffling when empty.
+def apportion(count: int) -> dict:
+    """Requests per kind: the :data:`SHARES` of ``count``, adding up to it.
 
-    Stratifies a run's fresh ``min_targets`` requests, so every seed's
-    stream holds the same coverage fractions in a different order.
+    Each kind gets its share rounded down; the requests left over go to
+    the kinds with the largest remainders.
     """
+    exact = {kind: share * count for kind, share in SHARES.items()}
+    counts = {kind: math.floor(value) for kind, value in exact.items()}
+    by_remainder = sorted(exact, key=lambda kind: counts[kind] - exact[kind])
+    for kind in by_remainder[: count - sum(counts.values())]:
+        counts[kind] += 1
+    return counts
 
-    def __init__(self, rng: np.random.Generator, values):
-        self._rng = rng
-        self._values = list(values)
-        self._left: list = []
 
-    def draw(self):
-        if not self._left:
-            self._left = [
-                self._values[i]
-                for i in self._rng.permutation(len(self._values))
-            ]
-        return self._left.pop()
+def _spread(bounds: tuple, count: int) -> np.ndarray:
+    """``count`` values evenly spread over ``bounds``, ascending."""
+    low, high = bounds
+    return low + (high - low) * (np.arange(count) + 0.5) / count
 
 
 def make_stream(
@@ -73,41 +77,48 @@ def make_stream(
 
     Arrivals are a Poisson process of ``rate`` over ``seconds`` given its
     count, ``round(rate * seconds)``: that many uniform due times, sorted.
-    The kinds, and which requests repeat, are exact shares dealt in a
-    random order; coverage fractions come from a shuffled deck.
-    (A repeat dealt before ``RECENT[0]`` requests exist becomes a select.)
+    Each kind gets its exact share of the count (:func:`apportion`), and
+    select budgets and coverage fractions are evenly spread, so every
+    seed sends the same fresh selects and min_targets; the seed draws
+    their order, the metrics/coverage targets and what each repeat
+    re-issues.  No repeat is placed among the first ``RECENT[0]``
+    requests; a share that does not fit there becomes selects.
     """
     rng = np.random.default_rng(seed)
     count = max(1, round(rate * seconds))
     due = np.sort(rng.uniform(0.0, seconds, size=count)).tolist()
-    repeats = round(REPEAT_SHARE * count)
-    kinds = ["repeat"] * repeats
-    for kind, share in FRESH_SHARES.items():
-        kinds += [kind] * round(share * (count - repeats))
-    kinds += ["select"] * (count - len(kinds))
-    kinds = [kinds[i] for i in rng.permutation(count)]
-    fractions = _Deck(rng, FRACTIONS)
+    counts = apportion(count)
+    slots = max(0, count - RECENT[0])
+    repeats = min(counts["repeat"], slots)
+    counts["select"] += counts.pop("repeat") - repeats
+    repeat_at = set((RECENT[0] + rng.permutation(slots)[:repeats]).tolist())
+    budgets = _spread(BUDGETS, counts["select"]).round().astype(int).tolist()
+    selects = [
+        (k, "f1" if i % F1_EVERY == F1_EVERY // 2 else "f2")
+        for i, k in enumerate(budgets)
+    ]
+    fractions = _spread(FRACTIONS, counts["min_targets"]).round(4).tolist()
+    kinds = [kind for kind, n in counts.items() for _ in range(n)]
+    kinds = iter([kinds[i] for i in rng.permutation(len(kinds))])
+    selects = iter([selects[i] for i in rng.permutation(len(selects))])
+    fractions = iter([fractions[i] for i in rng.permutation(len(fractions))])
     requests: list[Request] = []
-    for kind in kinds:
-        earlier = len(requests) - RECENT[0]
-        if kind == "repeat" and earlier >= 0:
-            low = max(0, len(requests) - RECENT[1])
-            requests.append(requests[int(rng.integers(low, earlier + 1))])
+    for i in range(count):
+        if i in repeat_at:
+            low = max(0, i - RECENT[1])
+            requests.append(requests[int(rng.integers(low, i - RECENT[0] + 1))])
             continue
-        if kind in ("repeat", "select"):
-            objective = "f1" if rng.random() < F1_SHARE else "f2"
-            k = int(rng.integers(BUDGETS.start, BUDGETS.stop))
+        kind = next(kinds)
+        if kind == "select":
+            k, objective = next(selects)
             body = (("k", k), ("objective", objective))
-            requests.append(Request("select", body))
-        elif kind in ("metrics", "coverage"):
+        elif kind == "min_targets":
+            body = (("fraction", next(fractions)),)
+        else:
             size = int(rng.integers(5, 21))
             targets = np.sort(rng.choice(num_nodes, size=size, replace=False))
             body = (("targets", tuple(int(t) for t in targets)),)
-            requests.append(Request(kind, body))
-        else:
-            requests.append(
-                Request("min_targets", (("fraction", fractions.draw()),))
-            )
+        requests.append(Request(kind, body))
     return due, requests
 
 
@@ -125,17 +136,16 @@ class Outcome:
 class HttpSender:
     """One keep-alive connection per generator thread."""
 
-    def __init__(self, host: str, port: int, timeout: float = 60.0):
+    def __init__(self, host: str, port: int):
         self._host = host
         self._port = port
-        self._timeout = timeout
         self._local = threading.local()
 
     def _conn(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
+                self._host, self._port, timeout=TIMEOUT
             )
         return conn
 

@@ -25,7 +25,13 @@ require_program()
 import numpy as np  # noqa: E402
 
 from layers import LayerTrace  # noqa: E402
-from loadgen import Outcome, Request, make_stream, run_open_loop  # noqa: E402
+from loadgen import (  # noqa: E402
+    Outcome,
+    Request,
+    apportion,
+    make_stream,
+    run_open_loop,
+)
 from stats import median, tail  # noqa: E402
 
 
@@ -79,6 +85,17 @@ class DueTimeLatency(unittest.TestCase):
         self.assertEqual(first, make_stream(7, 30.0, 5.0, 100))
         self.assertNotEqual(first, make_stream(8, 30.0, 5.0, 100))
         self.assertEqual(len(first[0]), 150)
+
+    def test_kind_counts_add_up(self):
+        for count in range(1, 1200):
+            self.assertEqual(sum(apportion(count).values()), count)
+
+    def test_every_seed_sends_the_same_selects_and_min_targets(self):
+        def fresh(seed):
+            _, requests = make_stream(seed, 14.0, 28.0, 100)
+            return {r for r in requests if r.kind in ("select", "min_targets")}
+
+        self.assertEqual(fresh(7), fresh(8))
 
 
 class NestedSpans(unittest.TestCase):

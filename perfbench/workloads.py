@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from common import (
+    BENCH,
     HERE,
     ROOT,
     SPEC,
@@ -44,58 +45,9 @@ from repro.walks.index import FlatWalkIndex
 #: Run outputs (traces, layer tables, scratch archives) go here.
 OUT = ROOT / ".bench_out"
 
-END_TO_END = (
-    ("setup_s", "s"),
-    ("op_p50_s", "s"),
-    ("op_p99_s", "s"),
-    ("peak_rss_mb", "MiB"),
-)
-
-PER_LAYER = (
-    ("graph.self_s", "s"),
-    ("walks.self_s", "s"),
-    ("walks.rows", "count"),
-    ("walks.setup_s", "s"),
-    ("first_visit.self_s", "s"),
-    ("first_visit.records", "count"),
-    ("first_visit.setup_s", "s"),
-    ("sort.consume_s", "s"),
-    ("sort.finalize_self_s", "s"),
-    ("sort.records", "count"),
-    ("sort.spill_runs", "count"),
-    ("sort.setup_s", "s"),
-    ("storage.emit_s", "s"),
-    ("storage.save_s", "s"),
-    ("storage.load_s", "s"),
-    ("storage.archive_bytes", "B"),
-    ("storage.index_bytes", "B"),
-    ("gain.init_s", "s"),
-    ("gain.sweeps", "count"),
-    ("gain.sweep_s", "s"),
-    ("gain.evals", "count"),
-    ("gain.eval_s", "s"),
-    ("gain.update_s", "s"),
-    ("greedy.self_s", "s"),
-    ("greedy.celf_useful_ratio", "ratio"),
-    ("min_targets.self_s", "s"),
-    ("min_targets.rounds", "count"),
-    ("min_targets.sweeps", "count"),
-    ("service.select_wait_s", "s"),
-    ("service.cache_hit_ratio", "ratio"),
-    ("service.kernel_passes", "count"),
-    ("service.batch_occupancy", "count"),
-    ("http.server_p50_s", "s"),
-    ("http.server_p99_s", "s"),
-    ("http.handoff_s", "s"),
-    ("http.wire_s", "s"),
-    ("http.rejections", "count"),
-    ("http.errors", "count"),
-    ("loadgen.late_p99_s", "s"),
-    ("loadgen.sent", "count"),
-    ("loadgen.connections", "count"),
-    ("trace.overhead_ratio", "ratio"),
-    ("trace.unattributed_share", "ratio"),
-)
+#: ``(name, unit)`` of the metrics an untraced and a traced run report.
+END_TO_END = tuple((m["name"], m["unit"]) for m in BENCH["end_to_end"])
+PER_LAYER = tuple((m["name"], m["unit"]) for m in BENCH["per_layer"])
 
 
 @dataclass
@@ -143,18 +95,15 @@ class Run:
 
 
 def _op_tail(latencies) -> tuple[float, str]:
-    """op_p99_s and how it was resolved.
+    """op_p99_s and the percentile it resolved to.
 
-    p99 is reported when ten samples lie beyond it (1000 ops or more);
-    a smaller sample reports its maximum, an upper bound on p99.
+    The highest percentile, at most p99, with ten samples beyond it: p99
+    itself from 1000 ops on, the maximum at ten ops or fewer.
     """
     value, pct = tail(latencies, 99.0)
-    if pct >= 99.0:
-        return value, f"p99, {BEYOND} or more beyond"
-    return max(latencies), (
-        f"maximum: p99 unresolved below {100 * BEYOND} ops; highest "
-        f"percentile with {BEYOND} beyond: p{pct:.3g} = {value:.6g}"
-    )
+    if pct == 100.0:
+        return value, f"maximum: {BEYOND} ops or fewer"
+    return value, f"p{pct:.3g}, {BEYOND} or more samples beyond"
 
 
 def _timed_ops(op, seconds: float, min_ops: int):
@@ -414,33 +363,16 @@ def _answer_of(kind: str, body: dict):
 
 
 def _direct_answers(groups: dict, graph, index, length: int) -> dict:
-    """Request -> the direct library call's answer, in :func:`_answer_of`'s form.
-
-    Selects are answered by one ``approx_greedy_fast`` call per objective
-    at the largest budget served: its first ``k`` rounds are the whole run
-    of a call with budget ``k`` (the loop does not depend on the budget
-    until it stops), so each smaller answer is a prefix of that call.
-    """
-    budgets: dict = {}
-    for request in groups:
-        if request.kind == "select":
-            objective = request.payload["objective"]
-            budgets[objective] = max(
-                budgets.get(objective, 0), request.payload["k"]
-            )
-    runs = {
-        objective: approx_fast.approx_greedy_fast(
-            graph, k, length, index=index, objective=objective
-        )
-        for objective, k in budgets.items()
-    }
+    """Request -> the direct library call's answer, in :func:`_answer_of`'s form."""
     expected = {}
     for request in groups:
         params = request.payload
         if request.kind == "select":
-            run = runs[params["objective"]]
-            k = params["k"]
-            fields = [list(run.selected[:k]), list(run.gains[:k])]
+            result = approx_fast.approx_greedy_fast(
+                graph, params["k"], length, index=index,
+                objective=params["objective"],
+            )
+            fields = [list(result.selected), list(result.gains)]
         elif request.kind == "min_targets":
             result = coverage.min_targets_for_coverage(
                 graph, params["fraction"], length, index=index

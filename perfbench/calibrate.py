@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/calibrate.py --seeds 1 2 3 --requests 1500
+    python3 perfbench/calibrate.py --seeds 1 2 3 --requests 280
 
 For each seed, starts the workload's server process and sends the
 workload's request stream back to back over its connections (each
@@ -25,7 +25,7 @@ from common import SPEC, derive_seeds, require_program
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--requests", type=int, default=1500)
+    parser.add_argument("--requests", type=int, default=280)
     args = parser.parse_args(argv)
     require_program()
 

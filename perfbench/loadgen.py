@@ -1,7 +1,10 @@
 """Open-loop load generation for the ``served-mix`` workload.
 
-Requests arrive on a Poisson schedule drawn from the workload seed, at one
-fixed rate, whatever the server does.  A small pool of keep-alive
+Requests are due evenly, one every ``1 / rate`` seconds, whatever the
+server does; the workload seed draws what each one asks.  Even spacing
+keeps a solve from overlapping the next one's arrival, so the reported
+latencies are those of the requests themselves, not of the coincidences a
+Poisson schedule would add from seed to seed.  A small pool of keep-alive
 connections takes the requests in due order; when every connection is
 busy, the next request waits, and because each request is timed from its
 due time, that wait counts in its latency.  How late the generator sent
@@ -24,17 +27,18 @@ import numpy as np
 
 #: Request mix, as shares of all requests.  A repeat re-issues a request
 #: sent between ``RECENT[0]`` and ``RECENT[1]`` places earlier: answered by
-#: then, and still in the service's result cache.  The server is bound by
-#: one interpreter lock, and a cheap request that meets a select miss or a
-#: min_targets waits for it, so the costly kinds are kept few: cache hits
-#: are the fastest quarter and the median falls inside the metrics/coverage
-#: requests, while the slowest selects and the min_targets hold the tail.
-SHARES = {"repeat": 0.25, "select": 0.07, "metrics": 0.339,
-          "coverage": 0.339, "min_targets": 0.002}
+#: then, and still in the service's result cache.  Both reported order
+#: statistics fall inside solves whose sizes are the same on every seed,
+#: never among millisecond answers, whose latency is mostly the wake-up of
+#: an idle server: cache hits, metrics and coverage are about a third of all
+#: requests, so the median falls among the select misses, and the f1 selects
+#: of the largest budgets, costlier than any min_targets, make up the tail.
+SHARES = {"repeat": 0.25, "select": 0.57, "metrics": 0.05,
+          "coverage": 0.05, "min_targets": 0.08}
 RECENT = (8, 40)
 BUDGETS = (1, 200)  # fresh select budgets k, evenly spread over this range
-F1_EVERY = 10  # every tenth fresh select, in budget order, is f1; others f2
-FRACTIONS = (0.10, 0.50)  # min_targets coverage fractions, evenly spread
+F1_EVERY = 5  # every fifth fresh select, in budget order, is f1; others f2
+FRACTIONS = (0.10, 0.12)  # min_targets coverage fractions, evenly spread
 TIMEOUT = 60.0  # seconds a connection waits for an answer
 
 
@@ -75,8 +79,8 @@ def make_stream(
 ) -> tuple[list[float], list[Request]]:
     """Due offsets (seconds) and requests of one run, drawn from ``seed``.
 
-    Arrivals are a Poisson process of ``rate`` over ``seconds`` given its
-    count, ``round(rate * seconds)``: that many uniform due times, sorted.
+    ``round(rate * seconds)`` requests are due evenly, one every
+    ``1 / rate`` seconds.
     Each kind gets its exact share of the count (:func:`apportion`), and
     select budgets and coverage fractions are evenly spread, so every
     seed sends the same fresh selects and min_targets; the seed draws
@@ -86,7 +90,7 @@ def make_stream(
     """
     rng = np.random.default_rng(seed)
     count = max(1, round(rate * seconds))
-    due = np.sort(rng.uniform(0.0, seconds, size=count)).tolist()
+    due = (np.arange(count) / rate).tolist()
     counts = apportion(count)
     slots = max(0, count - RECENT[0])
     repeats = min(counts["repeat"], slots)

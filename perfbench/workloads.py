@@ -153,6 +153,9 @@ def _in_process(run: Run, spec: dict, setup, make_op) -> list:
     if not run.traced:
         setup_times, state = _repeat_setup(setup, spec["setup_repeats"])
         op = make_op(state)
+        # Untimed: the first op in a process also pays for growing the
+        # allocator's heap, which no later op in a long-lived caller does.
+        op()
         gc.collect()
         reset_peak_rss()
         latencies, answers, errors = _timed_ops(

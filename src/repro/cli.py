@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument(
         "--build-memory-budget", type=int, default=None, metavar="BYTES",
         help="cap the build's sort memory: walk records stream through "
-        "an external sort (sorted runs spill next to --out at 10 bytes "
+        "an external sort (sorted runs spill next to --out at 8 bytes "
         "per record) straight into the archive, byte-identical to the "
         "in-memory build; default is the all-in-memory fast path",
     )

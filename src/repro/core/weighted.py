@@ -27,7 +27,12 @@ from repro.core.approx_fast import FastApproxEngine
 from repro.core.greedy import greedy_select
 from repro.core.result import SelectionResult
 from repro.walks.alias import AliasSampler, weighted_batch_walks
-from repro.walks.index import FlatWalkIndex, walker_major_starts
+from repro.walks.index import (
+    FlatWalkIndex,
+    _validate_params,
+    walker_major_starts,
+)
+from repro.walks.parallel import first_visit_records
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -48,35 +53,23 @@ def build_weighted_index(
     chunk_rows: int = 1 << 19,
 ) -> FlatWalkIndex:
     """Algorithm 3 with weighted walks: R alias-sampled walks per node."""
-    if length < 0:
-        raise ParameterError("walk length L must be >= 0")
-    if num_replicates < 1:
-        raise ParameterError("number of replicates R must be >= 1")
+    n = graph.num_nodes
+    _validate_params(n, length, num_replicates)
     rng = resolve_rng(seed)
     sampler = AliasSampler(graph)
-    n = graph.num_nodes
     starts = walker_major_starts(n, num_replicates)
-    hit_parts: list[np.ndarray] = []
-    state_parts: list[np.ndarray] = []
-    hop_parts: list[np.ndarray] = []
+    records = []
     for lo in range(0, starts.size, chunk_rows):
         rows = starts[lo : lo + chunk_rows]
         walks = weighted_batch_walks(graph, rows, length, seed=rng, sampler=sampler)
         row_ids = np.arange(lo, lo + rows.size, dtype=np.int64)
-        state = (row_ids % num_replicates) * n + rows
-        for hop in range(1, length + 1):
-            col = walks[:, hop].astype(np.int64)
-            fresh = np.ones(rows.size, dtype=bool)
-            for prev in range(hop):
-                np.logical_and(fresh, col != walks[:, prev], out=fresh)
-            if not fresh.any():
-                continue
-            hit_parts.append(col[fresh])
-            state_parts.append(state[fresh])
-            hop_parts.append(np.full(int(fresh.sum()), hop, dtype=np.int64))
-    hits = np.concatenate(hit_parts) if hit_parts else np.empty(0, dtype=np.int64)
-    states = np.concatenate(state_parts) if state_parts else np.empty(0, dtype=np.int64)
-    hops = np.concatenate(hop_parts) if hop_parts else np.empty(0, dtype=np.int64)
+        records.append(
+            first_visit_records(walks, (row_ids % num_replicates) * n + rows)
+        )
+    if records:
+        hits, states, hops = (np.concatenate(part) for part in zip(*records))
+    else:
+        hits = states = hops = np.empty(0, dtype=np.int64)
     return FlatWalkIndex._from_records(
         hits, states, hops, num_nodes=n, length=length,
         num_replicates=num_replicates,

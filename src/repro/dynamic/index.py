@@ -48,8 +48,17 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import batch_first_hits
-from repro.walks.index import FlatWalkIndex, walker_major_starts
-from repro.walks.parallel import first_visit_records as _first_visit_records
+from repro.walks.index import (
+    FlatWalkIndex,
+    _validate_params,
+    canonical_entries,
+    walker_major_starts,
+)
+from repro.walks.parallel import (
+    RecordPacker,
+    canonical_record_key,
+    first_visit_records as _first_visit_records,
+)
 from repro.dynamic.graph import DynamicGraph, EditBatch, edit_graph
 
 __all__ = [
@@ -58,15 +67,6 @@ __all__ = [
     "replay_walks",
     "engine_uniforms",
 ]
-
-
-def _check_build_params(num_nodes: int, length: int, num_replicates: int) -> None:
-    if num_nodes < 0:
-        raise ParameterError("num_nodes must be >= 0")
-    if length < 0:
-        raise ParameterError("walk length L must be >= 0")
-    if num_replicates < 1:
-        raise ParameterError("number of replicates R must be >= 1")
 
 
 def _resolve_entropy(seed: "int | None") -> int:
@@ -264,7 +264,7 @@ class DynamicWalkIndex:
         yields different walks, and this full-batch discipline is the
         one the incremental machinery reproduces.
         """
-        _check_build_params(graph.num_nodes, length, num_replicates)
+        _validate_params(graph.num_nodes, length, num_replicates)
         walk_engine = get_engine(engine)
         # Every registered backend consumes (or slices) the same logical
         # stream, so one frozen-uniform discipline reproduces them all;
@@ -323,7 +323,9 @@ class DynamicWalkIndex:
                 np.arange(self.num_nodes, dtype=np.int64),
                 np.diff(self.flat.indptr),
             )
-            self._keys = owners * self.num_states + self.flat.state
+            self._keys = canonical_record_key(
+                owners, self.flat.state, self.num_states
+            )
         return self._keys
 
     def _buffer(self, name: str, size: int, dtype) -> np.ndarray:
@@ -541,7 +543,9 @@ class DynamicWalkIndex:
         old_hits, old_states, _ = _first_visit_records(
             self.walks[rows], dirty_states
         )
-        old_keys = np.sort(old_hits * num_states + old_states)
+        old_keys = np.sort(
+            canonical_record_key(old_hits, old_states, num_states)
+        )
         removed_pos = np.searchsorted(keys, old_keys)
         if old_keys.size and (
             removed_pos[-1] >= keys.size
@@ -559,9 +563,10 @@ class DynamicWalkIndex:
         kept_hop = flat.hop[keep]
 
         hits, states, hops = _first_visit_records(new_walks, dirty_states)
-        new_keys = hits * num_states + states
-        order = np.argsort(new_keys)
-        new_keys = new_keys[order]
+        packer = RecordPacker(n, replicates, self.length)
+        new_keys, new_hops = packer.sort_decode(
+            packer.pack(hits, states, hops)
+        )
 
         positions = np.searchsorted(kept_keys, new_keys)
         total = kept_keys.size + new_keys.size
@@ -581,10 +586,10 @@ class DynamicWalkIndex:
         merged_keys[new_slots] = new_keys
         merged_state = np.empty(total, dtype=flat.state.dtype)
         merged_state[kept_mask] = kept_state
-        merged_state[new_slots] = states[order].astype(flat.state.dtype)
+        merged_state[new_slots] = new_keys % num_states
         merged_hop = np.empty(total, dtype=np.int16)
         merged_hop[kept_mask] = kept_hop
-        merged_hop[new_slots] = hops[order].astype(np.int16)
+        merged_hop[new_slots] = new_hops
         counts = (
             np.diff(flat.indptr)
             - np.bincount(old_hits, minlength=n)
@@ -714,31 +719,20 @@ def _canonical_flat(
 ) -> tuple[FlatWalkIndex, np.ndarray]:
     """Assemble records into canonical ``(hit, state)`` order.
 
-    States are unique within a hit node (first-visit dedup), so the key
-    ``hit * num_states + state`` is a strict total order and the layout is
-    independent of record generation order — the property that lets
-    incremental patches merge instead of re-sorting.  Returns the index
-    and its sorted key array (maintained by the patches).
+    The layout is independent of record generation order
+    (:func:`~repro.walks.index.canonical_entries`) — the property that
+    lets incremental patches merge instead of re-sorting.  Returns the
+    index and its sorted key array (maintained by the patches).
     """
-    num_states = num_nodes * num_replicates
-    keys = hits * num_states + states
-    order = np.argsort(keys)
-    counts = (
-        np.bincount(hits, minlength=num_nodes)
-        if hits.size
-        else np.zeros(num_nodes, dtype=np.int64)
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    state_dtype = (
-        np.int32 if num_states < np.iinfo(np.int32).max else np.int64
+    indptr, state, hop, keys = canonical_entries(
+        hits, states, hops, num_nodes, length, num_replicates
     )
     flat = FlatWalkIndex(
         indptr=indptr,
-        state=states[order].astype(state_dtype),
-        hop=hops[order].astype(np.int16),
+        state=state,
+        hop=hop,
         num_nodes=num_nodes,
         length=length,
         num_replicates=num_replicates,
     )
-    return flat, keys[order]
+    return flat, keys

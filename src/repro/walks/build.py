@@ -1,27 +1,26 @@
 """Out-of-core index construction: external sort into v3 archives (DESIGN.md §15).
 
-``FlatWalkIndex.build`` historically concatenated every first-visit
-record, then argsorted the lot — peak build memory a multiple of the
-final index, so the largest graph the package could *serve* (mmap or
-compressed storage, DESIGN.md §13) was far larger than the largest it
-could *build*.  This module closes that gap (ROADMAP item 3) by turning
-the build into a streaming pipeline:
+An index build that holds every first-visit record at once peaks at a
+multiple of the final index, so the largest graph the package could
+*serve* (mmap or compressed storage, DESIGN.md §13) would be far larger
+than the largest it could *build*.  This module closes that gap by
+turning the build into a streaming pipeline:
 
 1. The walk engine yields per-chunk record arrays
    (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`).
 2. A :class:`RecordSink` consumes them.  The concrete
-   :class:`ExternalSortSink` reduces each record to its canonical sort
-   key (:func:`~repro.walks.parallel.canonical_record_key` — the key is
-   decodable, so ``(hit, state)`` need not be stored) plus its ``int16``
-   hop, 10 bytes per record; when a ``memory_budget`` is set and the
-   buffer exceeds it, the buffer is sorted and spilled as one *run* to a
-   temp file next to the target.
+   :class:`ExternalSortSink` packs each record into one ``int64``
+   (:class:`~repro.walks.parallel.RecordPacker`: the canonical sort key
+   shifted left past the hop bits, 8 bytes per record); when a
+   ``memory_budget`` is set and the buffer exceeds it, the buffer is
+   sorted in place and spilled as one *run* to a temp file next to the
+   target.
 3. At finalize the runs are k-way merged — vectorized: emit every
-   buffered record up to the smallest "last buffered key" of any run
+   buffered record up to the smallest "last buffered record" of any run
    with unread data, refill, repeat — into an *entry writer*.  Keys are
-   globally unique, so the merged stream equals the in-memory
-   ``argsort`` exactly, and the in-memory path is the degenerate
-   one-run case of the same pipeline (no temp I/O at all).
+   globally unique, so the merged stream equals the in-memory sort
+   exactly, and the in-memory path is the degenerate one-run case of the
+   same pipeline (no temp I/O at all).
 
 Three writers close the loop: :class:`DenseEntryWriter` materializes the
 flat arrays (what ``FlatWalkIndex.build`` uses, any budget), and the two
@@ -55,7 +54,7 @@ from repro.walks.index import (
     scatter_or_bits,
     walker_major_starts,
 )
-from repro.walks.parallel import canonical_record_key
+from repro.walks.parallel import RecordPacker
 from repro.walks.persistence import (
     FileArraySource,
     _atomic_write_v3,
@@ -88,9 +87,8 @@ __all__ = [
 #: compare byte-for-byte only under the same value.
 DEFAULT_CHUNK_ROWS = 1 << 19
 
-#: One spilled record: the canonical int64 key plus the int16 hop.
-_RUN_DTYPE = np.dtype([("key", "<i8"), ("hop", "<i2")])
-_RECORD_BYTES = _RUN_DTYPE.itemsize
+#: Bytes per buffered or spilled record: one packed ``int64``.
+_RECORD_BYTES = 8
 
 #: Floor for the per-run merge read block, so a pathologically small
 #: budget still merges in sane-sized I/O units.
@@ -137,10 +135,11 @@ class EntryWriter(ABC):
 
     ``begin`` is called once with the full per-node layout (counts are
     known before the merge starts — the sink bincounts during consume),
-    then ``emit`` receives sorted ``(key, hop)`` batches covering the
-    entries exactly once, in canonical order, and ``finalize`` assembles
-    the result.  ``abort`` must release staged temp files after a failed
-    merge; it is never called after a successful ``finalize``.
+    then ``emit`` receives sorted ``(key, hop)`` batches (``int64`` keys
+    ``hit * n R + state``, ``int16`` hops) covering the entries exactly
+    once, in canonical order, and ``finalize`` assembles the result.
+    ``abort`` must release staged temp files after a failed merge; it is
+    never called after a successful ``finalize``.
     """
 
     @abstractmethod
@@ -167,15 +166,19 @@ class EntryWriter(ABC):
 class ExternalSortSink(RecordSink):
     """Bounded-memory record sorter: buffer, spill sorted runs, merge.
 
-    With ``memory_budget=None`` (the default) nothing ever spills and
-    ``finalize`` is exactly the historical in-memory sort — one argsort
-    over the buffered keys, no temp I/O (the degenerate one-run case).
-    With a budget, the record buffer is capped at ``budget`` bytes at 10
-    bytes per record; overflow sorts and spills the buffer as a run file
-    in ``spill_dir`` (the archive's directory on the archive path, the
-    system temp dir otherwise), and ``finalize`` streams the k-way merge
-    of all runs — plus the unsorted tail, sorted in place as one more
-    run — into the writer.  Run files are deleted on every exit path.
+    Every record is buffered as one packed ``int64``
+    (:class:`~repro.walks.parallel.RecordPacker` for walks of ``length``
+    hops; its range check runs before anything is allocated).  With
+    ``memory_budget=None`` (the default) nothing ever spills and
+    ``finalize`` sorts the whole buffer in place, decodes it once and
+    emits it — no temp I/O (the degenerate one-run case).  With a
+    budget, the buffer is capped at ``budget`` bytes at 8 bytes per
+    record; overflow sorts and spills the buffer as a run file of packed
+    records in ``spill_dir`` (the archive's directory on the archive
+    path, the system temp dir otherwise), and ``finalize`` streams the
+    k-way merge of all runs — plus the unsorted tail, sorted in place as
+    one more run — into the writer.  Run files are deleted on every exit
+    path.
 
     Per-node metadata (the bincounted ``counts`` that become ``indptr``)
     stays in memory — the O(metadata) term of the build's footprint.
@@ -185,21 +188,21 @@ class ExternalSortSink(RecordSink):
         self,
         num_nodes: int,
         num_replicates: int,
+        length: int,
         memory_budget: "int | None" = None,
         spill_dir: "str | Path | None" = None,
     ):
+        self._packer = RecordPacker(num_nodes, num_replicates, length)
         if memory_budget is not None and memory_budget <= 0:
             raise ParameterError("memory_budget must be a positive byte count")
         self._num_nodes = int(num_nodes)
-        self._num_states = int(num_nodes) * int(num_replicates)
         self._budget = None if memory_budget is None else int(memory_budget)
         self._spill_dir = (
             Path(spill_dir) if spill_dir is not None
             else Path(tempfile.gettempdir())
         )
         self._counts = np.zeros(self._num_nodes, dtype=np.int64)
-        self._key_parts: list[np.ndarray] = []
-        self._hop_parts: list[np.ndarray] = []
+        self._parts: list[np.ndarray] = []
         self._buffered = 0
         self._runs: "list[tuple[Path, int]]" = []
         self._readers: "list[_FileRun]" = []
@@ -216,53 +219,48 @@ class ExternalSortSink(RecordSink):
     def consume(self, hits, states, hops) -> None:
         if hits.size == 0:
             return
+        max_hop = self._packer.check_hops(hops)
         self._counts += np.bincount(hits, minlength=self._num_nodes)
-        self._key_parts.append(
-            canonical_record_key(hits, states, self._num_states)
-        )
-        self._hop_parts.append(hops.astype(np.int16, copy=False))
+        self._parts.append(self._packer.pack(hits, states, hops))
         self._buffered += int(hits.size)
         self.total_records += int(hits.size)
-        self.max_hop = max(self.max_hop, int(hops.max()))
+        self.max_hop = max(self.max_hop, max_hop)
         if (
             self._budget is not None
             and self._buffered * _RECORD_BYTES > self._budget
         ):
             self._spill()
 
-    def _sorted_buffer(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.concatenate(self._key_parts)
-        hops = np.concatenate(self._hop_parts)
+    def _sorted_buffer(self) -> np.ndarray:
+        """The buffered packed records, sorted in place, as one array."""
+        parts = self._parts
+        packed = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._parts = []
+        self._buffered = 0
         # Keys are globally unique (states are unique within a hit block),
-        # so the argsort permutation — hence every downstream byte — is
+        # so the sorted values — hence every downstream byte — are
         # independent of the sort algorithm and of how records were
         # partitioned into chunks, shards, or runs.
-        order = np.argsort(keys)
-        self._key_parts.clear()
-        self._hop_parts.clear()
-        self._buffered = 0
-        return keys[order], hops[order]
+        packed.sort()
+        return packed
 
     def _spill(self) -> None:
         records = self._buffered
         with obs.span(
             "index.build.spill", run=len(self._runs) + 1, records=records
         ):
-            keys, hops = self._sorted_buffer()
-            rec = np.empty(records, dtype=_RUN_DTYPE)
-            rec["key"] = keys
-            rec["hop"] = hops
+            packed = self._sorted_buffer()
             fd, name = tempfile.mkstemp(
                 dir=self._spill_dir, prefix=".rwidx-run-", suffix=".tmp"
             )
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    rec.tofile(fh)
+                    packed.tofile(fh)
             except BaseException:
                 os.unlink(name)
                 raise
             self._runs.append((Path(name), records))
-            self.spilled_bytes += rec.nbytes
+            self.spilled_bytes += packed.nbytes
         if obs.enabled():
             obs.inc(
                 "index_build_runs_total",
@@ -270,7 +268,7 @@ class ExternalSortSink(RecordSink):
             )
             obs.inc(
                 "index_build_spill_bytes_total",
-                rec.nbytes,
+                packed.nbytes,
                 help="Bytes of sorted runs spilled by index builds.",
             )
 
@@ -284,15 +282,15 @@ class ExternalSortSink(RecordSink):
             )
             if not self._runs:
                 # Single-run fast path: the whole record set is in memory;
-                # one sort, one emit, zero temp I/O.
+                # one sort, one decode, one emit, zero temp I/O.
                 if self._buffered:
-                    writer.emit(*self._sorted_buffer())
+                    writer.emit(*self._packer.decode(self._sorted_buffer()))
             else:
                 runs: list = [
                     self._open_run(path, total) for path, total in self._runs
                 ]
                 if self._buffered:
-                    runs.append(_ArrayRun(*self._sorted_buffer()))
+                    runs.append(_ArrayRun(self._sorted_buffer()))
                 block = _MIN_MERGE_BLOCK
                 if self._budget is not None:
                     block = max(
@@ -300,8 +298,8 @@ class ExternalSortSink(RecordSink):
                         self._budget // (_RECORD_BYTES * len(runs)),
                     )
                 with obs.span("index.build.merge", runs=len(runs)):
-                    for keys, hops in _merge_sorted_runs(runs, block):
-                        writer.emit(keys, hops)
+                    for packed in _merge_sorted_runs(runs, block):
+                        writer.emit(*self._packer.decode(packed))
             result = writer.finalize()
         except BaseException:
             writer.abort()
@@ -325,32 +323,28 @@ class ExternalSortSink(RecordSink):
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         self._runs.clear()
-        self._key_parts.clear()
-        self._hop_parts.clear()
+        self._parts = []
         self._buffered = 0
 
 
 class _FileRun:
-    """Sequential reader over one spilled run file."""
+    """Sequential reader over one spilled run file of packed records."""
 
     def __init__(self, path: Path, total: int):
         self._path = path
         self._fh = open(path, "rb")
         self.remaining = int(total)
 
-    def read(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, count: int) -> np.ndarray:
         count = min(int(count), self.remaining)
-        rec = np.fromfile(self._fh, dtype=_RUN_DTYPE, count=count)
-        if rec.shape[0] != count:
+        packed = np.fromfile(self._fh, dtype=np.int64, count=count)
+        if packed.size != count:
             raise GraphFormatError(
                 f"{self._path}: spilled run truncated "
-                f"(wanted {count} records, read {rec.shape[0]})"
+                f"(wanted {count} records, read {packed.size})"
             )
         self.remaining -= count
-        return (
-            np.ascontiguousarray(rec["key"]),
-            np.ascontiguousarray(rec["hop"]),
-        )
+        return packed
 
     def close(self) -> None:
         if self._fh is not None:
@@ -361,70 +355,65 @@ class _FileRun:
 class _ArrayRun:
     """The sorted in-memory tail, served through the run-reader protocol."""
 
-    def __init__(self, keys: np.ndarray, hops: np.ndarray):
-        self._keys = keys
-        self._hops = hops
+    def __init__(self, packed: np.ndarray):
+        self._packed = packed
         self._pos = 0
 
     @property
     def remaining(self) -> int:
-        return self._keys.size - self._pos
+        return self._packed.size - self._pos
 
-    def read(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, count: int) -> np.ndarray:
         lo = self._pos
-        hi = min(lo + int(count), self._keys.size)
+        hi = min(lo + int(count), self._packed.size)
         self._pos = hi
-        return self._keys[lo:hi], self._hops[lo:hi]
+        return self._packed[lo:hi]
 
     def close(self) -> None:  # pragma: no cover - protocol symmetry
         pass
 
 
-def _merge_sorted_runs(
-    runs: list, block_records: int
-) -> "Iterator[tuple[np.ndarray, np.ndarray]]":
-    """Vectorized k-way merge of sorted runs, yielding sorted batches.
+def _merge_sorted_runs(runs: list, block_records: int) -> "Iterator[np.ndarray]":
+    """Vectorized k-way merge of sorted packed runs, yielding sorted batches.
 
     Each round computes the *safe boundary* — the smallest last-buffered
-    key among runs that still have unread records; everything unread is
-    strictly greater (runs are sorted, keys globally unique) — emits the
-    ``<= boundary`` prefix of every buffer in one concatenate + argsort,
+    record among runs that still have unread records; everything unread
+    is strictly greater (runs are sorted, keys globally unique) — emits
+    the ``<= boundary`` prefix of every buffer in one concatenate + sort,
     and refills drained buffers.  No per-record Python loop, and each
     emitted batch is bounded by the total buffered footprint (~the sort
     budget).  When every run is fully buffered the boundary vanishes and
-    the remainder flushes in one batch.
+    the remainder flushes in one batch.  Every batch is a fresh array
+    (``np.concatenate`` always copies), so the caller may decode it in
+    place without touching a run's buffer.
     """
     buffers = []
     for run in runs:
-        keys, hops = run.read(block_records)
-        if keys.size:
-            buffers.append([keys, hops, run])
+        packed = run.read(block_records)
+        if packed.size:
+            buffers.append((packed, run))
     while buffers:
-        capped = [b for b in buffers if b[2].remaining > 0]
+        capped = [b for b in buffers if b[1].remaining > 0]
         boundary = min(int(b[0][-1]) for b in capped) if capped else None
-        key_parts: list[np.ndarray] = []
-        hop_parts: list[np.ndarray] = []
+        parts: list[np.ndarray] = []
         next_buffers = []
-        for keys, hops, run in buffers:
+        for packed, run in buffers:
             take = (
-                keys.size if boundary is None
-                else int(np.searchsorted(keys, boundary, side="right"))
+                packed.size if boundary is None
+                else int(np.searchsorted(packed, boundary, side="right"))
             )
             if take:
-                key_parts.append(keys[:take])
-                hop_parts.append(hops[:take])
-                keys = keys[take:]
-                hops = hops[take:]
-            if keys.size == 0 and run.remaining > 0:
-                keys, hops = run.read(block_records)
-            if keys.size:
-                next_buffers.append([keys, hops, run])
+                parts.append(packed[:take])
+                packed = packed[take:]
+            if packed.size == 0 and run.remaining > 0:
+                packed = run.read(block_records)
+            if packed.size:
+                next_buffers.append((packed, run))
         buffers = next_buffers
-        if key_parts:
-            merged_keys = np.concatenate(key_parts)
-            merged_hops = np.concatenate(hop_parts)
-            order = np.argsort(merged_keys)
-            yield merged_keys[order], merged_hops[order]
+        if parts:
+            merged = np.concatenate(parts)
+            merged.sort()
+            yield merged
 
 
 # ----------------------------------------------------------------------
@@ -446,12 +435,15 @@ class DenseEntryWriter(EntryWriter):
     def emit(self, keys, hops) -> None:
         if keys.size == 0:
             return
-        hits, states = np.divmod(keys, self._num_states)
         lo = self._pos
         self._pos = lo + keys.size
-        # Assignment narrows int64 -> int32 exactly like the historical
-        # ``states[order].astype(state_dtype)`` (values fit by range).
-        self._state[lo : self._pos] = states
+        # The state is the key's remainder, narrowed straight into the
+        # int32/int64 column (values fit by range); the hit is implied
+        # by the position, so no quotient is computed.
+        np.remainder(
+            keys, self._num_states, out=self._state[lo : self._pos],
+            casting="unsafe",
+        )
         self._hop[lo : self._pos] = hops
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -896,7 +888,7 @@ def build_index_archive(
         row_ids = np.arange(starts.size, dtype=np.int64)
         states = (row_ids % num_replicates) * n + starts
         with ExternalSortSink(
-            n, num_replicates, memory_budget=memory_budget,
+            n, num_replicates, length, memory_budget=memory_budget,
             spill_dir=out.parent if spill_dir is None else spill_dir,
         ) as sink:
             for chunk in walk_engine.iter_walk_records(

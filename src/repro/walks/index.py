@@ -35,7 +35,7 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import random_walk
-from repro.walks.parallel import canonical_record_key
+from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.rng import resolve_rng
 from repro.walks.rows import CompressedRows, scatter_or_bits
 from repro.walks.storage import (
@@ -49,6 +49,7 @@ __all__ = [
     "IndexEntry",
     "InvertedIndex",
     "FlatWalkIndex",
+    "canonical_entries",
     "walker_major_starts",
     "scatter_or_bits",
 ]
@@ -77,8 +78,46 @@ def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
         raise ParameterError("num_nodes must be >= 0")
     if length < 0:
         raise ParameterError("walk length L must be >= 0")
+    if length > MAX_WALK_LENGTH:
+        raise ParameterError(
+            f"walk length L={length} exceeds {MAX_WALK_LENGTH} "
+            "(hops are stored as int16)"
+        )
     if num_replicates < 1:
         raise ParameterError("number of replicates R must be >= 1")
+
+
+def canonical_entries(
+    hits: np.ndarray,
+    states: np.ndarray,
+    hops: np.ndarray,
+    num_nodes: int,
+    length: int,
+    num_replicates: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble records into canonical ``(indptr, state, hop, keys)``.
+
+    Canonical order is ``(hit, state)``.  States are unique within a hit
+    node (first-visit dedup), so the key is a strict total order: the
+    assembled arrays are *independent of record generation order* — for
+    a fixed ``(seed, chunk_rows)``, every backend and any shard
+    partitioning land on byte-identical arrays, which is what lets the
+    differential harness compare engines strictly.  (``chunk_rows``
+    itself still matters: it shapes the stream consumption and hence the
+    walks.)  The records are
+    packed one ``int64`` each (:class:`~repro.walks.parallel.RecordPacker`,
+    which also range-checks ``(n, R, L)``), value-sorted in place and
+    decoded; ``keys`` are the sorted ``hit * n R + state`` keys, which
+    the dynamic index maintains across patches.
+    """
+    packer = RecordPacker(num_nodes, num_replicates, length)
+    packer.check_hops(hops)
+    keys, hop = packer.sort_decode(packer.pack(hits, states, hops))
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(hits, minlength=num_nodes), out=indptr[1:])
+    state = np.empty(keys.size, dtype=entry_state_dtype(num_nodes, num_replicates))
+    np.remainder(keys, packer.num_states, out=state, casting="unsafe")
+    return indptr, state, hop, keys
 
 
 class InvertedIndex:
@@ -339,12 +378,13 @@ class FlatWalkIndex:
         how the work was partitioned.
 
         The record stream feeds the external-sort pipeline of
-        :mod:`repro.walks.build` (DESIGN.md §15).  By default
-        (``memory_budget=None``) every record stays buffered and the sort
-        is the historical single in-memory argsort; with a budget, sorted
-        runs spill to ``spill_dir`` (default: the system temp dir) at 10
-        bytes per record and are merged back — the result is identical
-        either way, the budget only caps the sort's footprint.  (The
+        :mod:`repro.walks.build` (DESIGN.md §15), one packed ``int64`` per
+        record.  By default (``memory_budget=None``) every record stays
+        buffered and the sort is one in-place value sort of the whole
+        buffer; with a budget, sorted runs spill to ``spill_dir``
+        (default: the system temp dir) at 8 bytes per record and are
+        merged back — the result is identical either way, the budget only
+        caps the sort's footprint.  (The
         *final* entry arrays are still materialized here; to cap the
         whole build, write an archive with
         :func:`repro.walks.build.build_index_archive` instead.)
@@ -365,7 +405,7 @@ class FlatWalkIndex:
             row_ids = np.arange(starts.size, dtype=np.int64)
             states = (row_ids % num_replicates) * n + starts  # == rep * n + walker
             with ExternalSortSink(
-                n, num_replicates, memory_budget=memory_budget,
+                n, num_replicates, length, memory_budget=memory_budget,
                 spill_dir=spill_dir,
             ) as sink:
                 for chunk in walk_engine.iter_walk_records(
@@ -419,29 +459,14 @@ class FlatWalkIndex:
         length: int,
         num_replicates: int,
     ) -> "FlatWalkIndex":
-        # Canonical (hit, state) order.  States are unique within a hit
-        # node (first-visit dedup), so the key is a strict total order:
-        # the assembled index is *independent of record generation
-        # order* — for a fixed (seed, chunk_rows), every backend and
-        # any shard partitioning land on byte-identical arrays, which
-        # is what lets the differential harness compare engines
-        # strictly.  (chunk_rows itself still matters: it shapes the
-        # stream consumption and hence the walks.)  The key helper
-        # forces int64 before multiplying: int32 record arrays would
-        # otherwise wrap the product silently once n * R * hit crosses
-        # 2^31 (NEP 50 keeps int32 * python_int at int32).
-        num_states = num_nodes * num_replicates
-        order = np.argsort(canonical_record_key(hits, states, num_states))
-        counts = np.bincount(hits, minlength=num_nodes) if hits.size else np.zeros(
-            num_nodes, dtype=np.int64
+        _validate_params(num_nodes, length, num_replicates)
+        indptr, state, hop, _ = canonical_entries(
+            hits, states, hops, num_nodes, length, num_replicates
         )
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        state_dtype = entry_state_dtype(num_nodes, num_replicates)
         return cls(
             indptr=indptr,
-            state=states[order].astype(state_dtype),
-            hop=hops[order].astype(np.int16),
+            state=state,
+            hop=hop,
             num_nodes=num_nodes,
             length=length,
             num_replicates=num_replicates,

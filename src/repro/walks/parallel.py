@@ -18,9 +18,14 @@ each per-hop block, draws only its rows, and skips the rest with
 ``advance`` — so the assembled output is *bit-identical* to the
 sequential engines, for any partitioning, on any worker count.
 
+It also owns the first-visit record format every index builder shares:
+the extraction (:func:`first_visit_records`), the canonical sort key
+(:func:`canonical_record_key`) and the one-``int64`` packed record that
+the canonical sort runs on (:class:`RecordPacker`).
+
 Everything here is deliberately import-light (numpy + stdlib + the rng
-helpers): spawned worker processes import this module once and nothing
-heavier.
+helpers and error types): spawned worker processes import this module
+once and nothing heavier.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 from multiprocessing import shared_memory
 
+from repro.errors import ParameterError
 from repro.walks.rng import generator_at
 
 __all__ = [
@@ -36,6 +42,8 @@ __all__ = [
     "slice_weighted_walks",
     "first_visit_records",
     "canonical_record_key",
+    "MAX_WALK_LENGTH",
+    "RecordPacker",
     "SharedArrayPack",
     "run_task",
 ]
@@ -170,7 +178,7 @@ def slice_weighted_walks(
 
 
 # ----------------------------------------------------------------------
-# First-visit record extraction (shared by every index builder)
+# First-visit records: extraction, sort key, packed format (every builder)
 # ----------------------------------------------------------------------
 def first_visit_records(
     walks: np.ndarray, states: np.ndarray
@@ -225,13 +233,97 @@ def canonical_record_key(
     silently once ``hit * n * R`` crosses 2^31 — reordering entries
     instead of crashing.  Keys are decodable: ``hit = key // num_states``
     and ``state = key % num_states`` (states are ``< num_states`` by
-    construction), which is what lets the external sorter spill only the
-    key per record.
+    construction), which is what lets :class:`RecordPacker` carry a whole
+    record in one ``int64``.
     """
-    return (
-        hits.astype(np.int64, copy=False) * np.int64(num_states)
-        + states.astype(np.int64, copy=False)
-    )
+    keys = np.multiply(hits, np.int64(num_states), dtype=np.int64)
+    keys += states
+    return keys
+
+
+#: The longest walk an index can hold: every builder stores hops as int16.
+MAX_WALK_LENGTH = int(np.iinfo(np.int16).max)
+
+
+class RecordPacker:
+    """One first-visit record as one sortable ``int64``: ``key << b | hop``.
+
+    ``key`` is :func:`canonical_record_key` and the low ``b =
+    L.bit_length()`` bits hold the hop.  Keys are unique and hops are
+    ``< 2**b``, so sorting the packed *values* orders records exactly as
+    sorting by key — an in-place SIMD value sort instead of an argsort
+    plus one gather per column — and every assembler (the external
+    sorter's buffer, spill runs and merge; ``FlatWalkIndex._from_records``;
+    the dynamic index) shares this one format.  A mask reads the hop
+    back, a shift the key, and ``key % num_states`` the state.
+
+    The constructor is the range check: the largest packed record,
+    ``(n * n R << b) - 1``, must fit ``int64`` and ``L`` must fit the
+    int16 hop column, else :class:`~repro.errors.ParameterError`.  No
+    buildable instance reaches the int64 bound — 10^6 nodes at R=100
+    fit at every valid ``L`` — so there is no fallback format.
+    """
+
+    def __init__(self, num_nodes: int, num_replicates: int, length: int):
+        if not 0 <= length <= MAX_WALK_LENGTH:
+            raise ParameterError(
+                f"walk length L={length} outside [0, {MAX_WALK_LENGTH}] "
+                "(hops are stored as int16)"
+            )
+        num_states = int(num_nodes) * int(num_replicates)
+        bits = int(length).bit_length()
+        if (int(num_nodes) * num_states) << bits > 1 << 63:
+            raise ParameterError(
+                f"walk records of n={num_nodes}, R={num_replicates}, "
+                f"L={length} do not pack into int64 (needs "
+                f"n * n * R * 2**{bits} <= 2**63)"
+            )
+        self.num_states = num_states
+        self.length = int(length)
+        self.hop_bits = bits
+
+    def check_hops(self, hops: np.ndarray) -> int:
+        """Raise unless every hop lies in ``[0, L]``; return the largest.
+
+        A hop past ``L`` would spill into the key bits and a negative
+        one would set them all, silently reordering records.
+        """
+        if hops.size == 0:
+            return 0
+        low, high = int(hops.min()), int(hops.max())
+        if low < 0 or high > self.length:
+            raise ParameterError(
+                f"record hops must lie in [0, L={self.length}] "
+                f"(got {low}..{high})"
+            )
+        return high
+
+    def pack(
+        self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
+    ) -> np.ndarray:
+        """A fresh ``int64`` array of packed records.
+
+        ``hops`` must lie in ``[0, L]`` (:meth:`check_hops`) and
+        ``states`` in ``[0, n R)``.
+        """
+        packed = canonical_record_key(hits, states, self.num_states)
+        packed <<= self.hop_bits
+        packed |= hops
+        return packed
+
+    def decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, int16 hops)``, shifting ``packed`` into the keys in place."""
+        hops = np.empty(packed.size, dtype=np.int16)
+        np.bitwise_and(
+            packed, (1 << self.hop_bits) - 1, out=hops, casting="unsafe"
+        )
+        packed >>= self.hop_bits
+        return packed, hops
+
+    def sort_decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sort ``packed`` in place, then :meth:`decode` it."""
+        packed.sort()
+        return self.decode(packed)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ crash-mid-merge atomicity, and temp-file hygiene.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.walks.build import (
 )
 from repro.walks.backends import MultiprocWalkEngine
 from repro.walks.index import FlatWalkIndex
+from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.persistence import load_index, save_index
 
 
@@ -224,7 +226,7 @@ class TestEdgeCases:
         from repro.walks.build import _FileRun
 
         run = tmp_path / "run.tmp"
-        run.write_bytes(b"\x00" * 15)  # 1.5 records
+        run.write_bytes(b"\x00" * 12)  # 1.5 packed 8-byte records
         reader = _FileRun(run, total=2)
         with pytest.raises(GraphFormatError, match="truncated"):
             reader.read(2)
@@ -233,7 +235,7 @@ class TestEdgeCases:
 
 class TestSinkSeam:
     def test_sink_counts_and_dense_writer_roundtrip(self):
-        sink = ExternalSortSink(5, 2)
+        sink = ExternalSortSink(5, 2, 4)
         sink.consume(
             np.array([3, 1, 3]), np.array([9, 0, 2]), np.array([2, 1, 1])
         )
@@ -256,7 +258,9 @@ class TestSinkSeam:
             seen.append(str(path))
             return real_unlink(path, *a, **kw)
 
-        sink = ExternalSortSink(50, 2, memory_budget=64, spill_dir=spills)
+        sink = ExternalSortSink(
+            50, 2, 1, memory_budget=64, spill_dir=spills
+        )
         rng = np.random.default_rng(0)
         hits = rng.integers(0, 50, size=40)
         states = np.arange(40)
@@ -265,6 +269,151 @@ class TestSinkSeam:
         assert any(p.name.startswith(".rwidx-run-") for p in spills.iterdir())
         sink.close()
         assert list(spills.iterdir()) == []
+
+
+def _random_records(rng, num_nodes, reps, length, size, dtype):
+    """``size`` unique ``(hit, state)`` records, hops in ``[1, L]``
+    including both 1 and ``L``."""
+    num_states = num_nodes * reps
+    pairs = rng.choice(num_nodes * num_states, size=size, replace=False)
+    hits, states = np.divmod(pairs, num_states)
+    hops = rng.integers(1, length + 1, size=size)
+    hops[: min(size, 1)] = 1
+    hops[size - min(size, 1) :] = length
+    return hits.astype(dtype), states.astype(dtype), hops.astype(dtype)
+
+
+def _lexsort_reference(hits, states, hops, num_nodes):
+    order = np.lexsort((states, hits))
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(hits, minlength=num_nodes), out=indptr[1:])
+    return indptr, states[order], hops[order]
+
+
+def _assemble(path, hits, states, hops, num_nodes, reps, length, spill_dir):
+    """Canonical ``(indptr, state, hop)`` through one assembler."""
+    if path == "from_records":
+        flat = FlatWalkIndex._from_records(
+            hits, states, hops, num_nodes=num_nodes, length=length,
+            num_replicates=reps,
+        )
+        return flat.indptr, flat.state, flat.hop
+    step = max(1, -(-hits.size // 6))  # ~6 consume calls
+    budget = None if path == "memory" else 8 * max(1, hits.size * 3 // 8)
+    sink = ExternalSortSink(
+        num_nodes, reps, length, memory_budget=budget, spill_dir=spill_dir
+    )
+    for lo in range(0, hits.size, step):
+        sl = slice(lo, lo + step)
+        sink.consume(hits[sl], states[sl], hops[sl])
+    if path == "spill" and hits.size > 5:
+        assert sink.spill_runs >= 2
+    return sink.finalize(DenseEntryWriter(num_nodes, reps))
+
+
+ASSEMBLERS = ("memory", "spill", "from_records")
+
+
+class TestPackedRecords:
+    """The packed ``key << b | hop`` format, through every assembler."""
+
+    @pytest.mark.parametrize("path", ASSEMBLERS)
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "length", [0, 1, 2, 3, 4, 7, 8, 15, 16, MAX_WALK_LENGTH]
+    )
+    def test_matches_lexsort_reference(self, tmp_path, path, dtype, length):
+        # Hop widths straddle every bit boundary; 12,000 records spill
+        # runs longer than one merge read block, so the merge takes
+        # several boundary rounds.
+        rng = np.random.default_rng(length)
+        num_nodes, reps = 300, 2
+        for size in ([0] if length == 0 else [0, 1, 57, 12_000]):
+            hits, states, hops = _random_records(
+                rng, num_nodes, reps, length, size, dtype
+            )
+            indptr, state, hop = _assemble(
+                path, hits, states, hops, num_nodes, reps, length, tmp_path
+            )
+            want = _lexsort_reference(hits, states, hops, num_nodes)
+            np.testing.assert_array_equal(indptr, want[0])
+            np.testing.assert_array_equal(state, want[1])
+            np.testing.assert_array_equal(hop, want[2])
+            assert state.dtype == np.int32 and hop.dtype == np.int16
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("path", ASSEMBLERS)
+    def test_int32_records_past_int32_keys(self, tmp_path, path):
+        # hit * n R crosses 2^31 here; int32 inputs must not wrap.
+        rng = np.random.default_rng(5)
+        num_nodes, reps, length = 70_000, 1, 9
+        hits, states, hops = _random_records(
+            rng, num_nodes, reps, length, 3_000, np.int32
+        )
+        got = _assemble(
+            path, hits, states, hops, num_nodes, reps, length, tmp_path
+        )
+        want = _lexsort_reference(hits, states, hops, num_nodes)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_spilled_runs_hold_eight_bytes_per_record(self, tmp_path):
+        rng = np.random.default_rng(3)
+        hits, states, hops = _random_records(rng, 100, 2, 3, 100, np.int64)
+        # 10 records = 80 B > 79 B: every consume spills its chunk.
+        sink = ExternalSortSink(100, 2, 3, memory_budget=79,
+                                spill_dir=tmp_path)
+        for lo in range(0, 100, 10):
+            sink.consume(hits[lo:lo + 10], states[lo:lo + 10],
+                         hops[lo:lo + 10])
+        assert sink.spill_runs == 10
+        assert sink.spilled_bytes == 8 * 100
+        assert sum(p.stat().st_size for p in tmp_path.iterdir()) == 800
+        indptr, state, hop = sink.finalize(DenseEntryWriter(100, 2))
+        want = _lexsort_reference(hits, states, hops, 100)
+        np.testing.assert_array_equal(state, want[1])
+        np.testing.assert_array_equal(hop, want[2])
+
+    def test_range_check_raises_before_allocating(self):
+        # n * n R = 10^19 > 2^63: refused before the n-sized counts
+        # array (800 MB here) is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ParameterError, match=r"n=100000000, R=1000, L=10\b"
+            ):
+                ExternalSortSink(10**8, 10**3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_range_check_bound_is_exact(self):
+        # n * n R * 2^15 == 2^63 exactly: the largest packed record is
+        # the int64 maximum and still round-trips.
+        n, reps = 1 << 20, 1 << 8
+        packer = RecordPacker(n, reps, MAX_WALK_LENGTH)
+        top = packer.pack(
+            np.array([n - 1]), np.array([n * reps - 1]),
+            np.array([MAX_WALK_LENGTH]),
+        )
+        assert top[0] == np.iinfo(np.int64).max
+        keys, hops = packer.decode(top)
+        assert keys[0] == (n - 1) * n * reps + n * reps - 1
+        assert hops[0] == MAX_WALK_LENGTH
+        ExternalSortSink(n, reps, MAX_WALK_LENGTH).close()
+        with pytest.raises(ParameterError, match="R=257"):
+            ExternalSortSink(n, 257, MAX_WALK_LENGTH)
+        # The paper's largest instance fits at every valid length.
+        RecordPacker(10**6, 100, MAX_WALK_LENGTH)
+
+    def test_hop_outside_length_raises(self):
+        sink = ExternalSortSink(5, 2, 3)
+        for bad in (4, -1):
+            with pytest.raises(ParameterError, match="L=3"):
+                sink.consume(np.array([1]), np.array([0]), np.array([bad]))
+        assert sink.total_records == 0
+        sink.close()
 
 
 class TestCli:

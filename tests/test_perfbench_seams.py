@@ -1,0 +1,52 @@
+"""The end-to-end benchmark's traced run wraps library functions in place.
+
+``perfbench/layers.py`` times each layer by replacing functions at the
+names their callers look them up by, reading each original from its
+owner's ``__dict__``.  A rename or a move of any of those seams would
+only surface when the traced benchmark runs; this guard makes it fail
+the fast test lane instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", PERFBENCH / "layers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_in_its_owner(layers):
+    targets = layers._targets()
+    assert targets
+    for owner, attr, name, _count in targets:
+        assert attr in owner.__dict__, f"{name}: {owner!r} has no {attr!r}"
+        assert callable(owner.__dict__[attr]), name
+        assert name in layers.LAYER_OF, name
+
+
+def test_install_wraps_and_uninstall_restores(layers):
+    originals = [
+        (owner, attr, owner.__dict__[attr])
+        for owner, attr, _name, _count in layers._targets()
+    ]
+    trace = layers.LayerTrace()
+    trace.install()
+    try:
+        for owner, attr, original in originals:
+            wrapped = owner.__dict__[attr]
+            assert wrapped is not original
+            assert wrapped.__wrapped__ is original
+    finally:
+        trace.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graphs.generators import power_law_graph
+from repro.walks.backends import NumpyWalkEngine
 from repro.walks.engine import batch_walks
 from repro.walks.index import (
     FlatWalkIndex,
@@ -167,6 +168,46 @@ class TestFlatBuilder:
         # replicate 0 -> state == walker id
         assert sorted(state.tolist()) == [0, 2, 4]
         assert hop.tolist() == [1, 1, 1]
+
+
+class TestWalkLengthCap:
+    """Hops are stored as int16: a walk longer than 32767 hops must be
+    refused up front, not narrowed (hop 40000 would read back -25536)."""
+
+    class _FarHopEngine(NumpyWalkEngine):
+        # One record at hop L, without walking L hops.
+        def iter_walk_records(self, graph, starts, length, states, seed=None,
+                              chunk_rows=1 << 19):
+            yield (
+                np.array([1], dtype=np.int64),
+                np.array([0], dtype=np.int64),
+                np.array([length], dtype=np.int64),
+            )
+
+    def test_build_rejects_length_past_int16(self):
+        graph = power_law_graph(10, 20, seed=1)
+        with pytest.raises(ParameterError, match="32767"):
+            FlatWalkIndex.build(graph, 40_000, 1, engine=self._FarHopEngine())
+
+    def test_from_records_rejects_length_past_int16(self):
+        with pytest.raises(ParameterError, match="32767"):
+            FlatWalkIndex._from_records(
+                np.array([1]), np.array([0]), np.array([40_000]),
+                num_nodes=3, length=40_000, num_replicates=1,
+            )
+
+    def test_every_builder_validates(self):
+        from repro.core.weighted import build_weighted_index
+        from repro.dynamic.index import DynamicWalkIndex
+        from repro.graphs.weighted import WeightedDiGraph
+
+        graph = power_law_graph(10, 20, seed=1)
+        with pytest.raises(ParameterError, match="32767"):
+            DynamicWalkIndex.build(graph, 40_000, 1, seed=0)
+        with pytest.raises(ParameterError, match="32767"):
+            build_weighted_index(
+                WeightedDiGraph.from_undirected(graph), 40_000, 1, seed=0
+            )
 
 
 class TestWalkerMajorStarts:

@@ -1,5 +1,6 @@
 """Tests for the weighted/directed domination solvers."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
@@ -15,6 +16,8 @@ from repro.core.weighted import (
     weighted_dpf1,
     weighted_dpf2,
 )
+from repro.walks.alias import weighted_batch_walks
+from repro.walks.index import FlatWalkIndex, walker_major_starts
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,24 @@ class TestWeightedIndex:
         assert records
         assert all(walker == 0 for _, walker, _ in records)
         assert index.entry_records(0) == []
+
+    def test_arrays_equal_from_walks_on_same_walks(self, unit_digraph):
+        # The builder's first-visit extraction is the shared one: its
+        # arrays equal the reference builder's on the very same walks.
+        length, reps, seed = 5, 4, 21
+        index = build_weighted_index(unit_digraph, length, reps, seed=seed)
+        n = unit_digraph.num_nodes
+        walks = weighted_batch_walks(
+            unit_digraph, walker_major_starts(n, reps), length,
+            seed=np.random.default_rng(seed),
+        )
+        ref = FlatWalkIndex.from_walks(walks, n, reps)
+        assert index.total_entries > 0
+        np.testing.assert_array_equal(index.indptr, ref.indptr)
+        np.testing.assert_array_equal(index.state, ref.state)
+        np.testing.assert_array_equal(index.hop, ref.hop)
+        assert index.state.dtype == ref.state.dtype
+        assert index.hop.dtype == ref.hop.dtype == np.int16
 
     def test_param_validation(self):
         g = WeightedDiGraph.from_edges([(0, 1, 1.0)])

@@ -29,6 +29,11 @@ Key reference (all via ``bench_record`` for the ``--json`` report and
 * ``serving.select_parity`` / ``serving.metrics_parity`` /
   ``serving.min_targets_parity`` / ``serving.batched_answers_parity`` —
   the hard contract.
+* ``serving.min_targets_s`` / ``serving.min_targets_full_sweep_s`` /
+  ``serving.min_targets_speedup_x`` — ``min_targets`` on CELF against the
+  full-sweep greedy it replaced, at the same number of picks (>= 20x,
+  gated like the throughput claim); ``serving.min_targets_prefix_parity``
+  — both select the same nodes with the same gains (hard).
 """
 
 import pytest
@@ -158,6 +163,34 @@ def test_batched_throughput_gated(graph, index, bench_record, timing_gate):
         )
     elif speedup < 2.0:
         print(f"TIMING (report-only): speedup {speedup:.2f}x < 2.0x floor")
+
+
+def test_min_targets_celf_gated(graph, index, bench_record, timing_gate):
+    """``min_targets`` runs CELF: >= 20x the full sweep at the same picks."""
+    celf_s, result = best_of(5, lambda: min_targets_for_coverage(
+        graph, 0.5, LENGTH, index=index
+    ))
+    picks = len(result.selected)
+    sweep_s, full = best_of(2, lambda: approx_greedy_fast(
+        graph, picks, LENGTH, index=index, objective="f2", lazy=False
+    ))
+    parity = result.selected == full.selected and result.gains == full.gains
+    speedup = sweep_s / celf_s
+    bench_record("serving.min_targets_s", celf_s)
+    bench_record("serving.min_targets_full_sweep_s", sweep_s)
+    bench_record("serving.min_targets_speedup_x", speedup)
+    bench_record("serving.min_targets_prefix_parity", parity)
+    print(
+        f"\nmin_targets(0.5) ({picks} picks): CELF {celf_s * 1e3:.1f} ms, "
+        f"full sweep {sweep_s * 1e3:.1f} ms -> {speedup:.0f}x"
+    )
+    assert parity, "min_targets diverged from the full-sweep greedy prefix"
+    if timing_gate:
+        assert speedup >= 20.0, (
+            f"min_targets only {speedup:.1f}x the full-sweep greedy"
+        )
+    elif speedup < 20.0:
+        print(f"TIMING (report-only): speedup {speedup:.1f}x < 20x floor")
 
 
 def test_mixed_workload_report(graph, index, bench_record):

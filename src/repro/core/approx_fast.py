@@ -15,12 +15,13 @@ passes over the :class:`~repro.walks.index.FlatWalkIndex`:
   matches the per-round cost the paper proves for Algorithm 6.
 * Selecting ``u`` relaxes ``d`` on the entry slice of ``u`` only.
 
-On top of the paper's full-sweep loop this engine optionally runs CELF lazy
-evaluation (``lazy=True``, the default): the per-replicate estimated
-objectives are genuine coverage-type submodular functions, so stale gains
-are valid upper bounds and the selected set provably matches the full sweep
-under the same smaller-id tie-breaking, while touching only the entry slices
-of re-evaluated candidates.
+The engine supplies gains; the greedy driver (:mod:`repro.core.greedy`)
+runs the rounds, as CELF lazy evaluation by default (``lazy=True``) or as
+the paper's full sweep.  The per-replicate estimated objectives are genuine
+coverage-type submodular functions, so stale gains are valid upper bounds
+and the selected set provably matches the full sweep under the same
+smaller-id tie-breaking, while touching only the entry slices of
+re-evaluated candidates.
 
 ``gain_backend`` selects the marginal-gain machinery (DESIGN.md §8):
 ``"entries"`` is the per-entry array path described above, ``"bitset"``
@@ -33,7 +34,6 @@ and differ only in speed and memory.
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.core.coverage_kernel import (
     validate_gain_backend,
     validate_rows_format,
 )
+from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.index import FlatWalkIndex
@@ -59,7 +60,8 @@ class FastApproxEngine:
     """Mutable Algorithm 6 state over a flat walk index.
 
     The engine owns the gain state and exposes gain queries and selection
-    updates; :func:`approx_greedy_fast` drives it, and the extension solvers
+    updates; :meth:`run` hands it to the greedy driver
+    (:func:`repro.core.greedy.run_greedy`), and the extension solvers
     (:mod:`repro.core.coverage`, :mod:`repro.core.combined`) reuse it.  With
     ``gain_backend="entries"`` that state is the flat ``d`` array; with
     ``"bitset"`` it lives in a :class:`~repro.core.coverage_kernel.CoverageKernel`
@@ -217,19 +219,13 @@ class FastApproxEngine:
 
     def select(self, node: int, gain: "float | None" = None) -> None:
         """Commit one selection: record it and run Algorithm 5's update."""
+        if not 0 <= node < self.num_nodes:
+            raise ParameterError(f"node {node} out of range")
         if self._chosen[node]:
             raise ParameterError(f"node {node} already selected")
         if self._kernel is not None:
             self._kernel.select(node)
-            self._chosen[node] = True
-            self.selected.append(int(node))
-            self.gains.append(
-                float(gain) / self.num_replicates
-                if gain is not None
-                else float("nan")
-            )
-            return
-        if self.objective == "f1":
+        elif self.objective == "f1":
             state, hop = self.index.entries_for(node)
             self.d[node :: self.num_nodes] = 0
             # First-visit dedup guarantees one entry per (replicate, walker)
@@ -249,38 +245,7 @@ class FastApproxEngine:
         """Greedily select ``k`` nodes (continuing any prior selections)."""
         if not 0 <= k <= self.num_nodes - len(self.selected):
             raise ParameterError("k out of range for remaining candidates")
-        if lazy:
-            self._run_lazy(k)
-        else:
-            self._run_full(k)
-
-    def _run_full(self, k: int) -> None:
-        for _ in range(k):
-            gains = self.gains_all()
-            gains[self._chosen] = np.iinfo(np.int64).min
-            best = int(gains.argmax())  # argmax takes the smallest id on ties
-            self.select(best, gain=float(gains[best]))
-
-    def _run_lazy(self, k: int) -> None:
-        if k == 0:
-            return
-        gains = self.gains_all()
-        stamp = len(self.selected)  # selections already folded into d
-        heap = [
-            (-int(gains[u]), u, stamp)
-            for u in range(self.num_nodes)
-            if not self._chosen[u]
-        ]
-        heapq.heapify(heap)
-        for _ in range(k):
-            current = len(self.selected)
-            while True:
-                neg_gain, node, seen = heapq.heappop(heap)
-                if seen == current:
-                    self.select(node, gain=float(-neg_gain))
-                    break
-                fresh = self.gain_of(node)
-                heapq.heappush(heap, (-fresh, node, current))
+        run_greedy(self, k, lazy=lazy, exclude=self._chosen)
 
 
 def approx_greedy_fast(

@@ -6,7 +6,8 @@
 * :func:`dominate_baseline` — the ``Dominate`` algorithm: the classic
   dominating-set greedy under a budget.  In each round pick
   ``v = argmax_{u not in S} |N({u}) - N(S)|`` where ``N(S)`` is the set of
-  immediate neighbors of ``S``, then add it to ``S``.
+  immediate neighbors of ``S``, then add it to ``S``.  The rounds run on
+  the greedy driver (:mod:`repro.core.greedy`) with CELF.
 * :func:`random_baseline` — uniform random ``k``-subset; not in the paper
   but a useful sanity floor for tests and ablations.
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
+from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.walks.rng import resolve_rng
 
@@ -51,42 +53,45 @@ def degree_baseline(graph: Graph, k: int) -> SelectionResult:
     )
 
 
+class _UncoveredNeighbours:
+    """Gain of ``u`` = its neighbors not yet in ``N(S)``; only shrinks."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.covered = np.zeros(graph.num_nodes, dtype=bool)  # N(S)
+        self.selected: list[int] = []
+        self.gains: list[float] = []
+
+    def gains_all(self) -> np.ndarray:
+        running = np.cumsum(~self.covered[self.graph.indices], dtype=np.int64)
+        return np.diff(np.concatenate(([0], running))[self.graph.indptr])
+
+    def gain_of(self, node: int) -> int:
+        return int(np.count_nonzero(~self.covered[self.graph.neighbors(node)]))
+
+    def select(self, node: int, gain: int) -> None:
+        self.covered[self.graph.neighbors(node)] = True
+        self.selected.append(node)
+        self.gains.append(float(gain))
+
+
 def dominate_baseline(graph: Graph, k: int) -> SelectionResult:
     """Budgeted dominating-set greedy (``Dominate`` in the paper).
 
     Implements the round rule of Section 4.1 verbatim: the gain of a
     candidate ``u`` is the number of its neighbors not yet neighbors of
-    ``S``.  Runs in ``O(k)`` rounds with a lazy priority queue — gains only
-    shrink as ``N(S)`` grows, so stale upper bounds are safe.
+    ``S``.  Runs in ``O(k)`` rounds with CELF — gains only shrink as
+    ``N(S)`` grows, so stale upper bounds are safe.
     """
     _check_budget(graph, k)
     started = time.perf_counter()
-    import heapq
-
-    n = graph.num_nodes
-    covered = np.zeros(n, dtype=bool)  # membership in N(S)
-    chosen = np.zeros(n, dtype=bool)
-    heap = [(-graph.degree(u), u) for u in range(n)]
-    heapq.heapify(heap)
-    selected: list[int] = []
-    gains: list[float] = []
-    while len(selected) < k and heap:
-        neg_gain, u = heapq.heappop(heap)
-        if chosen[u]:
-            continue
-        current = int(np.count_nonzero(~covered[graph.neighbors(u)]))
-        if -neg_gain > current:
-            heapq.heappush(heap, (-current, u))
-            continue
-        selected.append(u)
-        gains.append(float(current))
-        chosen[u] = True
-        covered[graph.neighbors(u)] = True
+    engine = _UncoveredNeighbours(graph)
+    run_greedy(engine, k)
     elapsed = time.perf_counter() - started
     return SelectionResult(
         algorithm="Dominate",
-        selected=tuple(selected),
-        gains=tuple(gains),
+        selected=tuple(engine.selected),
+        gains=tuple(engine.gains),
         elapsed_seconds=elapsed,
         num_gain_evaluations=0,
         params={"k": k},

@@ -8,7 +8,8 @@ objectives, noting it stays submodular:
 * :class:`CombinedObjective` — exact, pluggable into the generic greedy.
 * :func:`approx_combined` — Algorithm 6 machinery: two
   :class:`FastApproxEngine` instances share one walk index; the blended raw
-  gain drives the argmax and both states are updated after each pick.
+  gain drives the greedy driver's CELF rounds and both states are updated
+  after each pick.
 
 Because ``F1`` is measured in hops (scale ``~ n L``) and ``F2`` in nodes
 (scale ``~ n``), callers who want a balanced trade-off typically pass
@@ -27,7 +28,7 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.approx_fast import FastApproxEngine
 from repro.core.coverage_kernel import validate_gain_backend
-from repro.core.greedy import greedy_select
+from repro.core.greedy import greedy_select, run_greedy
 from repro.core.objectives import F1Objective, F2Objective
 from repro.core.result import SelectionResult
 from repro.walks.index import FlatWalkIndex
@@ -102,6 +103,37 @@ def combined_greedy(
     return result
 
 
+class _BlendedEngine:
+    """``w1 * F1 + w2 * F2`` raw gains over two engines on one index.
+
+    Float rounding is monotone, so a stale blended gain still bounds the
+    fresh one from above, and CELF selects what the full sweep would.
+    """
+
+    def __init__(self, index, weight_f1, weight_f2, gain_backend):
+        self.f1 = FastApproxEngine(index, "f1", gain_backend=gain_backend)
+        self.f2 = FastApproxEngine(index, "f2", gain_backend=gain_backend)
+        self.w1, self.w2 = weight_f1, weight_f2
+        self.selected: list[int] = []
+        self.gains: list[float] = []
+
+    def gains_all(self) -> np.ndarray:
+        return self.w1 * self.f1.gains_all().astype(np.float64) + (
+            self.w2 * self.f2.gains_all().astype(np.float64)
+        )
+
+    def gain_of(self, node: int) -> float:
+        return self.w1 * float(self.f1.gain_of(node)) + (
+            self.w2 * float(self.f2.gain_of(node))
+        )
+
+    def select(self, node: int, gain: float) -> None:
+        self.f1.select(node)
+        self.f2.select(node)
+        self.selected.append(node)
+        self.gains.append(float(gain) / self.f1.num_replicates)
+
+
 def approx_combined(
     graph: Graph,
     k: int,
@@ -115,10 +147,10 @@ def approx_combined(
 ) -> SelectionResult:
     """Index-based greedy on ``w1 F1 + w2 F2`` (one shared walk index).
 
-    Runs full gain sweeps (no CELF) for clarity; the blended gains remain
-    submodular, so a lazy variant would also be sound.  Both engines honor
-    ``gain_backend`` (:mod:`repro.core.coverage_kernel`) and the raw gains
-    are backend-independent, so the blended argmax is too.
+    Runs CELF rounds on the greedy driver: the blended gains remain
+    submodular, so the selection equals the full sweep's.  Both engines
+    honor ``gain_backend`` (:mod:`repro.core.coverage_kernel`) and the raw
+    gains are backend-independent, so the blended argmax is too.
     """
     _check_weights(weight_f1, weight_f2)
     if not 0 <= k <= graph.num_nodes:
@@ -129,30 +161,16 @@ def approx_combined(
         index = FlatWalkIndex.build(graph, length, num_replicates, seed=seed)
     elif index.num_nodes != graph.num_nodes:
         raise ParameterError("index was built for a different graph size")
-    engine_f1 = FastApproxEngine(index, objective="f1", gain_backend=gain_backend)
-    engine_f2 = FastApproxEngine(index, objective="f2", gain_backend=gain_backend)
-    selected: list[int] = []
-    gains: list[float] = []
-    chosen = np.zeros(graph.num_nodes, dtype=bool)
-    for _ in range(k):
-        blended = weight_f1 * engine_f1.gains_all().astype(np.float64) + (
-            weight_f2 * engine_f2.gains_all().astype(np.float64)
-        )
-        blended[chosen] = -np.inf
-        best = int(blended.argmax())
-        selected.append(best)
-        gains.append(float(blended[best]) / index.num_replicates)
-        chosen[best] = True
-        engine_f1.select(best)
-        engine_f2.select(best)
+    engine = _BlendedEngine(index, weight_f1, weight_f2, gain_backend)
+    run_greedy(engine, k)
     elapsed = time.perf_counter() - started
     return SelectionResult(
         algorithm="CombinedApprox",
-        selected=tuple(selected),
-        gains=tuple(gains),
+        selected=tuple(engine.selected),
+        gains=tuple(engine.gains),
         elapsed_seconds=elapsed,
-        num_gain_evaluations=engine_f1.num_gain_evaluations
-        + engine_f2.num_gain_evaluations,
+        num_gain_evaluations=engine.f1.num_gain_evaluations
+        + engine.f2.num_gain_evaluations,
         params={
             "k": k,
             "L": index.length,

@@ -25,6 +25,7 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.approx_fast import FastApproxEngine
 from repro.core.coverage_kernel import validate_gain_backend
+from repro.core.greedy import _ObjectiveEngine, run_greedy
 from repro.core.objectives import F2Objective
 from repro.core.result import SelectionResult
 from repro.walks.index import FlatWalkIndex
@@ -35,6 +36,11 @@ __all__ = ["min_targets_for_coverage", "min_targets_for_coverage_exact"]
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
+
+
+def _check_max_size(max_size: "int | None") -> None:
+    if max_size is not None and max_size < 0:
+        raise ParameterError(f"max_size must be >= 0, got {max_size}")
 
 
 def _unreachable(threshold: float, achieved: float, budget: int) -> ParameterError:
@@ -73,6 +79,7 @@ def min_targets_for_coverage(
     ``alpha * n`` — instead of silently returning an under-covering set.
     """
     _check_alpha(alpha)
+    _check_max_size(max_size)
     gain_backend = validate_gain_backend(gain_backend)
     started = time.perf_counter()
     if index is None:
@@ -84,21 +91,10 @@ def min_targets_for_coverage(
     )
     threshold = alpha * graph.num_nodes
     limit = graph.num_nodes if max_size is None else min(max_size, graph.num_nodes)
-    covered_raw = 0  # running F2 estimate, times R
-    while covered_raw < threshold * index.num_replicates:
-        if len(engine.selected) >= limit:
-            raise _unreachable(
-                threshold, covered_raw / index.num_replicates, limit
-            )
-        gains = engine.gains_all()
-        gains[engine._chosen] = np.iinfo(np.int64).min
-        best = int(gains.argmax())
-        if gains[best] <= 0:
-            raise _unreachable(
-                threshold, covered_raw / index.num_replicates, limit
-            )
-        covered_raw += int(gains[best])
-        engine.select(best, gain=float(gains[best]))
+    target = threshold * index.num_replicates  # raw gains are F2 times R
+    covered_raw = run_greedy(engine, limit, target=target)
+    if covered_raw < target:
+        raise _unreachable(threshold, covered_raw / index.num_replicates, limit)
     elapsed = time.perf_counter() - started
     achieved = covered_raw / index.num_replicates
     return SelectionResult(
@@ -132,41 +128,21 @@ def min_targets_for_coverage_exact(
     small absolute tolerance for float accumulation at ``alpha = 1``).
     """
     _check_alpha(alpha)
+    _check_max_size(max_size)
     started = time.perf_counter()
-    objective = F2Objective(graph, length)
     threshold = alpha * graph.num_nodes
     limit = graph.num_nodes if max_size is None else min(max_size, graph.num_nodes)
-    selected: list[int] = []
-    gains: list[float] = []
-    chosen: set[int] = set()
-    value = 0.0
-    evaluations = 0
-    while value < threshold - 1e-9:
-        if len(selected) >= limit:
-            raise _unreachable(threshold, value, limit)
-        best_node = -1
-        best_gain = -float("inf")
-        for u in range(graph.num_nodes):
-            if u in chosen:
-                continue
-            gain = objective.marginal_gain(chosen, u)
-            evaluations += 1
-            if gain > best_gain:
-                best_gain = gain
-                best_node = u
-        if best_gain <= 0:
-            raise _unreachable(threshold, value, limit)
-        selected.append(best_node)
-        gains.append(best_gain)
-        chosen.add(best_node)
-        value += best_gain
+    engine = _ObjectiveEngine(F2Objective(graph, length), range(graph.num_nodes))
+    value = float(run_greedy(engine, limit, lazy=False, target=threshold - 1e-9))
+    if value < threshold - 1e-9:
+        raise _unreachable(threshold, value, limit)
     elapsed = time.perf_counter() - started
     return SelectionResult(
         algorithm="CoverageGreedyExact",
-        selected=tuple(selected),
-        gains=tuple(gains),
+        selected=tuple(engine.selected),
+        gains=tuple(engine.gains),
         elapsed_seconds=elapsed,
-        num_gain_evaluations=evaluations,
+        num_gain_evaluations=engine.evaluations,
         params={
             "alpha": alpha,
             "L": length,

@@ -27,18 +27,19 @@ paper's *sampling* machinery instead.  :class:`EdgeWalkIndex` materializes
 the same R walks per node as Algorithm 3 but additionally stores each
 walk's prefix distinct-edge counts, and :class:`EdgeDominationEngine`
 mirrors Algorithms 4-6 with hop arithmetic replaced by prefix-count
-arithmetic.
+arithmetic.  The rounds run on the shared greedy driver
+(:mod:`repro.core.greedy`), with CELF by default.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Collection, Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
 from repro.walks.engine import batch_walks
@@ -262,12 +263,13 @@ class EdgeWalkIndex:
 
 
 class EdgeDominationEngine:
-    """Algorithm 6's loop with hop arithmetic replaced by edge counts.
+    """Algorithm 6's gain state with hop arithmetic replaced by edge counts.
 
     ``d[state]`` is the current truncated stop hop ``T_w(S)`` of each walk
     (``L`` while nothing is selected).  The cost of a walk is
     ``prefix[state, d[state]]``; selecting ``u`` relaxes ``d`` on the walks
-    that first-visit ``u`` earlier than their current stop.
+    that first-visit ``u`` earlier than their current stop.  :meth:`run`
+    hands the engine to the greedy driver.
     """
 
     def __init__(self, index: EdgeWalkIndex):
@@ -335,6 +337,8 @@ class EdgeDominationEngine:
 
     def select(self, node: int, gain: "float | None" = None) -> None:
         """Commit one selection and relax the stop hops (Algorithm 5)."""
+        if not 0 <= node < self.num_nodes:
+            raise ParameterError(f"node {node} out of range")
         if self._chosen[node]:
             raise ParameterError(f"node {node} already selected")
         state, hop = self.index.entries_for(node)
@@ -350,37 +354,7 @@ class EdgeDominationEngine:
         """Greedily select ``k`` nodes (continuing any prior selections)."""
         if not 0 <= k <= self.num_nodes - len(self.selected):
             raise ParameterError("k out of range for remaining candidates")
-        if lazy:
-            self._run_lazy(k)
-        else:
-            self._run_full(k)
-
-    def _run_full(self, k: int) -> None:
-        for _ in range(k):
-            gains = self.gains_all()
-            gains[self._chosen] = np.iinfo(np.int64).min
-            best = int(gains.argmax())
-            self.select(best, gain=float(gains[best]))
-
-    def _run_lazy(self, k: int) -> None:
-        if k == 0:
-            return
-        gains = self.gains_all()
-        heap = [
-            (-int(gains[u]), u, len(self.selected))
-            for u in range(self.num_nodes)
-            if not self._chosen[u]
-        ]
-        heapq.heapify(heap)
-        for _ in range(k):
-            current = len(self.selected)
-            while True:
-                neg_gain, node, seen = heapq.heappop(heap)
-                if seen == current:
-                    self.select(node, gain=float(-neg_gain))
-                    break
-                fresh = self.gain_of(node)
-                heapq.heappush(heap, (-fresh, node, current))
+        run_greedy(self, k, lazy=lazy, exclude=self._chosen)
 
 
 def edge_domination_greedy(

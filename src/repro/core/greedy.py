@@ -1,33 +1,139 @@
-"""Greedy submodular maximization — Algorithm 1, plus CELF lazy evaluation.
+"""The greedy driver — Algorithm 1, plus CELF lazy evaluation.
 
-:func:`greedy_select` is the generic kernel every exact/sampled solver in
-this package builds on.  It supports two sweep strategies:
+Every greedy selection in this package runs through :func:`run_greedy`
+over an *engine* that owns the gain state: ``gains_all()`` returns every
+node's marginal gain as a fresh ``int64`` or ``float64`` array the driver
+may overwrite, ``gain_of(u)`` one node's, and ``select(u, gain)`` commits.
 
-* ``lazy=False`` — the textbook Algorithm 1: every round evaluates the
-  marginal gain of every remaining candidate.
+* ``lazy=False`` — the textbook Algorithm 1: every round sweeps all gains
+  and takes the argmax over the nodes not yet chosen.
 * ``lazy=True`` — the CELF strategy of Leskovec et al. [19] that the paper
-  recommends: gains from earlier rounds upper-bound current gains (by
-  submodularity), so candidates sit in a max-heap and only the top is
-  re-evaluated.  For a truly submodular objective the selected set is
-  identical to the full sweep under the same deterministic tie-breaking
-  (smaller node id wins).
+  recommends: earlier gains upper-bound current ones (by submodularity),
+  so candidates sit in a heap of ``(-gain, node, stamp)`` and only the top
+  is re-evaluated.  An entry is fresh when its stamp equals the number of
+  selections made, so the opening sweep is fresh in round 1.  For a
+  submodular objective the selection equals the full sweep's, and its
+  order does not depend on ``k``.
 
-The kernel is deliberately objective-agnostic: anything implementing
-:class:`repro.core.objectives.SetObjective` works, which is how the DP-based
-and sampling-based greedy variants share this code.
+Both break ties toward the smaller node id.  :func:`greedy_select` runs
+any :class:`repro.core.objectives.SetObjective` through a private adapter
+engine; the DP-based and sampling-based greedy variants share it.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from itertools import repeat
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.objectives import SetObjective
 from repro.core.result import SelectionResult
 
-__all__ = ["greedy_select"]
+__all__ = ["greedy_select", "run_greedy"]
+
+
+def run_greedy(
+    engine,
+    k: int,
+    lazy: bool = True,
+    target: "float | None" = None,
+    exclude: "np.ndarray | None" = None,
+) -> "int | float":
+    """Select up to ``k`` nodes on ``engine``; returns their summed gain.
+
+    ``exclude`` masks nodes chosen before this run.  With a ``target`` the
+    run stops once the summed gain reaches it, or, without selecting, when
+    the best remaining gain is ``<= 0``; the caller checks the sum.
+    Without one, all ``k`` nodes are selected, zero-gain nodes included.
+    """
+    if k == 0 or _reached(0, target):
+        return 0
+    gains = engine.gains_all()
+    chosen = np.zeros(gains.size, dtype=bool)
+    if exclude is not None:
+        chosen |= exclude
+    loop = _celf if lazy else _full_sweep
+    return loop(engine, k, target, gains, chosen)
+
+
+def _reached(total, target) -> bool:
+    return target is not None and total >= target
+
+
+def _full_sweep(engine, k, target, gains, chosen):
+    total = 0
+    for picks in range(1, k + 1):
+        dtype = gains.dtype
+        gains[chosen] = -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
+        node = int(gains.argmax())  # argmax takes the smallest id on ties
+        gain = gains[node].item()
+        if target is not None and gain <= 0:
+            break
+        engine.select(node, gain)
+        chosen[node] = True
+        total += gain
+        if picks == k or _reached(total, target):
+            break
+        gains = engine.gains_all()
+    return total
+
+
+def _celf(engine, k, target, gains, chosen):
+    nodes = np.flatnonzero(~chosen)
+    # Python's heap is a min-heap, so gains are negated; equal gains order
+    # by node id, matching the full sweep's first-maximum rule.
+    heap = list(zip((-gains[nodes]).tolist(), nodes.tolist(), repeat(0)))
+    heapq.heapify(heap)
+    total = 0
+    for picks in range(k):
+        neg_gain, node, stamp = heapq.heappop(heap)
+        while stamp != picks:
+            fresh = (-engine.gain_of(node), node, picks)
+            neg_gain, node, stamp = heapq.heappushpop(heap, fresh)
+        gain = -neg_gain
+        if target is not None and gain <= 0:
+            break
+        engine.select(node, gain)
+        total += gain
+        if _reached(total, target):
+            break
+    return total
+
+
+class _ObjectiveEngine:
+    """A :class:`SetObjective` as a driver engine over a candidate pool.
+
+    Keeps the chosen set and the evaluation count; nodes outside ``pool``
+    score ``-inf``, so the driver never offers them.
+    """
+
+    def __init__(self, objective: SetObjective, pool: Iterable[int]):
+        self.objective = objective
+        self.pool = list(pool)
+        self.chosen: set[int] = set()
+        self.selected: list[int] = []
+        self.gains: list[float] = []
+        self.evaluations = 0
+
+    def gains_all(self) -> np.ndarray:
+        gains = np.full(self.objective.num_nodes, -np.inf)
+        for u in self.pool:
+            if u not in self.chosen:
+                gains[u] = self.gain_of(u)
+        return gains
+
+    def gain_of(self, node: int) -> float:
+        self.evaluations += 1
+        return self.objective.marginal_gain(self.chosen, node)
+
+    def select(self, node: int, gain: float) -> None:
+        self.chosen.add(node)
+        self.selected.append(node)
+        self.gains.append(float(gain))
 
 
 def greedy_select(
@@ -63,72 +169,14 @@ def greedy_select(
         raise ParameterError(f"k={k} exceeds candidate pool of {len(pool)}")
 
     started = time.perf_counter()
-    if lazy:
-        selected, gains, evaluations = _lazy_rounds(objective, k, pool)
-    else:
-        selected, gains, evaluations = _full_rounds(objective, k, pool)
+    engine = _ObjectiveEngine(objective, pool)
+    run_greedy(engine, k, lazy=lazy)
     elapsed = time.perf_counter() - started
     return SelectionResult(
         algorithm=algorithm_name,
-        selected=tuple(selected),
-        gains=tuple(gains),
+        selected=tuple(engine.selected),
+        gains=tuple(engine.gains),
         elapsed_seconds=elapsed,
-        num_gain_evaluations=evaluations,
+        num_gain_evaluations=engine.evaluations,
         params={"k": k, "lazy": lazy},
     )
-
-
-def _full_rounds(
-    objective: SetObjective, k: int, pool: list[int]
-) -> tuple[list[int], list[float], int]:
-    """Algorithm 1 verbatim: evaluate every candidate every round."""
-    selected: list[int] = []
-    gains: list[float] = []
-    chosen: set[int] = set()
-    evaluations = 0
-    for _ in range(k):
-        best_node = -1
-        best_gain = -float("inf")
-        for u in pool:
-            if u in chosen:
-                continue
-            gain = objective.marginal_gain(chosen, u)
-            evaluations += 1
-            if gain > best_gain:  # strict: ties keep the smaller id
-                best_gain = gain
-                best_node = u
-        selected.append(best_node)
-        gains.append(best_gain)
-        chosen.add(best_node)
-    return selected, gains, evaluations
-
-
-def _lazy_rounds(
-    objective: SetObjective, k: int, pool: list[int]
-) -> tuple[list[int], list[float], int]:
-    """CELF: re-evaluate only the heap top until it is provably maximal."""
-    selected: list[int] = []
-    gains: list[float] = []
-    chosen: set[int] = set()
-    evaluations = 0
-    # Heap of (-gain, node, round_when_evaluated).  Python's heap is a
-    # min-heap, so negate gains; equal gains order by node id, matching the
-    # full sweep's first-maximum rule.
-    heap: list[tuple[float, int, int]] = []
-    for u in pool:
-        gain = objective.marginal_gain(chosen, u)
-        evaluations += 1
-        heap.append((-gain, u, 0))
-    heapq.heapify(heap)
-    for round_no in range(1, k + 1):
-        while True:
-            neg_gain, node, stamp = heapq.heappop(heap)
-            if stamp == round_no:
-                selected.append(node)
-                gains.append(-neg_gain)
-                chosen.add(node)
-                break
-            gain = objective.marginal_gain(chosen, node)
-            evaluations += 1
-            heapq.heappush(heap, (-gain, node, round_no))
-    return selected, gains, evaluations

@@ -23,7 +23,9 @@ so certified damage over-estimates true damage — it measures the attack
   current selection, then scores candidates by their *robust* marginal
   gain — newly covered states whose certificates avoid those ``q`` edges.
   With ``q = 0`` it degenerates exactly (bit-for-bit, same tie-breaks) to
-  the sampled ``ApproxF2`` greedy of Algorithm 6.
+  the sampled ``ApproxF2`` greedy of Algorithm 6.  The rounds run as full
+  sweeps on the shared greedy driver (:mod:`repro.core.greedy`): the
+  adversary re-plans every round, so CELF's stale bounds would not hold.
 
 Hop-0 self coverage (the walker itself is selected) uses no edges and is
 therefore unbreakable under any ``q`` — matching the intuition that a
@@ -39,6 +41,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
+from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.walks.backends import WalkEngine
 from repro.walks.engine import batch_first_hits
@@ -214,6 +217,72 @@ def min_breaking_edges(
     )
 
 
+class _RobustEngine:
+    """Robust-F2 gains against a re-planning adversary (full sweep only).
+
+    ``gains_all`` first makes the adversary's move, then scores every
+    candidate.  The adversary re-plans every round, so gains are not
+    submodular across rounds: the engine has no ``gain_of`` for CELF.
+    """
+
+    def __init__(self, dyn: DynamicWalkIndex, q: int):
+        self.dyn, self.q = dyn, q
+        self.state_of_row = _states_of_rows(
+            np.arange(dyn.walks.shape[0]), dyn.num_nodes, dyn.num_replicates
+        )
+        self.step_keys = _walk_step_keys(dyn.walks, dyn.num_nodes)
+        # First-hit hop of the current selection per state; L + 1 means
+        # uncovered (entry hops never exceed L).
+        self.cur_first = np.full(dyn.num_states, dyn.length + 1, dtype=np.int64)
+        self.selected: list[int] = []
+        self.gains: list[float] = []
+        self.evaluations = 0
+
+    def gains_all(self) -> np.ndarray:
+        dyn, flat, infinity = self.dyn, self.dyn.flat, self.dyn.length + 1
+        # Adversary move: best q edges against the current certificates.
+        safe_state = np.full(dyn.num_states, infinity, dtype=np.int64)
+        if self.q > 0 and self.step_keys.size:
+            row_first = self.cur_first[self.state_of_row]
+            row_first = np.where(row_first <= dyn.length, row_first, -1)
+            attack = _GreedyAttack(self.step_keys, row_first)
+            adversary_keys = []
+            for _round in range(self.q):
+                step = attack.next_edge()
+                if step is None:
+                    break
+                adversary_keys.append(step[0])
+            if adversary_keys:
+                bad = np.isin(self.step_keys, np.asarray(adversary_keys))
+                hit_any = bad.any(axis=1)
+                safe_rows = np.where(hit_any, bad.argmax(axis=1), infinity)
+                safe_state[self.state_of_row] = safe_rows
+        # Candidate scores: robust marginal gain, exact integer sums.
+        uncovered = self.cur_first == infinity
+        contrib = (
+            uncovered[flat.state]
+            & (flat.hop <= safe_state[flat.state])
+        ).astype(np.int64)
+        running = np.zeros(contrib.size + 1, dtype=np.int64)
+        np.cumsum(contrib, out=running[1:])
+        entry_gain = running[flat.indptr[1:]] - running[flat.indptr[:-1]]
+        self_gain = uncovered.reshape(dyn.num_replicates, dyn.num_nodes).sum(
+            axis=0, dtype=np.int64
+        )
+        self.evaluations += dyn.num_nodes
+        return entry_gain + self_gain
+
+    def select(self, node: int, gain: int) -> None:
+        # Fold in the factual (non-robust) coverage of the pick.
+        n, replicates = self.dyn.num_nodes, self.dyn.num_replicates
+        self.cur_first[np.arange(replicates, dtype=np.int64) * n + node] = 0
+        entry_states, entry_hops = self.dyn.flat.entries_for(node)
+        entry_states = entry_states.astype(np.int64)
+        np.minimum.at(self.cur_first, entry_states, entry_hops.astype(np.int64))
+        self.selected.append(node)
+        self.gains.append(float(gain) / replicates)
+
+
 def robust_greedy(
     graph: Graph,
     k: int,
@@ -248,75 +317,18 @@ def robust_greedy(
     )
     if dyn.num_nodes != graph.num_nodes:
         raise ParameterError("index was built for a different graph size")
-    n = dyn.num_nodes
-    replicates = dyn.num_replicates
-    num_states = dyn.num_states
-    flat = dyn.flat
-    infinity = dyn.length + 1
-    state_of_row = _states_of_rows(
-        np.arange(dyn.walks.shape[0]), n, replicates
-    )
-    step_keys = _walk_step_keys(dyn.walks, n)
-    # First-hit hop of the current selection per state; `infinity` means
-    # uncovered (entry hops never exceed L).
-    cur_first = np.full(num_states, infinity, dtype=np.int64)
-    chosen = np.zeros(n, dtype=bool)
-    selected: list[int] = []
-    gains_out: list[float] = []
-    evaluations = 0
-    for _ in range(k):
-        # Adversary move: best q edges against the current certificates.
-        safe_state = np.full(num_states, infinity, dtype=np.int64)
-        if q > 0 and step_keys.size:
-            row_first = cur_first[state_of_row]
-            row_first = np.where(row_first <= dyn.length, row_first, -1)
-            attack = _GreedyAttack(step_keys, row_first)
-            adversary_keys = []
-            for _round in range(q):
-                step = attack.next_edge()
-                if step is None:
-                    break
-                adversary_keys.append(step[0])
-            if adversary_keys:
-                bad = np.isin(step_keys, np.asarray(adversary_keys))
-                hit_any = bad.any(axis=1)
-                safe_rows = np.where(hit_any, bad.argmax(axis=1), infinity)
-                safe_state[state_of_row] = safe_rows
-        # Candidate scores: robust marginal gain, exact integer sums.
-        uncovered = cur_first == infinity
-        contrib = (
-            uncovered[flat.state]
-            & (flat.hop <= safe_state[flat.state])
-        ).astype(np.int64)
-        running = np.zeros(contrib.size + 1, dtype=np.int64)
-        np.cumsum(contrib, out=running[1:])
-        entry_gain = running[flat.indptr[1:]] - running[flat.indptr[:-1]]
-        self_gain = (
-            uncovered.reshape(replicates, n).sum(axis=0, dtype=np.int64)
-        )
-        gains = entry_gain + self_gain
-        gains[chosen] = -1
-        evaluations += n
-        best = int(gains.argmax())
-        # Fold in the factual (non-robust) coverage of the pick.
-        self_states = np.arange(replicates, dtype=np.int64) * n + best
-        cur_first[self_states] = 0
-        entry_states, entry_hops = flat.entries_for(best)
-        entry_states = entry_states.astype(np.int64)
-        np.minimum.at(cur_first, entry_states, entry_hops.astype(np.int64))
-        chosen[best] = True
-        selected.append(best)
-        gains_out.append(float(gains[best]) / replicates)
+    engine = _RobustEngine(dyn, q)
+    run_greedy(engine, k, lazy=False)
     return SelectionResult(
         algorithm="RobustGreedy",
-        selected=tuple(selected),
-        gains=tuple(gains_out),
+        selected=tuple(engine.selected),
+        gains=tuple(engine.gains),
         elapsed_seconds=time.perf_counter() - started,
-        num_gain_evaluations=evaluations,
+        num_gain_evaluations=engine.evaluations,
         params={
             "k": k,
             "L": dyn.length,
-            "R": replicates,
+            "R": dyn.num_replicates,
             "q": q,
             "method": "robust-greedy",
             "objective": "f2",

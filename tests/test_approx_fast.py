@@ -137,6 +137,24 @@ class TestEngineGuards:
         with pytest.raises(ParameterError):
             engine.gain_of(10**6)
 
+    @pytest.mark.parametrize("node", [-1, 60])
+    @pytest.mark.parametrize("gain_backend", ["entries", "bitset"])
+    @pytest.mark.parametrize("objective", ["f1", "f2"])
+    def test_select_range_checked_before_state(
+        self, small_power_law, objective, gain_backend, node
+    ):
+        # select(-1) on the f2 entries path used to mark the last state of
+        # every replicate covered before the index lookup raised.
+        flat = FlatWalkIndex.build(small_power_law, 4, 6, seed=1)
+        engine = FastApproxEngine(flat, objective, gain_backend=gain_backend)
+        engine.select(3)
+        distances, gains = engine.distance_matrix(), engine.gains_all()
+        with pytest.raises(ParameterError, match="out of range"):
+            engine.select(node)
+        np.testing.assert_array_equal(engine.distance_matrix(), distances)
+        np.testing.assert_array_equal(engine.gains_all(), gains)
+        assert engine.selected == [3]
+
     def test_run_k_validation(self, small_power_law):
         flat = FlatWalkIndex.build(small_power_law, 4, 2, seed=1)
         engine = FastApproxEngine(flat, "f1")

@@ -57,6 +57,14 @@ class TestFastCoverage:
                 small_power_law, 1.0, 1, num_replicates=10, seed=5, max_size=3
             )
 
+    def test_negative_max_size_rejected(self, small_power_law):
+        # At alpha = 0 a negative budget used to return an empty answer.
+        with pytest.raises(ParameterError, match="max_size"):
+            min_targets_for_coverage(
+                small_power_law, 0.0, 4, num_replicates=10, seed=1,
+                max_size=-3,
+            )
+
     def test_mismatched_index_rejected(self, small_power_law):
         # Regression: an index for a different graph used to drive the
         # greedy into nonsense (wrong candidate universe) instead of
@@ -125,3 +133,7 @@ class TestExactCoverage:
             min_targets_for_coverage_exact(
                 small_power_law, 0.9, 2, max_size=1
             )
+
+    def test_negative_max_size_rejected(self, small_power_law):
+        with pytest.raises(ParameterError, match="max_size"):
+            min_targets_for_coverage_exact(small_power_law, 0.0, 3, max_size=-3)

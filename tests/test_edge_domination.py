@@ -212,6 +212,19 @@ class TestEdgeDominationEngine:
         with pytest.raises(ParameterError):
             engine.select(2)
 
+    @pytest.mark.parametrize("node", [-1, 30])
+    def test_select_range_checked_before_state(self, node):
+        graph = power_law_graph(30, 90, seed=4)
+        index = EdgeWalkIndex.build(graph, 4, 3, seed=8)
+        engine = EdgeDominationEngine(index)
+        engine.select(5)
+        stops, gains = engine.d.copy(), engine.gains_all()
+        with pytest.raises(ParameterError, match="out of range"):
+            engine.select(node)
+        np.testing.assert_array_equal(engine.d, stops)
+        np.testing.assert_array_equal(engine.gains_all(), gains)
+        assert engine.selected == [5]
+
     def test_lazy_matches_full(self):
         graph = power_law_graph(50, 150, seed=6)
         index = EdgeWalkIndex.build(graph, 5, 3, seed=17)

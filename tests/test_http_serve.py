@@ -244,6 +244,14 @@ class TestTypedErrors:
         status, payload = _post(server, "metrics", {"targets": [10_000]})
         assert status == 400
 
+    def test_negative_max_size_is_400(self, server):
+        status, payload = _post(
+            server, "min_targets", {"fraction": 0.0, "max_size": -3}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "ParameterError"
+        assert "max_size" in payload["error"]["message"]
+
     def test_method_and_route_errors(self, server):
         client = _HttpClient(server.base_url)
         try:

@@ -50,3 +50,23 @@ def test_install_wraps_and_uninstall_restores(layers):
         trace.uninstall()
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original
+
+
+def test_traced_solve_counts_celf_inside_engine_run(layers):
+    # The traced run counts a CELF pop or pick only when its gain_of or
+    # select call's parent span is FastApproxEngine.run; a greedy driver
+    # called around run instead of inside it would zero the
+    # greedy.celf_useful_ratio metric without failing anything else.
+    from repro.core import approx_fast
+    from repro.graphs.generators import power_law_graph
+
+    graph = power_law_graph(200, 800, seed=23)
+    trace = layers.LayerTrace()
+    trace.install()
+    try:
+        approx_fast.approx_greedy_fast(graph, 5, 4, num_replicates=10, seed=1)
+    finally:
+        trace.uninstall()
+    items = trace.phase()["items"]
+    assert items["greedy.celf_picks"] == 5
+    assert items["greedy.celf_pops"] >= 5

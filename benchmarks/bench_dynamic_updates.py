@@ -176,23 +176,21 @@ def test_incremental_vs_rebuild_gated(
     static_entries = synced.flat.same_entries(static)
     selection_parity = True
     for objective in ("f1", "f2"):
-        for backend in ("entries", "bitset"):
-            a = approx_greedy_fast(
-                synced.graph, BUDGET, LENGTH, index=synced.flat,
-                objective=objective, gain_backend=backend,
-            )
-            b = approx_greedy_fast(
-                rebuilt.graph, BUDGET, LENGTH, index=rebuilt.flat,
-                objective=objective, gain_backend=backend,
-            )
-            c = approx_greedy_fast(
-                rebuilt.graph, BUDGET, LENGTH, index=static,
-                objective=objective, gain_backend=backend,
-            )
-            selection_parity &= (
-                a.selected == b.selected == c.selected
-                and a.gains == b.gains == c.gains
-            )
+        a = approx_greedy_fast(
+            synced.graph, BUDGET, LENGTH, index=synced.flat,
+            objective=objective,
+        )
+        b = approx_greedy_fast(
+            rebuilt.graph, BUDGET, LENGTH, index=rebuilt.flat,
+            objective=objective,
+        )
+        c = approx_greedy_fast(
+            rebuilt.graph, BUDGET, LENGTH, index=static, objective=objective,
+        )
+        selection_parity &= (
+            a.selected == b.selected == c.selected
+            and a.gains == b.gains == c.gains
+        )
     speedup = static_rebuild_s / incremental_s
     replay_speedup = replay_rebuild_s / incremental_s
     bench_record("dynamic.static_rebuild_s", static_rebuild_s)

@@ -22,7 +22,6 @@ from repro.walks.backends import available_engines, get_engine
 from repro.walks.engine import batch_walks
 from repro.walks.index import FlatWalkIndex, walker_major_starts
 from repro.core.approx_fast import FastApproxEngine
-from repro.core.coverage_kernel import CoverageKernel
 
 
 @pytest.fixture(scope="module")
@@ -76,39 +75,6 @@ def test_select_update(benchmark, index):
 
 def test_dp_level_cost(benchmark, graph):
     benchmark(lambda: hitting_time_vector(graph, {0, 1, 2}, 6))
-
-
-# ----------------------------------------------------------------------
-# Coverage-kernel micro-kernels (DESIGN.md §8)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def kernel(index):
-    return CoverageKernel.from_index(index, "f2")
-
-
-def test_kernel_build(benchmark, index):
-    benchmark(lambda: CoverageKernel.from_index(index, "f2"))
-
-
-def test_kernel_gains_all(benchmark, kernel):
-    benchmark(kernel.gains_all)
-
-
-def test_kernel_popcount_refresh(benchmark, kernel):
-    kernel.rows  # materialize the packed rows outside the timed region
-    benchmark(kernel.refresh_gains)
-
-
-def test_kernel_select_update(benchmark, index):
-    import itertools
-
-    nodes = itertools.cycle(range(index.num_nodes))
-
-    def run():
-        fresh = CoverageKernel.from_index(index, "f2")
-        fresh.select(next(nodes))
-
-    benchmark(run)
 
 
 # ----------------------------------------------------------------------

@@ -85,11 +85,9 @@ from repro.walks import (
 
 # Core contribution
 from repro.core import (
-    CoverageKernel,
     F1Objective,
     F2Objective,
     FastApproxEngine,
-    GAIN_BACKENDS,
     Problem1,
     Problem2,
     SampledF1,
@@ -198,11 +196,9 @@ __all__ = [
     "estimate_objectives",
     "random_walk",
     # core
-    "CoverageKernel",
     "F1Objective",
     "F2Objective",
     "FastApproxEngine",
-    "GAIN_BACKENDS",
     "Problem1",
     "Problem2",
     "SampledF1",

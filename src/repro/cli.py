@@ -37,11 +37,7 @@ accept ``--engine`` to pick the walk backend (see
 (stream-sliced shards on a thread pool), or ``multiproc`` (the same
 shards on a shared-memory process pool — the multi-core path).  All
 four are bit-identical under one seed, so the flag changes wall-clock
-only.  ``select`` with the ``approx-fast`` or ``sampling``
-method — and ``dynamic``, for its replay (re-)solves — additionally
-accepts ``--gain-backend`` (``entries`` or ``bitset``, see
-:mod:`repro.core.coverage_kernel`) to pick the marginal-gain machinery;
-both backends produce identical selections.
+only.
 
 A typical index-reuse workflow — pay the walk materialization once, sweep
 budgets afterwards::
@@ -63,11 +59,6 @@ from typing import Sequence
 
 from repro.errors import ParameterError, RwdomError
 from repro.graphs.adjacency import Graph
-from repro.core.coverage_kernel import (
-    DEFAULT_GAIN_BACKEND,
-    GAIN_BACKENDS,
-    ROWS_FORMATS,
-)
 from repro.walks.backends import DEFAULT_ENGINE, available_engines
 from repro.walks.build import DEFAULT_CHUNK_ROWS
 from repro.walks.storage import INDEX_FORMATS
@@ -133,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     select.add_argument("--seed", type=int, default=None)
     _add_engine_flag(select)
-    select.add_argument(
-        "--gain-backend", choices=GAIN_BACKENDS, default=DEFAULT_GAIN_BACKEND,
-        help="marginal-gain machinery for approx-fast/sampling (default: "
-        f"{DEFAULT_GAIN_BACKEND}; 'bitset' uses the packed coverage "
-        "kernel — identical selections, different speed/memory profile)",
-    )
     select.add_argument(
         "--evaluate", action="store_true",
         help="also print exact AHT/EHN of the selection",
@@ -267,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under the same value",
     )
     index.add_argument(
-        "--rows-format", choices=ROWS_FORMATS, default=None,
-        help="mmap archives only: coverage-row representation stored in "
-        "the archive — dense packed bitsets, stream (no stored rows), or "
-        "compressed roaring-style containers; default picks dense while "
-        "the rows fit the size cap and compressed beyond it",
-    )
-    index.add_argument(
         "--build-memory-budget", type=int, default=None, metavar="BYTES",
         help="cap the build's sort memory: walk records stream through "
         "an external sort (sorted runs spill next to --out at 8 bytes "
@@ -328,20 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--seed", type=int, default=None)
     _add_engine_flag(dynamic)
     dynamic.add_argument(
-        "--gain-backend", choices=GAIN_BACKENDS, default=DEFAULT_GAIN_BACKEND,
-        help="marginal-gain machinery for the replay's (re-)solves",
-    )
-    dynamic.add_argument(
         "--index-format", choices=INDEX_FORMATS, default="dense",
         help="storage backend the replay/attack (re-)solves run on "
         "(maintenance itself stays dense; selections are identical "
         "across formats)",
-    )
-    dynamic.add_argument(
-        "--rows-format", choices=ROWS_FORMATS, default=None,
-        help="coverage-row representation for the bitset kernel's "
-        "(re-)solves (selections identical across formats; ignored by "
-        "the entries backend)",
     )
     dynamic.add_argument(
         "--resolve-threshold", type=float, default=0.9,
@@ -440,19 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=None)
     _add_engine_flag(serve)
     serve.add_argument(
-        "--gain-backend", choices=GAIN_BACKENDS, default=DEFAULT_GAIN_BACKEND,
-        help="marginal-gain machinery for select/min-targets kernel passes",
-    )
-    serve.add_argument(
         "--index-format", choices=INDEX_FORMATS, default=None,
         help="in-memory index representation to serve from (default: "
         "whatever the archive holds, or dense for an in-process build)",
-    )
-    serve.add_argument(
-        "--rows-format", choices=ROWS_FORMATS, default=None,
-        help="coverage-row representation for the bitset kernel's query "
-        "passes (answers identical across formats; ignored by the "
-        "entries backend)",
     )
     serve.add_argument(
         "--json", metavar="FILE", default=None,
@@ -552,7 +510,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         objective = "f1" if args.problem == "1" else "f2"
         result = approx_greedy_fast(
             graph, args.k, index.length, index=index, objective=objective,
-            gain_backend=args.gain_backend,
         )
         args = argparse.Namespace(**{**vars(args), "length": index.length})
     else:
@@ -566,7 +523,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
             options["seed"] = args.seed
         if args.method in ("sampling", "approx-fast"):
             options["engine"] = args.engine
-            options["gain_backend"] = args.gain_backend
         result = solve(problem, method=args.method, **options)
     print(result.summary())
     print("selected:", ",".join(str(v) for v in result.selected))
@@ -714,7 +670,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
             format=args.index_format, seed=args.seed, engine=args.engine,
             chunk_rows=args.chunk_rows,
             memory_budget=args.build_memory_budget,
-            rows_format=args.rows_format,
         )
         print(
             f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
@@ -729,7 +684,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     )
     written = save_index(
         index, args.out, graph=graph, engine=args.engine, seed=args.seed,
-        format=args.index_format, rows_format=args.rows_format,
+        format=args.index_format,
     )
     print(
         f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
@@ -799,8 +754,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                 graph, args.k, args.length,
                 index=as_format(dyn.flat, args.index_format, graph=graph),
                 objective="f2",
-                gain_backend=args.gain_backend,
-                rows_format=args.rows_format,
             )
             targets = solved.selected
             print(f"placement ({solved.algorithm}):",
@@ -832,10 +785,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     report = churn_replay(
         graph, trace_text, k=args.k, length=args.length,
         num_replicates=args.replicates, seed=args.seed, engine=args.engine,
-        gain_backend=args.gain_backend,
         resolve_threshold=args.resolve_threshold,
         index_format=args.index_format,
-        rows_format=args.rows_format,
     )
     print(
         f"churn replay: {len(report.steps)} batches, k={report.k}, "
@@ -878,8 +829,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     options = {
         "batch_window": args.batch_window / 1e3,
         "cache_size": args.cache_size,
-        "gain_backend": args.gain_backend,
-        "rows_format": args.rows_format,
     }
     if args.index is not None:
         service = DominationService.from_index_file(

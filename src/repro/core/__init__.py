@@ -18,11 +18,6 @@ from repro.core.coverage import (
     min_targets_for_coverage,
     min_targets_for_coverage_exact,
 )
-from repro.core.coverage_kernel import (
-    GAIN_BACKENDS,
-    CoverageKernel,
-    validate_gain_backend,
-)
 from repro.core.dp_greedy import dpf1, dpf2
 from repro.core.edge_domination import (
     EdgeDominationEngine,
@@ -74,9 +69,6 @@ __all__ = [
     "combined_greedy",
     "min_targets_for_coverage",
     "min_targets_for_coverage_exact",
-    "GAIN_BACKENDS",
-    "CoverageKernel",
-    "validate_gain_backend",
     "dpf1",
     "dpf2",
     "EdgeDominationEngine",

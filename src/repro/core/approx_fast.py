@@ -21,15 +21,8 @@ the paper's full sweep.  The per-replicate estimated objectives are genuine
 coverage-type submodular functions, so stale gains are valid upper bounds
 and the selected set provably matches the full sweep under the same
 smaller-id tie-breaking, while touching only the entry slices of
-re-evaluated candidates.
-
-``gain_backend`` selects the marginal-gain machinery (DESIGN.md §8):
-``"entries"`` is the per-entry array path described above, ``"bitset"``
-routes every query through the bit-packed
-:class:`~repro.core.coverage_kernel.CoverageKernel`, which keeps all gains
-materialized and propagates per-selection deltas instead of re-scanning the
-index.  The two backends are bit-identical — same gains, same selections —
-and differ only in speed and memory.
+re-evaluated candidates.  This engine is the package's one gain engine
+(DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -41,11 +34,6 @@ import numpy as np
 from repro import obs
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
-from repro.core.coverage_kernel import (
-    CoverageKernel,
-    validate_gain_backend,
-    validate_rows_format,
-)
 from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.walks.backends import WalkEngine, get_engine
@@ -62,41 +50,21 @@ class FastApproxEngine:
     The engine owns the gain state and exposes gain queries and selection
     updates; :meth:`run` hands it to the greedy driver
     (:func:`repro.core.greedy.run_greedy`), and the extension solvers
-    (:mod:`repro.core.coverage`, :mod:`repro.core.combined`) reuse it.  With
-    ``gain_backend="entries"`` that state is the flat ``d`` array; with
-    ``"bitset"`` it lives in a :class:`~repro.core.coverage_kernel.CoverageKernel`
-    (and ``self.d`` is ``None``).
+    (:mod:`repro.core.coverage`, :mod:`repro.core.combined`) reuse it.  That
+    state is the flat ``d`` array.
     """
 
-    def __init__(
-        self,
-        index: FlatWalkIndex,
-        objective: str = "f1",
-        gain_backend: "str | None" = None,
-        rows_format: "str | None" = None,
-    ):
+    def __init__(self, index: FlatWalkIndex, objective: str = "f1"):
         if objective not in _OBJECTIVES:
             raise ParameterError(f"objective must be one of {_OBJECTIVES}")
         self.index = index
         self.objective = objective
-        self.gain_backend = validate_gain_backend(gain_backend)
         n = index.num_nodes
         r = index.num_replicates
-        if self.gain_backend == "bitset":
-            self._kernel = CoverageKernel.from_index(
-                index, objective, rows_format=rows_format
-            )
-            self.d = None
+        if objective == "f1":
+            self.d = np.full(n * r, index.length, dtype=np.int32)
         else:
-            # Coverage rows only exist in the bitset kernel; still reject
-            # typos instead of silently ignoring the knob.
-            validate_rows_format(rows_format)
-            self._kernel = None
-            if objective == "f1":
-                fill = index.length
-                self.d = np.full(n * r, fill, dtype=np.int32)
-            else:
-                self.d = np.zeros(n * r, dtype=np.int32)
+            self.d = np.zeros(n * r, dtype=np.int32)
         self._chosen = np.zeros(n, dtype=bool)
         # On compressed storage every states_for is a block decode, and
         # CELF re-evaluates its hot candidates across rounds — memoize
@@ -140,8 +108,6 @@ class FastApproxEngine:
 
     def distance_matrix(self) -> np.ndarray:
         """Current ``D`` as an ``(R, n)`` view (copy), for inspection."""
-        if self._kernel is not None:
-            return self._kernel.distance_matrix()
         return self.d.reshape(self.num_replicates, self.num_nodes).copy()
 
     # ------------------------------------------------------------------
@@ -149,13 +115,9 @@ class FastApproxEngine:
         """Raw gain sums (``sigma_u * R``) for every node.
 
         Kept as integers times ``R`` to stay exact; divide by ``R`` to match
-        :func:`repro.core.approx_greedy.approx_gain`.  The entry backend
-        pays one index pass; the bitset kernel returns its maintained gains.
+        :func:`repro.core.approx_greedy.approx_gain`.  One index pass.
         """
         self.num_full_sweeps += 1
-        if self._kernel is not None:
-            self.num_gain_evaluations += self.num_nodes
-            return self._kernel.gains_all()
         index = self.index
         n = self.num_nodes
         if self.objective == "f2" and not self.d.any():
@@ -194,9 +156,6 @@ class FastApproxEngine:
         """Raw gain sum (``sigma_u * R``) of a single candidate."""
         if not 0 <= node < self.num_nodes:
             raise ParameterError(f"node {node} out of range")
-        if self._kernel is not None:
-            self.num_gain_evaluations += 1
-            return self._kernel.gain_of(node)
         if self.objective == "f1":
             state, hop = self.index.entries_for(node)
             contrib = self.d[state].astype(np.int64) - hop
@@ -223,9 +182,7 @@ class FastApproxEngine:
             raise ParameterError(f"node {node} out of range")
         if self._chosen[node]:
             raise ParameterError(f"node {node} already selected")
-        if self._kernel is not None:
-            self._kernel.select(node)
-        elif self.objective == "f1":
+        if self.objective == "f1":
             state, hop = self.index.entries_for(node)
             self.d[node :: self.num_nodes] = 0
             # First-visit dedup guarantees one entry per (replicate, walker)
@@ -258,8 +215,6 @@ def approx_greedy_fast(
     index: FlatWalkIndex | None = None,
     lazy: bool = True,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
-    rows_format: "str | None" = None,
 ) -> SelectionResult:
     """Algorithm 6 on the vectorized engine (``ApproxF1`` / ``ApproxF2``).
 
@@ -270,38 +225,24 @@ def approx_greedy_fast(
     ``engine`` picks the walk backend used to materialize the index
     (:mod:`repro.walks.backends`; ignored when ``index`` is supplied); the
     ``"numpy"`` and ``"csr"`` backends yield identical selections under
-    the same seed.  ``gain_backend`` picks the marginal-gain machinery
-    (``"entries"`` or ``"bitset"``, see
-    :mod:`repro.core.coverage_kernel`); both produce identical selections.
-    ``rows_format`` picks the bitset kernel's coverage-row representation
-    (``"dense"``, ``"stream"``, or ``"compressed"``; selections are
-    bit-identical across all three) and is ignored by the entries backend
-    beyond name validation.
+    the same seed.
     """
     if not 0 <= k <= graph.num_nodes:
         raise ParameterError(f"k={k} must lie in [0, n={graph.num_nodes}]")
-    gain_backend = validate_gain_backend(gain_backend)
     walk_engine = get_engine(engine)
     started = time.perf_counter()
-    with obs.span(
-        "solve.greedy", objective=objective, k=k, gain_backend=gain_backend
-    ):
+    with obs.span("solve.greedy", objective=objective, k=k):
         if index is None:
             index = FlatWalkIndex.build(
                 graph, length, num_replicates, seed=seed, engine=walk_engine
             )
         elif index.num_nodes != graph.num_nodes:
             raise ParameterError("index was built for a different graph size")
-        engine = FastApproxEngine(
-            index,
-            objective=objective,
-            gain_backend=gain_backend,
-            rows_format=rows_format,
-        )
+        engine = FastApproxEngine(index, objective=objective)
         engine.run(k, lazy=lazy)
     elapsed = time.perf_counter() - started
     if obs.enabled():
-        labels = {"objective": objective, "gain_backend": gain_backend}
+        labels = {"objective": objective}
         obs.inc("solver_runs_total", help="Completed greedy solves.", **labels)
         obs.inc(
             "solver_gain_evaluations_total",
@@ -346,7 +287,6 @@ def approx_greedy_fast(
             "objective": objective,
             "engine": "vectorized",
             "walk_engine": walk_engine.name,
-            "gain_backend": gain_backend,
             "lazy": lazy,
         },
     )

@@ -27,7 +27,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.approx_fast import FastApproxEngine
-from repro.core.coverage_kernel import validate_gain_backend
 from repro.core.greedy import greedy_select, run_greedy
 from repro.core.objectives import F1Objective, F2Objective
 from repro.core.result import SelectionResult
@@ -110,9 +109,9 @@ class _BlendedEngine:
     fresh one from above, and CELF selects what the full sweep would.
     """
 
-    def __init__(self, index, weight_f1, weight_f2, gain_backend):
-        self.f1 = FastApproxEngine(index, "f1", gain_backend=gain_backend)
-        self.f2 = FastApproxEngine(index, "f2", gain_backend=gain_backend)
+    def __init__(self, index, weight_f1, weight_f2):
+        self.f1 = FastApproxEngine(index, "f1")
+        self.f2 = FastApproxEngine(index, "f2")
         self.w1, self.w2 = weight_f1, weight_f2
         self.selected: list[int] = []
         self.gains: list[float] = []
@@ -143,25 +142,21 @@ def approx_combined(
     num_replicates: int = 100,
     seed: "int | np.random.Generator | None" = None,
     index: FlatWalkIndex | None = None,
-    gain_backend: "str | None" = None,
 ) -> SelectionResult:
     """Index-based greedy on ``w1 F1 + w2 F2`` (one shared walk index).
 
     Runs CELF rounds on the greedy driver: the blended gains remain
-    submodular, so the selection equals the full sweep's.  Both engines
-    honor ``gain_backend`` (:mod:`repro.core.coverage_kernel`) and the raw
-    gains are backend-independent, so the blended argmax is too.
+    submodular, so the selection equals the full sweep's.
     """
     _check_weights(weight_f1, weight_f2)
     if not 0 <= k <= graph.num_nodes:
         raise ParameterError(f"k={k} must lie in [0, n={graph.num_nodes}]")
-    gain_backend = validate_gain_backend(gain_backend)
     started = time.perf_counter()
     if index is None:
         index = FlatWalkIndex.build(graph, length, num_replicates, seed=seed)
     elif index.num_nodes != graph.num_nodes:
         raise ParameterError("index was built for a different graph size")
-    engine = _BlendedEngine(index, weight_f1, weight_f2, gain_backend)
+    engine = _BlendedEngine(index, weight_f1, weight_f2)
     run_greedy(engine, k)
     elapsed = time.perf_counter() - started
     return SelectionResult(
@@ -178,6 +173,5 @@ def approx_combined(
             "w1": weight_f1,
             "w2": weight_f2,
             "objective": "combined",
-            "gain_backend": gain_backend,
         },
     )

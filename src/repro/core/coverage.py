@@ -24,7 +24,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.approx_fast import FastApproxEngine
-from repro.core.coverage_kernel import validate_gain_backend
 from repro.core.greedy import _ObjectiveEngine, run_greedy
 from repro.core.objectives import F2Objective
 from repro.core.result import SelectionResult
@@ -59,8 +58,6 @@ def min_targets_for_coverage(
     seed: "int | np.random.Generator | None" = None,
     index: FlatWalkIndex | None = None,
     max_size: int | None = None,
-    gain_backend: "str | None" = None,
-    rows_format: "str | None" = None,
 ) -> SelectionResult:
     """Smallest greedy set whose estimated ``F2`` reaches ``alpha * n``.
 
@@ -68,10 +65,6 @@ def min_targets_for_coverage(
     reaches the threshold (or after ``max_size`` additions, default ``n``).
     The estimated coverage after each addition is ``(sum of raw gains) / R``
     because ``F2(emptyset) = 0`` and gains telescope.
-    ``gain_backend="bitset"`` runs the rounds on the coverage kernel
-    (:mod:`repro.core.coverage_kernel`) — identical selections;
-    ``rows_format`` picks that kernel's coverage-row representation
-    (``"dense"``/``"stream"``/``"compressed"``, also identical).
 
     Raises :class:`ParameterError` when the target is unreachable — the
     selection budget (``max_size``, or every node) is exhausted, or no
@@ -80,15 +73,12 @@ def min_targets_for_coverage(
     """
     _check_alpha(alpha)
     _check_max_size(max_size)
-    gain_backend = validate_gain_backend(gain_backend)
     started = time.perf_counter()
     if index is None:
         index = FlatWalkIndex.build(graph, length, num_replicates, seed=seed)
     elif index.num_nodes != graph.num_nodes:
         raise ParameterError("index was built for a different graph size")
-    engine = FastApproxEngine(
-        index, objective="f2", gain_backend=gain_backend, rows_format=rows_format
-    )
+    engine = FastApproxEngine(index, objective="f2")
     threshold = alpha * graph.num_nodes
     limit = graph.num_nodes if max_size is None else min(max_size, graph.num_nodes)
     target = threshold * index.num_replicates  # raw gains are F2 times R
@@ -110,7 +100,6 @@ def min_targets_for_coverage(
             "threshold": threshold,
             "achieved_estimate": achieved,
             "objective": "f2",
-            "gain_backend": gain_backend,
         },
     )
 

@@ -43,7 +43,8 @@ from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
 from repro.walks.engine import batch_walks
-from repro.walks.index import walker_major_starts
+from repro.walks.index import _validate_params, walker_major_starts
+from repro.walks.parallel import MAX_WALK_LENGTH
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -69,11 +70,17 @@ def prefix_edge_counts(walks: np.ndarray) -> np.ndarray:
     same row, and the prefix count is the cumulative fresh count.  The
     per-prior-hop comparison costs ``O(B L^2)`` vector ops — the same dedup
     pattern the walk index uses, cheap because ``L`` is a small constant.
+    Counts are ``int16``, so ``L`` is capped at ``MAX_WALK_LENGTH``.
     """
     walks = np.asarray(walks)
     if walks.ndim != 2:
         raise ParameterError("walks must be a (B, L+1) matrix")
     batch, width = walks.shape
+    if width - 1 > MAX_WALK_LENGTH:
+        raise ParameterError(
+            f"walk length L={width - 1} exceeds {MAX_WALK_LENGTH} "
+            "(prefix edge counts are stored as int16)"
+        )
     counts = np.zeros((batch, width), dtype=np.int16)
     if width <= 1 or batch == 0:
         return counts
@@ -139,12 +146,9 @@ class EdgeWalkIndex:
         chunk_rows: int = 1 << 17,
     ) -> "EdgeWalkIndex":
         """Materialize R walks per node with prefix edge counts."""
-        if length < 0:
-            raise ParameterError("walk length L must be >= 0")
-        if num_replicates < 1:
-            raise ParameterError("number of replicates R must be >= 1")
-        rng = resolve_rng(seed)
         n = graph.num_nodes
+        _validate_params(n, length, num_replicates)
+        rng = resolve_rng(seed)
         starts = walker_major_starts(n, num_replicates)
         prefix = np.zeros((n * num_replicates, length + 1), dtype=np.int16)
         hit_parts: list[np.ndarray] = []
@@ -207,6 +211,7 @@ class EdgeWalkIndex:
                 f"expected {num_nodes * num_replicates} walks, got {walks.shape[0]}"
             )
         length = walks.shape[1] - 1
+        _validate_params(num_nodes, length, num_replicates)
         expected_starts = walker_major_starts(num_nodes, num_replicates)
         if not np.array_equal(walks[:, 0], expected_starts):
             raise ParameterError("walks must be walker-major and start at walker")
@@ -411,10 +416,7 @@ def expected_edges_traversed(
     The evaluation metric for edge domination (lower = better placement),
     the edge analogue of the paper's AHT metric.
     """
-    if length < 0:
-        raise ParameterError("walk length L must be >= 0")
-    if num_replicates < 1:
-        raise ParameterError("number of replicates R must be >= 1")
+    _validate_params(graph.num_nodes, length, num_replicates)
     target_set = {int(v) for v in targets}
     for v in target_set:
         if not 0 <= v < graph.num_nodes:
@@ -446,10 +448,7 @@ def estimate_f3(
     ``F3(S) = sum_u E[C_w(L)] - expected_edges_traversed(S)`` on the same
     walks, so the two quantities are consistent by construction.
     """
-    if length < 0:
-        raise ParameterError("walk length L must be >= 0")
-    if num_replicates < 1:
-        raise ParameterError("number of replicates R must be >= 1")
+    _validate_params(graph.num_nodes, length, num_replicates)
     target_set = {int(v) for v in targets}
     for v in target_set:
         if not 0 <= v < graph.num_nodes:

@@ -151,7 +151,6 @@ class _SampledObjective(_GraphObjective):
         num_samples: int,
         seed: "int | np.random.Generator | None" = None,
         engine: "str | WalkEngine | None" = None,
-        gain_backend: "str | None" = None,
     ):
         super().__init__(graph, length)
         if num_samples < 1:
@@ -159,7 +158,6 @@ class _SampledObjective(_GraphObjective):
         self._num_samples = num_samples
         self._rng = resolve_rng(seed)
         self._engine = get_engine(engine)
-        self._gain_backend = gain_backend
         self.num_estimates = 0
 
     @property
@@ -177,7 +175,6 @@ class SampledF1(_SampledObjective):
         return estimate_f1(
             self._graph, set(targets), self._length, self._num_samples,
             seed=self._rng, engine=self._engine,
-            gain_backend=self._gain_backend,
         )
 
 
@@ -191,5 +188,4 @@ class SampledF2(_SampledObjective):
         return estimate_f2(
             self._graph, set(targets), self._length, self._num_samples,
             seed=self._rng, engine=self._engine,
-            gain_backend=self._gain_backend,
         )

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.adjacency import Graph
-from repro.core.coverage_kernel import validate_gain_backend
 from repro.core.greedy import greedy_select
 from repro.walks.backends import WalkEngine, get_engine
 from repro.core.objectives import SampledF1, SampledF2
@@ -35,26 +34,20 @@ def sampling_greedy_f1(
     seed: "int | np.random.Generator | None" = None,
     lazy: bool = False,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> SelectionResult:
     """Greedy for Problem 1 with Eq. 9 estimated gains.
 
     ``engine`` picks the walk backend (:mod:`repro.walks.backends`) the
-    Algorithm 2 estimator samples with; ``gain_backend`` picks the
-    estimator aggregation (``"bitset"`` packs the hit flags and popcounts,
-    see :mod:`repro.core.coverage_kernel` — same walks, same estimates).
+    Algorithm 2 estimator samples with.
     """
-    gain_backend = validate_gain_backend(gain_backend)
     walk_engine = get_engine(engine)
     objective = SampledF1(
-        graph, length, num_replicates, seed=seed, engine=walk_engine,
-        gain_backend=gain_backend,
+        graph, length, num_replicates, seed=seed, engine=walk_engine
     )
     result = greedy_select(objective, k, lazy=lazy, algorithm_name="SamplingF1")
     result.params.update(
         {"L": length, "R": num_replicates, "method": "sampling",
-         "objective": "f1", "walk_engine": walk_engine.name,
-         "gain_backend": gain_backend}
+         "objective": "f1", "walk_engine": walk_engine.name}
     )
     return result
 
@@ -67,25 +60,19 @@ def sampling_greedy_f2(
     seed: "int | np.random.Generator | None" = None,
     lazy: bool = False,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> SelectionResult:
     """Greedy for Problem 2 with Eq. 10 estimated gains.
 
     ``engine`` picks the walk backend (:mod:`repro.walks.backends`) the
-    Algorithm 2 estimator samples with; ``gain_backend`` picks the
-    estimator aggregation (``"bitset"`` packs the hit flags and popcounts,
-    see :mod:`repro.core.coverage_kernel` — same walks, same estimates).
+    Algorithm 2 estimator samples with.
     """
-    gain_backend = validate_gain_backend(gain_backend)
     walk_engine = get_engine(engine)
     objective = SampledF2(
-        graph, length, num_replicates, seed=seed, engine=walk_engine,
-        gain_backend=gain_backend,
+        graph, length, num_replicates, seed=seed, engine=walk_engine
     )
     result = greedy_select(objective, k, lazy=lazy, algorithm_name="SamplingF2")
     result.params.update(
         {"L": length, "R": num_replicates, "method": "sampling",
-         "objective": "f2", "walk_engine": walk_engine.name,
-         "gain_backend": gain_backend}
+         "objective": "f2", "walk_engine": walk_engine.name}
     )
     return result

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.approx_fast import FastApproxEngine
-from repro.core.coverage_kernel import validate_gain_backend
 from repro.core.objectives import SetObjective
 from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
@@ -117,7 +116,6 @@ def stochastic_approx_greedy(
     seed: "int | np.random.Generator | None" = None,
     index: FlatWalkIndex | None = None,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> SelectionResult:
     """Algorithm 6 with stochastic-greedy rounds.
 
@@ -125,13 +123,10 @@ def stochastic_approx_greedy(
     :func:`~repro.core.approx_fast.approx_greedy_fast`, then per round
     evaluates only a random candidate subset via the engine's single-node
     gain query.  Useful when even one full gain sweep per round is too much
-    (very large ``n`` with large ``k``).  ``gain_backend="bitset"`` answers
-    those single-node queries from the coverage kernel's maintained gains
-    (:mod:`repro.core.coverage_kernel`) — same selections, O(1) per query.
+    (very large ``n`` with large ``k``).
     """
     if not 0 <= k <= graph.num_nodes:
         raise ParameterError(f"k={k} must lie in [0, n={graph.num_nodes}]")
-    gain_backend = validate_gain_backend(gain_backend)
     rng = resolve_rng(seed)
     walk_engine = get_engine(engine)
     started = time.perf_counter()
@@ -141,9 +136,7 @@ def stochastic_approx_greedy(
         )
     elif index.num_nodes != graph.num_nodes:
         raise ParameterError("index was built for a different graph size")
-    engine = FastApproxEngine(
-        index, objective=objective, gain_backend=gain_backend
-    )
+    engine = FastApproxEngine(index, objective=objective)
     remaining = np.arange(graph.num_nodes, dtype=np.int64)
     for _ in range(k):
         batch = sample_size_per_round(remaining.size, max(k, 1), epsilon)
@@ -173,6 +166,5 @@ def stochastic_approx_greedy(
             "epsilon": epsilon,
             "strategy": "stochastic",
             "walk_engine": walk_engine.name,
-            "gain_backend": gain_backend,
         },
     )

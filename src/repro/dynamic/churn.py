@@ -291,10 +291,8 @@ def churn_replay(
     num_replicates: int = 100,
     seed: "int | None" = None,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
     resolve_threshold: float = 0.9,
     index_format: "str | None" = None,
-    rows_format: "str | None" = None,
 ) -> ChurnReport:
     """Stream an edit trace, maintain the index, report decay/re-solves.
 
@@ -311,9 +309,7 @@ def churn_replay(
     (re-)solve — incremental maintenance itself always runs on the dense
     arrays (entry splicing needs them), so this trades solve-time memory
     for a per-resolve conversion.  Selections are bit-identical across
-    formats.  ``rows_format`` picks the bitset kernel's coverage-row
-    representation for each re-solve (also bit-identical; ignored by the
-    entries backend).
+    formats.
     """
     if isinstance(batches, str):
         batches = parse_trace(batches)
@@ -330,8 +326,7 @@ def churn_replay(
         if index_format is not None:
             flat = as_format(flat, index_format, graph=dyn.graph)
         result = approx_greedy_fast(
-            dyn.graph, k, dyn.length, index=flat, objective="f2",
-            gain_backend=gain_backend, rows_format=rows_format,
+            dyn.graph, k, dyn.length, index=flat, objective="f2"
         )
         return result.selected
 

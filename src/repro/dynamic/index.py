@@ -199,7 +199,7 @@ class DynamicWalkIndex:
     flat:
         The maintained index in canonical ``(hit, state)`` order — feed it
         anywhere a :class:`FlatWalkIndex` is accepted (``approx_greedy_fast
-        (index=...)``, :class:`~repro.core.coverage_kernel.CoverageKernel`,
+        (index=...)``, :class:`~repro.core.approx_fast.FastApproxEngine`,
         ...).
     walks:
         The materialized ``(n * R, L + 1)`` trajectories in walker-major
@@ -232,8 +232,6 @@ class DynamicWalkIndex:
         # lock-step with the entry arrays so a patch can locate removals
         # by binary search instead of recomputing or re-sorting.
         self._keys = keys
-        self._rows: "np.ndarray | None" = None
-        self._crows = None  # CompressedRows cache, patched across edits
         # Reusable splice buffers (internal arrays only — never aliased
         # into the exposed FlatWalkIndex), so steady-state syncs do not
         # re-fault fresh pages every batch.  `_spare_keys` ping-pongs
@@ -400,7 +398,7 @@ class DynamicWalkIndex:
 
         Derives the dirty set from the cached trajectories, re-walks only
         those rows under their frozen uniforms, and patches the entry
-        arrays (and the packed bitset rows, when materialized) in place.
+        arrays in place.
         ``graph`` may supply the already-edited snapshot (trusted to equal
         ``edit_graph(self.graph, batch...)``) to skip re-deriving it.
         """
@@ -470,8 +468,7 @@ class DynamicWalkIndex:
         The large-batch path: same canonical result as the merge splice,
         reached by the same extraction + sort the from-scratch build uses
         — minus the walk generation, which is the part incremental
-        maintenance always avoids.  Caches that patching would have
-        updated in place are invalidated instead.
+        maintenance always avoids.
         """
         states = _states_of_rows(
             np.arange(self.walks.shape[0]), self.num_nodes,
@@ -483,8 +480,6 @@ class DynamicWalkIndex:
             self.num_replicates,
         )
         self._spare_keys = None
-        self._rows = None
-        self._crows = None
 
     def _dirty_rows(self, touched: np.ndarray) -> np.ndarray:
         """Walk rows whose trajectory must be resampled for an edit.
@@ -610,58 +605,9 @@ class DynamicWalkIndex:
             retiring.base if retiring.base is not None else retiring
         )
         self._keys = merged_keys
-        if self._rows is not None or self._crows is not None:
-            changed = np.union1d(old_hits, hits)
-            if self._rows is not None:
-                from repro.core.coverage_kernel import patch_packed_rows
-
-                patch_packed_rows(self._rows, self.flat, changed)
-            if self._crows is not None:
-                # Re-encodes only the changed rows' containers; returns a
-                # new instance, never mutating the previous one.
-                self._crows = self._crows.patched(self.flat, changed)
         return int(old_hits.size), int(hits.size)
 
     # ------------------------------------------------------------------
-    def packed_hit_rows(self, max_bytes: "int | None" = None) -> np.ndarray:
-        """Packed per-candidate coverage rows, patched across edits.
-
-        First call materializes them via
-        :meth:`FlatWalkIndex.packed_hit_rows`; later edit batches patch
-        only the rows of hit nodes whose entry lists changed
-        (:func:`repro.core.coverage_kernel.patch_packed_rows`).  The
-        returned array is the live cache — treat it as read-only.
-
-        When the flat index is backed by an mmap archive that stored the
-        rows, ``FlatWalkIndex.packed_hit_rows`` hands back the read-only
-        archive map; the dynamic cache copies it on first materialize,
-        because the next edit batch patches the cache *in place* — a
-        read-only map would fail the patch outright, and a writable map
-        would silently write the patch through to the archive on disk.
-        """
-        if self._rows is None:
-            rows = self.flat.packed_hit_rows(
-                include_self=True, max_bytes=max_bytes
-            )
-            if not rows.flags.writeable:
-                rows = np.array(rows, dtype=np.uint64, copy=True)
-            self._rows = rows
-        return self._rows
-
-    def compressed_hit_rows(self):
-        """Roaring compressed coverage rows, patched across edits.
-
-        First call encodes them via
-        :meth:`FlatWalkIndex.compressed_hit_rows`; later edit batches
-        re-encode only the containers of changed rows
-        (:meth:`~repro.walks.rows.CompressedRows.patched`), which builds
-        a fresh instance instead of mutating — so starting from an
-        archive-backed (read-only) instance is safe by construction.
-        """
-        if self._crows is None:
-            self._crows = self.flat.compressed_hit_rows(include_self=True)
-        return self._crows
-
     def selection_metrics(self, targets) -> dict:
         """Sampled coverage and AHT of a target set on the current index.
 

@@ -48,7 +48,6 @@ from repro import obs
 from repro.errors import ParameterError
 from repro.core.approx_fast import approx_greedy_fast
 from repro.core.coverage import min_targets_for_coverage
-from repro.core.coverage_kernel import validate_gain_backend, validate_rows_format
 from repro.core.result import SelectionResult
 from repro.serve.snapshot import IndexSnapshot
 
@@ -131,14 +130,6 @@ class DominationService:
         batch).
     cache_size:
         LRU result-cache capacity in entries; ``0`` disables caching.
-    gain_backend:
-        Marginal-gain machinery for ``select``/``min_targets`` kernel
-        passes (``"entries"``/``"bitset"``; both give identical answers).
-    rows_format:
-        Coverage-row representation for the bitset kernel
-        (``"dense"``/``"stream"``/``"compressed"``; answers are
-        bit-identical across all three, so it never enters cache keys).
-        Ignored by the entries backend.
     """
 
     def __init__(
@@ -147,8 +138,6 @@ class DominationService:
         max_workers: int = 4,
         batch_window: float = 0.002,
         cache_size: int = 256,
-        gain_backend: "str | None" = None,
-        rows_format: "str | None" = None,
     ):
         if max_workers < 1:
             raise ParameterError("max_workers must be >= 1")
@@ -164,8 +153,6 @@ class DominationService:
         # epoch (e.g. a reseeded rebuild loaded at epoch 0).
         self._current: "tuple[int, IndexSnapshot]" = (0, snapshot)
         self.batch_window = float(batch_window)
-        self.gain_backend = validate_gain_backend(gain_backend)
-        self.rows_format = validate_rows_format(rows_format)
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_size = int(cache_size)
         self._cache_lock = threading.Lock()
@@ -258,8 +245,6 @@ class DominationService:
             "epoch": snap.epoch,
             "generation": generation,
             "fingerprint": f"{snap.fingerprint:#x}",
-            "gain_backend": self.gain_backend,
-            "rows_format": self.rows_format,
         }
 
     def publish(self, snapshot: IndexSnapshot) -> None:
@@ -317,7 +302,7 @@ class DominationService:
 
         Bit-identical (``selected`` and ``gains``) to
         ``approx_greedy_fast(graph, k, L, index=snapshot.index,
-        objective=objective, gain_backend=...)`` on the snapshot the
+        objective=objective)`` on the snapshot the
         query resolved; ``params`` additionally records the serving
         provenance (epoch, the batch's shared budget).
         """
@@ -333,8 +318,7 @@ class DominationService:
                 f"k={k} must lie in [0, n={snap.num_nodes}]"
             )
         key = (
-            generation, snap.fingerprint, snap.epoch, "select", k,
-            objective, self.gain_backend,
+            generation, snap.fingerprint, snap.epoch, "select", k, objective,
         )
         hit, value = self._cache_get(key)
         if hit:
@@ -400,15 +384,14 @@ class DominationService:
         self._count("queries")
         key = (
             generation, snap.fingerprint, snap.epoch, "min_targets",
-            float(fraction), max_size, self.gain_backend,
+            float(fraction), max_size,
         )
         hit, value = self._cache_get(key)
         if hit:
             return _fresh_result(value)
         result = min_targets_for_coverage(
             snap.graph, fraction, snap.length, index=snap.index,
-            max_size=max_size, gain_backend=self.gain_backend,
-            rows_format=self.rows_format,
+            max_size=max_size,
         )
         self._count("kernel_passes")
         self._cache_put(key, result)
@@ -444,7 +427,7 @@ class DominationService:
         snap = self._current[1]
         return (
             f"DominationService(n={snap.num_nodes}, L={snap.length}, "
-            f"epoch={snap.epoch}, gain_backend={self.gain_backend!r})"
+            f"epoch={snap.epoch})"
         )
 
     # ------------------------------------------------------------------
@@ -499,7 +482,7 @@ class DominationService:
     def _join_batch(
         self, generation: int, snap: IndexSnapshot, objective: str, k: int
     ) -> tuple[_SelectBatch, tuple, bool]:
-        group = (generation, objective, self.gain_backend)
+        group = (generation, objective)
         with self._batch_lock:
             batch = self._batches.get(group)
             if batch is None or batch.closed:
@@ -524,8 +507,7 @@ class DominationService:
             snap = batch.snapshot
             shared = approx_greedy_fast(
                 snap.graph, ks[-1], snap.length, index=snap.index,
-                objective=objective, gain_backend=self.gain_backend,
-                rows_format=self.rows_format,
+                objective=objective,
             )
             for k in ks:
                 batch.results[k] = SelectionResult(

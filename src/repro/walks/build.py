@@ -51,7 +51,6 @@ from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.index import (
     FlatWalkIndex,
     _validate_params,
-    scatter_or_bits,
     walker_major_starts,
 )
 from repro.walks.parallel import RecordPacker
@@ -59,12 +58,10 @@ from repro.walks.persistence import (
     FileArraySource,
     _atomic_write_v3,
     _resolve_archive_path,
-    _resolve_row_mode,
     save_index,
     v3_index_header,
 )
 from repro.walks.rng import resolve_rng
-from repro.walks.rows import CompressedRows, encode_row_span
 from repro.walks.storage import (
     block_delta_encode,
     entry_state_dtype,
@@ -93,10 +90,6 @@ _RECORD_BYTES = 8
 #: Floor for the per-run merge read block, so a pathologically small
 #: budget still merges in sane-sized I/O units.
 _MIN_MERGE_BLOCK = 4096
-
-#: Packed hit rows are built in sub-batches of roughly this many bytes
-#: during an mmap-format merge, independent of the sort budget.
-_ROW_BATCH_BYTES = 8 << 20
 
 
 class RecordSink(ABC):
@@ -453,9 +446,9 @@ class DenseEntryWriter(EntryWriter):
 class _BlockGrouper:
     """Regroup the sorted entry stream into complete hit-node block spans.
 
-    The compressed codec and the packed hit rows are per-hit-node-block
-    structures, so the archive writers may only encode a block once all
-    its entries have arrived.  Entries arrive in canonical order, so the
+    The compressed codec is a per-hit-node-block structure, so its
+    archive writer may only encode a block once all its entries have
+    arrived.  Entries arrive in canonical order, so the
     only incomplete block at any moment is the last one seen: ``push``
     returns the newly completed span ``[next, last_hit)`` (with per-block
     counts — interior empty blocks included) and carries the trailing
@@ -564,132 +557,34 @@ class _ArchiveWriter(EntryWriter):
 class _MmapArchiveWriter(_ArchiveWriter):
     """Incremental v3 ``encoding="dense"`` writer (the ``mmap`` format).
 
-    The coverage rows stream out span-wise as hit-node blocks close:
-    dense mode packs each span into ``uint64`` row batches, compressed
-    mode (DESIGN.md §16) encodes each span's containers through the same
-    :func:`~repro.walks.rows.encode_row_span` the in-memory encoder
-    uses — containers never span rows, so the staged spans concatenate
-    to exactly the arrays ``save_index`` would write.
+    Entries arrive in canonical order, so the state and hop columns are
+    appended to their staged files as-is and concatenate to exactly the
+    arrays ``save_index`` would write.
     """
 
     def __init__(
-        self,
-        out: Path,
-        header: dict,
-        num_nodes: int,
-        num_replicates: int,
-        include_rows: "bool | None",
-        rows_format: "str | None" = None,
+        self, out: Path, header: dict, num_nodes: int, num_replicates: int
     ):
         super().__init__(out, header)
-        self._num_nodes = num_nodes
-        self._num_replicates = num_replicates
         self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
-        self._words = (self._num_states + 63) >> 6
-        self._rows_mode = _resolve_row_mode(
-            num_nodes, self._num_states, include_rows, rows_format
-        )
-        self._rows_per_batch = max(1, _ROW_BATCH_BYTES // max(8, self._words * 8))
 
     def begin(self, indptr, counts, total, max_hop) -> None:
         self._indptr = indptr
         self._total = total
         self._state_f = self._stage("state")
         self._hop_f = self._stage("hop")
-        if self._rows_mode == "dense":
-            self._rows_f = self._stage("rows")
-        elif self._rows_mode == "compressed":
-            for label in CompressedRows.ARRAY_NAMES[1:]:
-                self._stage(label)
-            self._crow_counts = np.zeros(self._num_nodes, dtype=np.int64)
-            self._crow_containers = 0
-            self._crow_data_total = 0
-        if self._rows_mode != "stream":
-            self._grouper = _BlockGrouper(self._num_nodes)
 
     def emit(self, keys, hops) -> None:
         if keys.size == 0:
             return
-        hits, states = np.divmod(keys, self._num_states)
+        states = keys % self._num_states
         self._state_f.write(states.astype(self._state_dtype).tobytes())
         self._hop_f.write(
             np.ascontiguousarray(hops, dtype=np.int16).tobytes()
         )
-        if self._rows_mode == "dense":
-            for span in self._grouper.push(hits, states, hops):
-                self._emit_rows(span)
-        elif self._rows_mode == "compressed":
-            for span in self._grouper.push(hits, states, hops):
-                self._emit_crows(span)
-
-    def _emit_rows(self, span) -> None:
-        lo, hi, counts, states, _hops = span
-        n, reps = self._num_nodes, self._num_replicates
-        pos = 0
-        for batch_lo in range(lo, hi, self._rows_per_batch):
-            batch_hi = min(hi, batch_lo + self._rows_per_batch)
-            cnt = counts[batch_lo - lo : batch_hi - lo]
-            take = int(cnt.sum())
-            rows = np.zeros((batch_hi - batch_lo, self._words), dtype=np.uint64)
-            owners = np.repeat(
-                np.arange(batch_hi - batch_lo, dtype=np.int64), cnt
-            )
-            scatter_or_bits(rows, owners, states[pos : pos + take])
-            # Self bits, exactly as packed_hit_rows(include_self=True):
-            # walker v is its own hop-0 hit in every replicate.
-            node_ids = np.arange(batch_lo, batch_hi, dtype=np.int64)
-            self_states = (
-                node_ids[None, :]
-                + np.int64(n) * np.arange(reps, dtype=np.int64)[:, None]
-            ).ravel()
-            self_owners = np.tile(
-                np.arange(batch_hi - batch_lo, dtype=np.int64), reps
-            )
-            scatter_or_bits(rows, self_owners, self_states)
-            self._rows_f.write(rows.tobytes())
-            pos += take
-
-    def _emit_crows(self, span) -> None:
-        lo, hi, counts, states, _hops = span
-        n, reps = self._num_nodes, self._num_replicates
-        span_rows = hi - lo
-        owners = np.repeat(np.arange(span_rows, dtype=np.int64), counts)
-        positions = states.astype(np.int64)
-        # Self bits, exactly as compressed_hit_rows(include_self=True).
-        node_ids = np.arange(lo, hi, dtype=np.int64)
-        self_states = (
-            node_ids[None, :]
-            + np.int64(n) * np.arange(reps, dtype=np.int64)[:, None]
-        ).ravel()
-        self_owners = np.tile(np.arange(span_rows, dtype=np.int64), reps)
-        owners = np.concatenate([owners, self_owners])
-        positions = np.concatenate([positions, self_states])
-        order = np.argsort(
-            owners * np.int64(max(self._num_states, 1)) + positions
-        )
-        c_counts, chunk_ids, types, cards, sizes, data = encode_row_span(
-            owners[order], positions[order], span_rows, self._num_states
-        )
-        self._crow_counts[lo:hi] = c_counts
-        self._staged["crow_chunks"][0].write(chunk_ids.tobytes())
-        self._staged["crow_types"][0].write(types.tobytes())
-        self._staged["crow_cards"][0].write(cards.tobytes())
-        data_ptr = self._crow_data_total + (np.cumsum(sizes) - sizes)
-        self._staged["crow_dataptr"][0].write(
-            data_ptr.astype(np.int64).tobytes()
-        )
-        self._staged["crow_data"][0].write(data.tobytes())
-        self._crow_containers += int(types.size)
-        self._crow_data_total += int(sizes.sum())
 
     def finalize(self) -> Path:
-        if self._rows_mode != "stream":
-            span = self._grouper.flush()
-            if self._rows_mode == "dense":
-                self._emit_rows(span)
-            else:
-                self._emit_crows(span)
         self._header["state_dtype"] = self._state_dtype.str
         arrays: dict = {
             "indptr": self._indptr,
@@ -698,34 +593,6 @@ class _MmapArchiveWriter(_ArchiveWriter):
             ),
             "hop": self._staged_source("hop", np.int16, (self._total,)),
         }
-        if self._rows_mode == "dense":
-            arrays["rows"] = self._staged_source(
-                "rows", np.uint64, (self._num_nodes, self._words)
-            )
-        elif self._rows_mode == "compressed":
-            # Trailing sentinel closes the last container's payload span.
-            self._staged["crow_dataptr"][0].write(
-                np.asarray([self._crow_data_total], dtype=np.int64).tobytes()
-            )
-            row_ptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
-            np.cumsum(self._crow_counts, out=row_ptr[1:])
-            containers = self._crow_containers
-            arrays["crow_ptr"] = row_ptr
-            arrays["crow_chunks"] = self._staged_source(
-                "crow_chunks", np.int32, (containers,)
-            )
-            arrays["crow_types"] = self._staged_source(
-                "crow_types", np.uint8, (containers,)
-            )
-            arrays["crow_cards"] = self._staged_source(
-                "crow_cards", np.int32, (containers,)
-            )
-            arrays["crow_dataptr"] = self._staged_source(
-                "crow_dataptr", np.int64, (containers + 1,)
-            )
-            arrays["crow_data"] = self._staged_source(
-                "crow_data", np.uint16, (self._crow_data_total,)
-            )
         return self._assemble(arrays)
 
 
@@ -840,9 +707,6 @@ def build_index_archive(
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     memory_budget: "int | None" = None,
     spill_dir: "str | Path | None" = None,
-    include_rows: "bool | None" = None,
-    gain_backend: "str | None" = None,
-    rows_format: "str | None" = None,
 ) -> BuildReport:
     """Build a walk-index archive without materializing the index.
 
@@ -859,18 +723,8 @@ def build_index_archive(
     live next to the target and are removed on every exit path; the
     final rename is atomic, so a crash mid-build leaves any existing
     archive at ``out`` intact.
-
-    ``rows_format`` (``mmap`` archives only) picks the stored
-    coverage-row representation — dense packed matrix, roaring
-    containers, or none — resolved exactly as :func:`save_index`
-    resolves it, spans streaming out as hit-node blocks close.
     """
     validate_index_format(format)
-    if rows_format is not None and format != "mmap":
-        raise ParameterError(
-            "rows_format applies to mmap archives only (dense/compressed "
-            "archives never store coverage rows)"
-        )
     n = graph.num_nodes
     _validate_params(n, length, num_replicates)
     walk_engine = get_engine(engine)
@@ -907,7 +761,7 @@ def build_index_archive(
                 )
                 written = save_index(
                     index, out, graph=graph, engine=engine_meta, seed=seed,
-                    gain_backend=gain_backend, format="dense",
+                    format="dense",
                 )
             else:
                 header = v3_index_header(
@@ -915,8 +769,7 @@ def build_index_archive(
                     encoding=(
                         "compressed" if format == "compressed" else "dense"
                     ),
-                    engine=engine_meta, seed=seed,
-                    gain_backend=gain_backend, graph=graph,
+                    engine=engine_meta, seed=seed, graph=graph,
                 )
                 if format == "compressed":
                     writer: _ArchiveWriter = _CompressedArchiveWriter(
@@ -924,8 +777,7 @@ def build_index_archive(
                     )
                 else:
                     writer = _MmapArchiveWriter(
-                        out, header, n, num_replicates, include_rows,
-                        rows_format,
+                        out, header, n, num_replicates
                     )
                 written = sink.finalize(writer)
             report = BuildReport(

@@ -107,45 +107,6 @@ def _per_source_stats(
     return r, t
 
 
-def _packed_totals(
-    graph: Graph,
-    sources: np.ndarray,
-    mask: np.ndarray,
-    length: int,
-    num_samples: int,
-    rng: np.random.Generator,
-    chunk_rows: int = 1 << 19,
-    engine: "WalkEngine | None" = None,
-) -> tuple[int, int]:
-    """Bit-packed twin of :func:`_per_source_stats` for Algorithm 2 totals.
-
-    Algorithm 2's objective estimates only need the *totals*
-    ``sum_u r_u`` and ``sum_u t_u``, so the per-source scatter
-    (``np.add.at``) can be replaced by packing each chunk's hit flags
-    (``np.packbits``) and popcounting them — the coverage kernel's
-    aggregation (DESIGN.md §8) applied to fresh Algorithm 2 walks.  The
-    walk calls and chunk boundaries are identical to
-    :func:`_per_source_stats`, so the RNG stream, the walks, and therefore
-    the returned integers match that path exactly; the walks dominate the
-    cost either way, so this switch is about wiring the kernel path, not
-    speed.
-    """
-    from repro.core.coverage_kernel import popcount
-
-    if engine is None:
-        engine = get_engine(None)
-    starts = np.repeat(sources, num_samples)
-    r_total = 0
-    t_total = 0
-    for lo in range(0, starts.size, chunk_rows):
-        rows = starts[lo : lo + chunk_rows]
-        hits = engine.walk_first_hits(graph, rows, length, mask, seed=rng)
-        hit_mask = hits >= 0
-        r_total += popcount(np.packbits(hit_mask))
-        t_total += int(np.where(hit_mask, hits, 0).sum(dtype=np.int64))
-    return r_total, t_total
-
-
 def estimate_hitting_time(
     graph: Graph,
     source: int,
@@ -212,19 +173,8 @@ def estimate_objectives(
     num_samples: int,
     seed: "int | np.random.Generator | None" = None,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> ObjectiveEstimates:
-    """Algorithm 2: unbiased estimates of ``F1(S)`` and ``F2(S)`` together.
-
-    ``gain_backend`` picks the aggregation: ``"entries"`` scatters
-    per-source stats, ``"bitset"`` packs the hit flags and popcounts the
-    totals (:func:`_packed_totals`).  Both consume the same walks from the
-    same stream, so the estimates are bit-identical.
-    """
-    # Imported lazily: repro.core.coverage_kernel imports this package.
-    from repro.core.coverage_kernel import validate_gain_backend
-
-    gain_backend = validate_gain_backend(gain_backend)
+    """Algorithm 2: unbiased estimates of ``F1(S)`` and ``F2(S)`` together."""
     _check_common(length, num_samples)
     mask = _target_mask(graph, targets)
     rng = resolve_rng(seed)
@@ -237,17 +187,11 @@ def estimate_objectives(
             num_samples=num_samples,
             length=length,
         )
-    if gain_backend == "bitset":
-        r_sum, t_sum = _packed_totals(
-            graph, outside, mask, length, num_samples, rng,
-            engine=get_engine(engine),
-        )
-    else:
-        r, t = _per_source_stats(
-            graph, outside, mask, length, num_samples, rng,
-            engine=get_engine(engine),
-        )
-        r_sum, t_sum = int(r.sum()), int(t.sum())
+    r, t = _per_source_stats(
+        graph, outside, mask, length, num_samples, rng,
+        engine=get_engine(engine),
+    )
+    r_sum, t_sum = int(r.sum()), int(t.sum())
     # hhat per source, Eq. 9; aggregation per Algorithm 2 lines 12/14, with
     # the Eq. 6 normalization n*L (see module docstring).
     hhat_total = float(t_sum + (num_samples * outside.size - r_sum) * length)
@@ -267,12 +211,10 @@ def estimate_f1(
     num_samples: int,
     seed: "int | np.random.Generator | None" = None,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> float:
     """Unbiased estimate of ``F1(S) = |V\\S| L - sum h^L_uS``."""
     return estimate_objectives(
-        graph, targets, length, num_samples, seed=seed, engine=engine,
-        gain_backend=gain_backend,
+        graph, targets, length, num_samples, seed=seed, engine=engine
     ).f1
 
 
@@ -283,10 +225,8 @@ def estimate_f2(
     num_samples: int,
     seed: "int | np.random.Generator | None" = None,
     engine: "str | WalkEngine | None" = None,
-    gain_backend: "str | None" = None,
 ) -> float:
     """Unbiased estimate of ``F2(S) = E[sum_u X^L_uS]``."""
     return estimate_objectives(
-        graph, targets, length, num_samples, seed=seed, engine=engine,
-        gain_backend=gain_backend,
+        graph, targets, length, num_samples, seed=seed, engine=engine
     ).f2

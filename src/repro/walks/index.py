@@ -37,11 +37,9 @@ from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import random_walk
 from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.rng import resolve_rng
-from repro.walks.rows import CompressedRows, scatter_or_bits
 from repro.walks.storage import (
     CompressedStorage,
     DenseStorage,
-    MmapStorage,
     entry_state_dtype,
 )
 
@@ -51,7 +49,6 @@ __all__ = [
     "FlatWalkIndex",
     "canonical_entries",
     "walker_major_starts",
-    "scatter_or_bits",
 ]
 
 
@@ -245,7 +242,7 @@ class FlatWalkIndex:
     The entry arrays live behind a *storage backend*
     (:mod:`repro.walks.storage`): ``state``/``hop`` are properties that
     materialize the backend's full arrays, so dense consumers are
-    unchanged, while block-aware consumers (the coverage kernel's
+    unchanged, while block-aware consumers (the gain engine's
     per-candidate path, :meth:`entries_for`) go through the backend's
     range decode and never materialize more than they touch.
     """
@@ -591,166 +588,7 @@ class FlatWalkIndex:
         }
 
     # ------------------------------------------------------------------
-    # Packed exports — the substrate of the bit-packed coverage kernel
-    # (:mod:`repro.core.coverage_kernel`, DESIGN.md §8).
     @property
     def num_states(self) -> int:
         """Number of ``(replicate, walker)`` states — cells of ``D``."""
         return self.num_nodes * self.num_replicates
-
-    def packed_hit_rows(
-        self,
-        include_self: bool = True,
-        max_bytes: "int | None" = None,
-    ) -> np.ndarray:
-        """Per-candidate first-hit state sets as packed ``uint64`` rows.
-
-        Row ``v`` has bit ``s = replicate * n + walker`` set iff that
-        walk first-visits ``v`` (an index entry) or — with
-        ``include_self`` — iff ``walker == v`` (the hop-0 self hit that
-        Algorithm 5 realizes by zeroing the candidate's ``D`` column).
-        Shape ``(n, ceil(n R / 64))``; padding bits are zero, so
-        ``popcount`` over rows is exact.
-
-        ``max_bytes`` guards the dense allocation (``n^2 R / 8`` bytes
-        plus padding); exceeding it raises :class:`ParameterError` with
-        sizing guidance instead of attempting the allocation.
-
-        An mmap-backed index whose archive stored the rows returns the
-        archive's read-only map directly (``include_self=True`` is the
-        stored convention) — no allocation, no cap: the rows stay on
-        disk and page in as the kernel touches them.
-        """
-        n = self.num_nodes
-        if (
-            include_self
-            and isinstance(self._storage, MmapStorage)
-            and self._storage.rows is not None
-        ):
-            return self._storage.rows
-        words = (self.num_states + 63) >> 6
-        needed = n * words * 8
-        if max_bytes is not None and needed > max_bytes:
-            raise ParameterError(
-                f"packed hit rows need {needed} bytes "
-                f"({n} rows x {words} words) which exceeds the "
-                f"max_bytes={max_bytes} cap; switch to compressed rows "
-                "(rows_format='compressed' / compressed_hit_rows), use "
-                "the 'entries' gain backend, or raise the cap"
-            )
-        rows = np.zeros((n, words), dtype=np.uint64)
-        states = self.state.astype(np.int64)
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        if include_self:
-            self_states = np.arange(self.num_states, dtype=np.int64)
-            states = np.concatenate([states, self_states])
-            owners = np.concatenate(
-                [owners, np.tile(np.arange(n, dtype=np.int64),
-                                 self.num_replicates)]
-            )
-        scatter_or_bits(rows, owners, states)
-        return rows
-
-    def packed_rows_for(
-        self, lo_node: int, hi_node: int, include_self: bool = True
-    ) -> np.ndarray:
-        """Packed hit rows for candidates ``[lo_node, hi_node)`` only.
-
-        Same bit layout as :meth:`packed_hit_rows` but built from just
-        that node range's entries (one storage range-decode), so the
-        coverage kernel can sweep gains over a compressed or mmap index
-        chunk-by-chunk without ever materializing the full ``n x words``
-        matrix.  Row ``v - lo_node`` corresponds to candidate ``v``.
-        """
-        if not 0 <= lo_node <= hi_node <= self.num_nodes:
-            raise ParameterError(
-                f"node range [{lo_node}, {hi_node}) out of bounds"
-            )
-        count = hi_node - lo_node
-        words = (self.num_states + 63) >> 6
-        rows = np.zeros((count, words), dtype=np.uint64)
-        if count == 0:
-            return rows
-        state, _ = self._storage.range_arrays(lo_node, hi_node)
-        states = state.astype(np.int64)
-        owners = np.repeat(
-            np.arange(count, dtype=np.int64),
-            np.diff(self.indptr[lo_node : hi_node + 1]),
-        )
-        if include_self:
-            node_ids = np.arange(lo_node, hi_node, dtype=np.int64)
-            self_states = (
-                node_ids[None, :]
-                + np.int64(self.num_nodes)
-                * np.arange(self.num_replicates, dtype=np.int64)[:, None]
-            ).ravel()
-            states = np.concatenate([states, self_states])
-            owners = np.concatenate(
-                [owners, np.tile(np.arange(count, dtype=np.int64),
-                                 self.num_replicates)]
-            )
-        scatter_or_bits(rows, owners, states)
-        return rows
-
-    def compressed_hit_rows(
-        self, include_self: bool = True
-    ) -> CompressedRows:
-        """The rows of :meth:`packed_hit_rows` as roaring containers.
-
-        Bit-identical content (``CompressedRows.decode_rows(0, n)``
-        equals the dense matrix), but stored as per-chunk containers
-        (DESIGN.md §16) whose footprint scales with set bits, not with
-        ``n^2 R`` — the escape hatch past the dense
-        :data:`~repro.walks.rows.DEFAULT_ROW_CAP_BYTES` wall.  An
-        mmap-backed index whose archive stored compressed rows returns
-        the archive-backed instance directly (``include_self=True`` is
-        the stored convention).
-        """
-        if (
-            include_self
-            and isinstance(self._storage, MmapStorage)
-            and self._storage.compressed_rows is not None
-        ):
-            return self._storage.compressed_rows
-        n = self.num_nodes
-        states = self.state.astype(np.int64)
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        if include_self:
-            self_states = np.arange(self.num_states, dtype=np.int64)
-            states = np.concatenate([states, self_states])
-            owners = np.concatenate(
-                [owners, np.tile(np.arange(n, dtype=np.int64),
-                                 self.num_replicates)]
-            )
-        order = np.argsort(owners * np.int64(max(self.num_states, 1)) + states)
-        return CompressedRows.from_sorted_positions(
-            owners[order], states[order], n, self.num_states
-        )
-
-    def dense_hop_matrix(
-        self, max_bytes: "int | None" = 1 << 28
-    ) -> np.ndarray:
-        """Dense per-candidate first-visit hops for the Problem-1 masked
-        min-reduction (:meth:`~repro.core.coverage_kernel.CoverageKernel.min_reduction_gains`).
-
-        ``H[v, s]`` is the first-visit hop of state ``s`` at candidate
-        ``v`` — ``0`` on ``v``'s own self states, the index entry hop
-        elsewhere, and the sentinel ``L`` where the walk never visits
-        ``v`` (``min(d, L) == d``, so the sentinel never relaxes ``D``).
-        ``int16``, shape ``(n, n R)`` — ``2 n^2 R`` bytes, guarded by
-        ``max_bytes`` (default 256 MiB).
-        """
-        n = self.num_nodes
-        needed = 2 * n * self.num_states
-        if max_bytes is not None and needed > max_bytes:
-            raise ParameterError(
-                f"dense hop matrix needs {needed} bytes which exceeds the "
-                f"max_bytes={max_bytes} cap; it is an oracle for small "
-                "instances — use the CSR entry arrays at scale"
-            )
-        matrix = np.full((n, self.num_states), self.length, dtype=np.int16)
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        matrix[owners, self.state.astype(np.int64)] = self.hop
-        self_cols = np.arange(self.num_states, dtype=np.int64)
-        matrix[self_cols % n, self_cols] = 0
-        return matrix

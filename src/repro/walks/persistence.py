@@ -11,7 +11,7 @@ Two archive families, both version-stamped and sniffed by magic bytes so
 
 * **v1/v2** — a single ``.npz`` (numpy archive): the three flat arrays
   plus a small integer header.  Version 2 adds provenance metadata
-  (walk-engine name, seed material, gain-backend) and a fingerprint of
+  (walk-engine name and seed material) and a fingerprint of
   the graph the index was built on, so :func:`load_index` can refuse a
   *stale* index — one whose graph has since been edited — instead of
   silently producing selections for a topology that no longer exists.
@@ -21,10 +21,11 @@ Two archive families, both version-stamped and sniffed by magic bytes so
   arrays at 64-byte-aligned offsets, uncompressed.  Loading is
   O(metadata): every array comes back as a read-only memory map and
   pages in only when touched.  The ``encoding`` field selects what the
-  arrays are — ``"dense"`` stores the flat entry arrays (optionally with
-  the packed hit rows pre-built, so a served index never materializes
-  them either) and loads as an mmap-backed index; ``"compressed"``
-  stores the delta codec of :class:`~repro.walks.storage.CompressedStorage`.
+  arrays are — ``"dense"`` stores the flat entry arrays and loads as an
+  mmap-backed index; ``"compressed"`` stores the delta codec of
+  :class:`~repro.walks.storage.CompressedStorage`.  The reader maps every
+  declared array but uses only those it names, so arrays written by
+  older releases (packed coverage rows) are ignored.
   :func:`save_index` picks the family via ``format=`` (``"dense"`` → v2
   npz, ``"compressed"``/``"mmap"`` → v3), and :func:`as_format` converts
   a live index between the three storage backends in memory.
@@ -57,11 +58,6 @@ from repro import obs
 from repro.errors import GraphFormatError, ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.index import FlatWalkIndex
-from repro.walks.rows import (
-    DEFAULT_ROW_CAP_BYTES,
-    CompressedRows,
-    validate_rows_format,
-)
 from repro.walks.storage import (
     INDEX_FORMATS,
     CompressedStorage,
@@ -89,13 +85,6 @@ _DYNAMIC_FORMAT_VERSION = 1
 _V3_VERSION = 3
 #: v3 magic: 8 bytes, never a valid zip prefix, so one read disambiguates.
 _V3_MAGIC = b"RWIDX3\x00\n"
-#: Auto-included dense packed rows in a ``mmap``-format save stop at this
-#: size — beyond it the archive stores roaring compressed rows instead
-#: (``rows_format="dense"`` forces the matrix past it).  One shared
-#: constant with the kernel-side budget
-#: (:data:`repro.core.coverage_kernel.DEFAULT_MAX_PACKED_BYTES`), so the
-#: save-side and kernel-side caps can never drift.
-_DEFAULT_ROW_CAP = DEFAULT_ROW_CAP_BYTES
 
 
 def _resolve_archive_path(
@@ -312,7 +301,6 @@ def v3_index_header(
     encoding: str,
     engine: "str | None" = None,
     seed: "int | str | None" = None,
-    gain_backend: "str | None" = None,
     graph: "Graph | None" = None,
 ) -> dict:
     """The v3 header dict for a flat-index archive (sans array specs).
@@ -328,7 +316,6 @@ def v3_index_header(
         "meta": {
             "engine": engine or "",
             "seed": "" if seed is None else str(seed),
-            "gain_backend": gain_backend or "",
         },
         "graph_meta": None if graph is None else [
             graph.num_nodes, graph.num_edges, graph_fingerprint(graph),
@@ -552,31 +539,9 @@ def _load_v3(path: Path, graph: "Graph | None") -> FlatWalkIndex:
         )
     indptr = arrays["indptr"]
     if encoding == "dense":
-        crows = None
-        if "crow_ptr" in arrays:
-            try:
-                crows = CompressedRows.from_arrays(
-                    arrays, num_nodes, num_nodes * num_replicates
-                )
-            except ParameterError as exc:
-                raise GraphFormatError(
-                    f"{path}: inconsistent index arrays "
-                    "(malformed compressed rows)"
-                ) from exc
         storage = MmapStorage(
-            indptr, arrays["state"], arrays["hop"],
-            rows=arrays.get("rows"), source=str(path),
-            compressed_rows=crows,
+            indptr, arrays["state"], arrays["hop"], source=str(path)
         )
-        rows = storage.rows
-        if rows is not None:
-            expected_words = (num_nodes * num_replicates + 63) >> 6
-            if rows.shape != (num_nodes, expected_words):
-                raise GraphFormatError(
-                    f"{path}: inconsistent index arrays (packed rows have "
-                    f"shape {rows.shape}, expected "
-                    f"{(num_nodes, expected_words)})"
-                )
     else:
         if (
             arrays["delta_wordptr"].size != num_nodes + 1
@@ -623,10 +588,7 @@ def save_index(
     graph: "Graph | None" = None,
     engine: "str | None" = None,
     seed: "int | str | None" = None,
-    gain_backend: "str | None" = None,
     format: str = "dense",
-    include_rows: "bool | None" = None,
-    rows_format: "str | None" = None,
 ) -> Path:
     """Write a :class:`FlatWalkIndex` to ``path``.
 
@@ -634,20 +596,12 @@ def save_index(
     the version-2 ``.npz``; ``"compressed"`` writes a v3 container
     holding the delta codec; ``"mmap"`` writes a v3 container holding
     the raw entry arrays at aligned offsets — the layout
-    :func:`load_index` maps back without materializing — plus the
-    coverage rows, so a served index never builds them either.
-    ``rows_format`` picks their representation (``"dense"`` forces the
-    full packed matrix, ``"compressed"`` stores roaring containers
-    (DESIGN.md §16), ``"stream"`` stores none); by default dense rows
-    are stored while they fit the 1 GiB row cap and compressed rows
-    beyond it.  The legacy ``include_rows`` flag (``True`` force-dense,
-    ``False`` omit) maps onto the same switch.
+    :func:`load_index` maps back without materializing.
 
     The optional keyword metadata is provenance, identical across
     families: ``engine`` (walk backend that generated the walks),
     ``seed`` (seed material, stored as text so arbitrary-precision
-    entropy survives), ``gain_backend`` (gain machinery the index was
-    validated with), and ``graph`` — when given, the graph's shape and
+    entropy survives), and ``graph`` — when given, the graph's shape and
     CSR fingerprint are stored and enforced at load time.
 
     The destination resolves exactly as :func:`load_index` resolves it
@@ -660,10 +614,7 @@ def save_index(
     """
     started = time.perf_counter()
     with obs.span("persistence.save", format=format):
-        out = _save_index_impl(
-            index, path, graph, engine, seed, gain_backend, format,
-            include_rows, rows_format,
-        )
+        out = _save_index_impl(index, path, graph, engine, seed, format)
     if obs.enabled():
         obs.inc(
             "persistence_saves_total",
@@ -685,47 +636,8 @@ def save_index(
     return out
 
 
-def _resolve_row_mode(
-    num_nodes: int,
-    num_states: int,
-    include_rows: "bool | None",
-    rows_format: "str | None",
-) -> str:
-    """Which row representation a ``mmap`` archive stores.
-
-    ``rows_format`` wins (``"dense"`` forces the full matrix past any
-    cap, ``"compressed"`` stores roaring containers, ``"stream"`` stores
-    none); the legacy ``include_rows`` flag maps onto dense/stream; auto
-    stores dense rows while they fit
-    :data:`~repro.walks.rows.DEFAULT_ROW_CAP_BYTES` and compressed rows
-    beyond it — the cap is the dense/compressed crossover, not a wall.
-    Pure size arithmetic, so the in-memory saver and the out-of-core
-    archive writer (:mod:`repro.walks.build`) resolve identically and
-    their archives stay byte-identical.
-    """
-    if rows_format is not None:
-        if include_rows is not None:
-            raise ParameterError(
-                "pass include_rows or rows_format, not both"
-            )
-        return validate_rows_format(rows_format)
-    if include_rows is not None:
-        return "dense" if include_rows else "stream"
-    words = (num_states + 63) >> 6
-    dense_bytes = num_nodes * words * 8
-    return "dense" if dense_bytes <= DEFAULT_ROW_CAP_BYTES else "compressed"
-
-
-def _save_index_impl(
-    index, path, graph, engine, seed, gain_backend, format, include_rows,
-    rows_format,
-) -> Path:
+def _save_index_impl(index, path, graph, engine, seed, format) -> Path:
     validate_index_format(format)
-    if rows_format is not None and format != "mmap":
-        raise ParameterError(
-            "rows_format applies to mmap archives only (dense/compressed "
-            "archives never store coverage rows)"
-        )
     if graph is not None and graph.num_nodes != index.num_nodes:
         raise ParameterError(
             "provenance graph does not match the index node count"
@@ -743,7 +655,6 @@ def _save_index_impl(
             "hop": np.asarray(index.hop),
             "meta_engine": np.str_(engine or ""),
             "meta_seed": np.str_("" if seed is None else str(seed)),
-            "meta_gain_backend": np.str_(gain_backend or ""),
         }
         if graph is not None:
             payload["graph_meta"] = np.asarray(
@@ -757,7 +668,7 @@ def _save_index_impl(
     header = v3_index_header(
         index.num_nodes, index.length, index.num_replicates,
         encoding="compressed" if format == "compressed" else "dense",
-        engine=engine, seed=seed, gain_backend=gain_backend, graph=graph,
+        engine=engine, seed=seed, graph=graph,
     )
     if format == "compressed":
         comp = (
@@ -775,17 +686,6 @@ def _save_index_impl(
         hop = np.asarray(index.hop)
         header["state_dtype"] = state.dtype.str
         arrays = {"indptr": index.indptr, "state": state, "hop": hop}
-        mode = _resolve_row_mode(
-            index.num_nodes, index.num_states, include_rows, rows_format
-        )
-        if mode == "dense":
-            arrays["rows"] = index.packed_hit_rows(
-                include_self=True, max_bytes=None
-            )
-        elif mode == "compressed":
-            arrays.update(
-                index.compressed_hit_rows(include_self=True).arrays()
-            )
     _atomic_write_v3(path, header, arrays)
     return path
 
@@ -893,8 +793,7 @@ def _load_index_impl(
 def index_provenance(path: "str | Path") -> dict:
     """Provenance metadata of a saved index (empty strings when absent).
 
-    Returns ``version``, ``engine``, ``seed`` (text), ``gain_backend``,
-    and — when the archive carries graph provenance —
+    Returns ``version``, ``engine``, ``seed`` (text), and — when the archive carries graph provenance —
     ``graph_num_nodes`` / ``graph_num_edges`` / ``graph_fingerprint``.
     v3 archives additionally report ``encoding``
     (``"dense"``/``"compressed"``).
@@ -908,7 +807,6 @@ def index_provenance(path: "str | Path") -> dict:
             "encoding": str(header.get("encoding", "")),
             "engine": str(meta.get("engine", "")),
             "seed": str(meta.get("seed", "")),
-            "gain_backend": str(meta.get("gain_backend", "")),
         }
         graph_meta = _v3_graph_meta(header, path)
         if graph_meta is not None:
@@ -925,9 +823,6 @@ def index_provenance(path: "str | Path") -> dict:
                 else "",
                 "seed": str(archive["meta_seed"])
                 if "meta_seed" in archive.files
-                else "",
-                "gain_backend": str(archive["meta_gain_backend"])
-                if "meta_gain_backend" in archive.files
                 else "",
             }
             meta = _read_graph_meta(archive)

@@ -1,8 +1,8 @@
 """Storage backends for :class:`~repro.walks.index.FlatWalkIndex` (DESIGN.md §13).
 
 The flat index is three arrays — ``indptr`` (CSR-by-hit-node), ``state``
-and ``hop`` — and every consumer reads them either whole (kernel
-construction) or as one hit node's slice (per-candidate gains).  That
+and ``hop`` — and every consumer reads them either whole (a full gain
+sweep) or as one hit node's slice (per-candidate gains).  That
 access pattern is the seam this module abstracts: a *storage* object owns
 the entry arrays and answers
 
@@ -25,8 +25,7 @@ noticing.  Three backends:
   Hops are bounded by ``L`` and pack at one global fixed width.  Decode
   is exact, so every downstream quantity is bit-identical to dense.
 * :class:`MmapStorage` — read-only ``np.memmap`` views over a
-  persistence-v3 archive (:mod:`repro.walks.persistence`), optionally
-  carrying the packed hit rows pre-built at save time.  Nothing is
+  persistence-v3 archive (:mod:`repro.walks.persistence`).  Nothing is
   materialized until a consumer touches it, and nothing can be written
   back: the arrays are opened ``mode="r"``.
 
@@ -327,14 +326,12 @@ class MmapStorage(DenseStorage):
     """Read-only memmap views over a persistence-v3 archive.
 
     Shares :class:`DenseStorage`'s access paths (the arrays behave like
-    plain ndarrays, paged in lazily by the kernel) but reports its own
-    format name and may carry the archive's pre-built packed hit rows —
-    also a read-only map, handed to the coverage kernel as-is so a served
-    query can never write through to the archive.  Lifetime: the maps
-    hold the only reference to the open file; dropping the index drops
-    the maps and closes it (no explicit close, mirroring how
-    :class:`~repro.walks.parallel.SharedArrayPack` views pin their
-    shared-memory segment).
+    plain ndarrays, paged in lazily by the gain engine) but reports its
+    own format name, so a served query can never write through to the
+    archive.  Lifetime: the maps hold the only reference to the open
+    file; dropping the index drops the maps and closes it (no explicit
+    close, mirroring how :class:`~repro.walks.parallel.SharedArrayPack`
+    views pin their shared-memory segment).
     """
 
     format_name = "mmap"
@@ -344,28 +341,16 @@ class MmapStorage(DenseStorage):
         indptr: np.ndarray,
         state: np.ndarray,
         hop: np.ndarray,
-        rows: "np.ndarray | None" = None,
         source: "str | None" = None,
-        compressed_rows=None,
     ):
         super().__init__(indptr, state, hop)
-        self.rows = rows
-        #: Archive-backed :class:`~repro.walks.rows.CompressedRows`, for
-        #: archives past the dense row cap (at most one of ``rows`` /
-        #: ``compressed_rows`` is stored).
-        self.compressed_rows = compressed_rows
         self.source = source
 
     @property
     def nbytes(self) -> int:
         # Mapped address space, not resident bytes — the arrays live in
         # the archive and page in on demand.
-        total = int(self._state.nbytes + self._hop.nbytes)
-        if self.rows is not None:
-            total += int(self.rows.nbytes)
-        if self.compressed_rows is not None:
-            total += int(self.compressed_rows.nbytes)
-        return total
+        return int(self._state.nbytes + self._hop.nbytes)
 
 
 class CompressedStorage:

@@ -76,29 +76,6 @@ class TestSelect:
             ])
         assert excinfo.value.code == 2  # argparse usage error
 
-    def test_gain_backend_flag_parity(self, edge_list, capsys):
-        # The bitset kernel must reproduce the entry backend's selection.
-        def selected_line(argv):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            return next(l for l in out.splitlines() if l.startswith("selected:"))
-
-        argv = [
-            "select", "--edge-list", edge_list, "-k", "4", "-L", "4",
-            "--method", "approx-fast", "-R", "20", "--seed", "7",
-        ]
-        assert selected_line(argv) == selected_line(
-            argv + ["--gain-backend", "bitset"]
-        )
-
-    def test_gain_backend_rejects_unknown(self, edge_list):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "select", "--edge-list", edge_list, "-k", "2",
-                "--gain-backend", "gpu",
-            ])
-        assert excinfo.value.code == 2  # argparse usage error
-
     def test_json_stdout(self, edge_list, capsys):
         main([
             "select", "--edge-list", edge_list, "-k", "2", "-L", "3",
@@ -210,6 +187,15 @@ class TestParser:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "repro"
+
+    @pytest.mark.parametrize("command", ["select", "index", "dynamic", "serve"])
+    def test_no_gain_backend_or_rows_flags(self, command, capsys):
+        # One gain engine and no coverage rows: neither knob is offered.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--gain-backend" not in usage
+        assert "--rows-format" not in usage
 
 
 class TestSimulate:

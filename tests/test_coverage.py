@@ -77,21 +77,6 @@ class TestFastCoverage:
         with pytest.raises(ParameterError, match="different graph"):
             min_targets_for_coverage(small_power_law, 0.5, 3, index=index)
 
-    def test_bitset_backend_matches_entries(self, small_power_law):
-        from repro.walks.index import FlatWalkIndex
-
-        index = FlatWalkIndex.build(small_power_law, 5, 40, seed=9)
-        entries = min_targets_for_coverage(
-            small_power_law, 0.6, 5, index=index
-        )
-        bitset = min_targets_for_coverage(
-            small_power_law, 0.6, 5, index=index, gain_backend="bitset"
-        )
-        assert entries.selected == bitset.selected
-        assert entries.gains == bitset.gains
-        assert (entries.params["achieved_estimate"]
-                == bitset.params["achieved_estimate"])
-
     def test_alpha_validated(self, small_power_law):
         with pytest.raises(ParameterError):
             min_targets_for_coverage(small_power_law, 1.5, 3)

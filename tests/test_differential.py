@@ -1,12 +1,13 @@
-"""Differential fuzz harness across walk engines and gain backends.
+"""Differential fuzz harness across walk engines and storage backends.
 
 Parity between execution paths is the repo's core invariant: four walk
-backends, two gain backends, a dynamic (incrementally maintained) index,
-and a serving layer all promise bit-identical answers on the same seed.
+backends, three storage backends, a dynamic (incrementally maintained)
+index, and a serving layer all promise bit-identical answers on the same
+seed.
 Instead of ad-hoc per-feature parity tests, this harness composes random
 op sequences over the whole pipeline::
 
-    build -> { edit batch | solve {f1,f2} x {entries,bitset} | serve }*
+    build -> { edit batch | solve {f1,f2} | serve }*
 
 and asserts, at every step, that
 
@@ -14,7 +15,7 @@ and asserts, at every step, that
   byte-identical to each other *and* to a fresh static
   ``FlatWalkIndex.build`` on the current graph under every engine
   (incremental == rebuild, engine-independent, canonical order);
-* solver selections and gains agree across every engine x gain-backend
+* solver selections and gains agree across every engine x storage-backend
   combination;
 * served answers (``select``/``metrics``/``coverage``/``min_targets``)
   agree across engines and with the direct solver/metrics calls —
@@ -48,7 +49,6 @@ def note(message: str) -> None:
 
 from repro.core.approx_fast import approx_greedy_fast
 from repro.core.coverage import min_targets_for_coverage
-from repro.core.coverage_kernel import GAIN_BACKENDS
 from repro.dynamic import DynamicGraph, DynamicWalkIndex
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
@@ -107,9 +107,8 @@ def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length, reps,
                 getattr(reference, field), getattr(static, field)
             ), f"static rebuild diverged for engine {name!r} ({field})"
     # Storage-backend parity: the compressed and mmap variants must hold
-    # the very same entries (arrays, per-node slices, packed rows) as the
-    # dense reference after every edit.
-    dense_rows = reference.packed_hit_rows(include_self=True)
+    # the very same entries (arrays and per-node slices) as the dense
+    # reference after every edit.
     for fmt, variant in _storage_variants(reference):
         assert variant.storage_format == fmt
         for field in ("indptr", "state", "hop"):
@@ -117,37 +116,31 @@ def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length, reps,
                 getattr(reference, field), getattr(variant, field)
             ), f"storage variant {fmt!r} diverged ({field})"
         assert variant.same_entries(reference), fmt
-        assert np.array_equal(
-            variant.packed_hit_rows(include_self=True), dense_rows
-        ), f"storage variant {fmt!r} diverged (packed rows)"
     return reference
 
 
 def _assert_solve_agrees(dyn: dict, graph: Graph, k: int, objective: str):
     reference = None
     for name, maintained in dyn.items():
-        for backend in GAIN_BACKENDS:
-            result = approx_greedy_fast(
-                graph, k, maintained.length, index=maintained.flat,
-                objective=objective, gain_backend=backend,
-            )
-            if reference is None:
-                reference = result
-            assert result.selected == reference.selected, (name, backend)
-            assert result.gains == reference.gains, (name, backend)
+        result = approx_greedy_fast(
+            graph, k, maintained.length, index=maintained.flat,
+            objective=objective,
+        )
+        if reference is None:
+            reference = result
+        assert result.selected == reference.selected, name
+        assert result.gains == reference.gains, name
     # One engine's index through every storage backend: selections and
-    # gains must be bit-identical to the dense reference for both gain
-    # backends (the compressed path decodes per candidate block, the
-    # mmap path reads through the archive maps).
+    # gains must be bit-identical to the dense reference (the compressed
+    # path decodes per candidate block, the mmap path reads through the
+    # archive maps).
     flat = next(iter(dyn.values())).flat
     for fmt, variant in _storage_variants(flat):
-        for backend in GAIN_BACKENDS:
-            result = approx_greedy_fast(
-                graph, k, flat.length, index=variant,
-                objective=objective, gain_backend=backend,
-            )
-            assert result.selected == reference.selected, (fmt, backend)
-            assert result.gains == reference.gains, (fmt, backend)
+        result = approx_greedy_fast(
+            graph, k, flat.length, index=variant, objective=objective,
+        )
+        assert result.selected == reference.selected, fmt
+        assert result.gains == reference.gains, fmt
 
 
 def _assert_serve_agrees(dyn: dict, seed: int):
@@ -155,7 +148,6 @@ def _assert_serve_agrees(dyn: dict, seed: int):
     n = dyn["numpy"].num_nodes
     k = int(rng.integers(1, min(4, n) + 1))
     objective = ("f1", "f2")[int(rng.integers(0, 2))]
-    backend = GAIN_BACKENDS[int(rng.integers(0, len(GAIN_BACKENDS)))]
     targets = tuple(
         sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
     )
@@ -164,7 +156,7 @@ def _assert_serve_agrees(dyn: dict, seed: int):
     for name, maintained in dyn.items():
         service = DominationService(
             IndexSnapshot.of_dynamic(maintained),
-            batch_window=0.0, cache_size=8, gain_backend=backend,
+            batch_window=0.0, cache_size=8,
         )
         with service:
             selection = service.select(k, objective=objective)
@@ -178,7 +170,7 @@ def _assert_serve_agrees(dyn: dict, seed: int):
         # Served answers must equal the direct calls on the same index...
         direct = approx_greedy_fast(
             maintained.graph, k, maintained.length, index=maintained.flat,
-            objective=objective, gain_backend=backend,
+            objective=objective,
         )
         assert selection.selected == direct.selected, name
         assert selection.gains == direct.gains, name
@@ -188,7 +180,7 @@ def _assert_serve_agrees(dyn: dict, seed: int):
         try:
             direct_min = min_targets_for_coverage(
                 maintained.graph, fraction, maintained.length,
-                index=maintained.flat, max_size=n, gain_backend=backend,
+                index=maintained.flat, max_size=n,
             )
             assert min_answer == (direct_min.selected, direct_min.gains), name
         except ParameterError:

@@ -3,8 +3,7 @@
 The load-bearing property, pinned both deterministically and with a
 hypothesis sweep: *incremental update ∘ arbitrary edit batches ==
 from-scratch rebuild, bit-identically* — same trajectories, same entry
-arrays, same packed bitset rows, same greedy selections — across all
-three walk engines and both gain backends.
+arrays, same greedy selections — across all three walk engines.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_fast import approx_greedy_fast
-from repro.core.coverage_kernel import patch_packed_rows
 from repro.errors import GraphFormatError, ParameterError
 from repro.graphs.adjacency import Graph
 from repro.graphs.builder import GraphBuilder
@@ -202,8 +200,7 @@ class TestIncrementalEqualsRebuild:
         )
         assert_index_identical(dyn, rebuilt)
 
-    @pytest.mark.parametrize("gain_backend", ("entries", "bitset"))
-    def test_selections_identical_after_update(self, gain_backend):
+    def test_selections_identical_after_update(self):
         graph = power_law_graph(70, 210, seed=7)
         dyn = DynamicWalkIndex.build(graph, 5, 8, seed=23)
         dgraph = DynamicGraph(graph)
@@ -214,40 +211,13 @@ class TestIncrementalEqualsRebuild:
         rebuilt = DynamicWalkIndex.build(dgraph.graph, 5, 8, seed=23)
         for objective in ("f1", "f2"):
             a = approx_greedy_fast(
-                dgraph.graph, 8, 5, index=dyn.flat, objective=objective,
-                gain_backend=gain_backend,
+                dgraph.graph, 8, 5, index=dyn.flat, objective=objective
             )
             b = approx_greedy_fast(
-                dgraph.graph, 8, 5, index=rebuilt.flat, objective=objective,
-                gain_backend=gain_backend,
+                dgraph.graph, 8, 5, index=rebuilt.flat, objective=objective
             )
             assert a.selected == b.selected
             assert a.gains == b.gains
-
-    def test_packed_rows_patched_in_place(self):
-        # Small edit batch on a big enough graph: the splice path must
-        # patch the materialized bitset rows rather than rebuild them.
-        graph = power_law_graph(200, 600, seed=8)
-        dyn = DynamicWalkIndex.build(graph, 4, 6, seed=25)
-        rows = dyn.packed_hit_rows()
-        dgraph = DynamicGraph(graph)
-        rng = np.random.default_rng(26)
-        ins, dels = random_edits(graph, rng, 1, 1)
-        dgraph.apply_batch(ins, dels)
-        stats = dyn.sync(dgraph)
-        assert stats.resampled_rows * 4 <= dyn.walks.shape[0], (
-            "edit batch unexpectedly crossed into the fallback path"
-        )
-        assert dyn.packed_hit_rows() is rows  # patched, not rebuilt
-        fresh = dyn.flat.packed_hit_rows(include_self=True)
-        np.testing.assert_array_equal(rows, fresh)
-
-    def test_patch_packed_rows_rejects_bad_shape(self):
-        dyn = DynamicWalkIndex.build(ring_graph(8), 3, 2, seed=0)
-        with pytest.raises(ParameterError):
-            patch_packed_rows(
-                np.zeros((3, 1), dtype=np.uint64), dyn.flat, [0]
-            )
 
     def test_leave_rejoin_restores_index_exactly(self):
         """Edits that cancel out must restore the index bit-for-bit."""
@@ -565,14 +535,10 @@ class TestPersistenceMetadata:
         graph = power_law_graph(40, 120, seed=16)
         index = FlatWalkIndex.build(graph, 4, 5, seed=40)
         path = tmp_path / "walks.npz"
-        save_index(
-            index, path, graph=graph, engine="csr", seed=40,
-            gain_backend="bitset",
-        )
+        save_index(index, path, graph=graph, engine="csr", seed=40)
         info = index_provenance(path)
         assert info["engine"] == "csr"
         assert info["seed"] == "40"
-        assert info["gain_backend"] == "bitset"
         assert info["graph_num_edges"] == graph.num_edges
         assert info["graph_fingerprint"] == graph_fingerprint(graph)
         assert load_index(path, graph=graph).total_entries == index.total_entries

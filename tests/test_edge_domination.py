@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import edge_domination
 from repro.core.edge_domination import (
     EdgeDominationEngine,
     EdgeWalkIndex,
@@ -368,6 +369,48 @@ class TestEdgeMetrics:
             graph, (), 6, num_replicates=200, seed=6
         )
         assert with_hub < without
+
+
+class TestWalkLengthCap:
+    """Hops and prefix edge counts are int16, so every entry point rejects
+    ``L`` beyond ``MAX_WALK_LENGTH`` before it walks or allocates."""
+
+    LENGTH = 40_000
+
+    @pytest.fixture
+    def no_walks(self, monkeypatch):
+        # Past the cap the real functions would not fail: they spin in
+        # the O(B L^2) dedup loop.  Stubs make reaching them fail fast.
+        def refuse(*args, **kwargs):
+            raise AssertionError("walks or prefix counts were computed")
+
+        monkeypatch.setattr(edge_domination, "batch_walks", refuse)
+        monkeypatch.setattr(edge_domination, "prefix_edge_counts", refuse)
+
+    def test_build(self, no_walks):
+        with pytest.raises(ParameterError, match="exceeds"):
+            EdgeWalkIndex.build(ring_graph(5), self.LENGTH, 2, seed=1)
+
+    def test_greedy(self, no_walks):
+        with pytest.raises(ParameterError, match="exceeds"):
+            edge_domination_greedy(
+                ring_graph(5), 1, self.LENGTH, num_replicates=2, seed=1
+            )
+
+    def test_from_walks(self, no_walks):
+        walks = np.zeros((1, self.LENGTH + 1), dtype=np.int64)
+        with pytest.raises(ParameterError, match="exceeds"):
+            EdgeWalkIndex.from_walks(walks, 1, 1)
+
+    @pytest.mark.parametrize("metric", [expected_edges_traversed, estimate_f3])
+    def test_metrics(self, no_walks, metric):
+        with pytest.raises(ParameterError, match="exceeds"):
+            metric(ring_graph(5), [0], self.LENGTH, num_replicates=2, seed=1)
+
+    def test_prefix_edge_counts_width(self):
+        walks = np.zeros((0, self.LENGTH + 1), dtype=np.int64)
+        with pytest.raises(ParameterError, match="exceeds"):
+            prefix_edge_counts(walks)
 
 
 class TestSubmodularityOfF3:

@@ -8,6 +8,8 @@ from repro.graphs.adjacency import Graph
 from repro.graphs.generators import complete_graph, path_graph
 from repro.hitting.exact import hit_probability_vector, hitting_time_vector
 from repro.core.objectives import F1Objective, F2Objective
+from repro.walks.backends import get_engine
+from repro.walks.rng import resolve_rng
 from repro.walks.estimators import (
     estimate_f1,
     estimate_f2,
@@ -105,6 +107,27 @@ class TestObjectiveEstimators:
         h = sum((1 - q) ** (i - 1) for i in range(1, length + 1))
         est = estimate_objectives(g, {0}, length, 30_000, seed=3)
         assert est.f1 == pytest.approx(n * length - (n - 1) * h, rel=0.02)
+
+    def test_aggregation_matches_walk_oracle(self, small_power_law):
+        # Algorithm 2's totals recomputed from the very walks the estimator
+        # draws: same engine, same stream, one chunk.
+        targets, length, reps = {3, 11}, 4, 30
+        n = small_power_law.num_nodes
+        mask = np.zeros(n, dtype=bool)
+        mask[sorted(targets)] = True
+        outside = np.flatnonzero(~mask)
+        hits = get_engine(None).walk_first_hits(
+            small_power_law, np.repeat(outside, reps), length, mask,
+            seed=resolve_rng(13),
+        )
+        hit_count = sum(1 for h in hits.tolist() if h >= 0)
+        hop_total = sum(h for h in hits.tolist() if h >= 0)
+        misses = outside.size * reps - hit_count
+        est = estimate_objectives(
+            small_power_law, targets, length, reps, seed=13
+        )
+        assert est.f1 == n * length - (hop_total + misses * length) / reps
+        assert est.f2 == hit_count / reps + len(targets)
 
     def test_unbiasedness_across_seeds(self, small_power_law):
         # Mean of many independent small-R estimates approaches the exact

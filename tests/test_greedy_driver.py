@@ -58,14 +58,13 @@ def _run_engine(make, k, lazy):
 
 class TestLazyEqualsFull:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    @pytest.mark.parametrize("gain_backend", ["entries", "bitset"])
     @pytest.mark.parametrize("objective", ["f1", "f2"])
-    def test_fast_engine(self, graph_name, gain_backend, objective):
+    def test_fast_engine(self, graph_name, objective):
         graph = GRAPHS[graph_name]()
         index = FlatWalkIndex.build(graph, 4, 8, seed=2)
 
         def make():
-            return FastApproxEngine(index, objective, gain_backend=gain_backend)
+            return FastApproxEngine(index, objective)
 
         k = min(graph.num_nodes, 40)
         lazy = _run_engine(make, k, lazy=True)
@@ -126,17 +125,13 @@ class TestCoverageOnCelf:
         graph = power_law_graph(200, 800, seed=23)
         return graph, FlatWalkIndex.build(graph, 5, 20, seed=4)
 
-    @pytest.mark.parametrize("gain_backend", ["entries", "bitset"])
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3, 0.5, 0.8])
-    def test_matches_full_sweep_prefix(self, instance, alpha, gain_backend):
+    def test_matches_full_sweep_prefix(self, instance, alpha):
         graph, index = instance
-        result = min_targets_for_coverage(
-            graph, alpha, 5, index=index, gain_backend=gain_backend
-        )
+        result = min_targets_for_coverage(graph, alpha, 5, index=index)
         m = len(result.selected)
         prefix = approx_greedy_fast(
             graph, m, 5, index=index, objective="f2", lazy=False,
-            gain_backend=gain_backend,
         )
         assert result.selected == prefix.selected
         assert result.gains == prefix.gains
@@ -156,10 +151,10 @@ class TestCoverageOnCelf:
         assert result.num_gain_evaluations < 2 * graph.num_nodes
 
 
-def _combined_full_sweep(index, k, weight_f1, weight_f2, gain_backend):
+def _combined_full_sweep(index, k, weight_f1, weight_f2):
     """The blended full-sweep loop ``approx_combined`` used to run."""
-    engine_f1 = FastApproxEngine(index, "f1", gain_backend=gain_backend)
-    engine_f2 = FastApproxEngine(index, "f2", gain_backend=gain_backend)
+    engine_f1 = FastApproxEngine(index, "f1")
+    engine_f2 = FastApproxEngine(index, "f2")
     selected, gains = [], []
     chosen = np.zeros(index.num_nodes, dtype=bool)
     for _ in range(k):
@@ -177,18 +172,15 @@ def _combined_full_sweep(index, k, weight_f1, weight_f2, gain_backend):
 
 
 class TestCombinedOnCelf:
-    @pytest.mark.parametrize("gain_backend", ["entries", "bitset"])
     @pytest.mark.parametrize(
         "weights", [(0.3, 0.7), (0.2, 0.5), (1.0, 1.0), (0.05, 2.0)]
     )
-    def test_matches_full_sweep(self, weights, gain_backend):
+    def test_matches_full_sweep(self, weights):
         graph = power_law_graph(150, 600, seed=8)
         index = FlatWalkIndex.build(graph, 5, 10, seed=6)
         k = 12
-        result = approx_combined(
-            graph, k, 5, *weights, index=index, gain_backend=gain_backend
-        )
-        expected = _combined_full_sweep(index, k, *weights, gain_backend)
+        result = approx_combined(graph, k, 5, *weights, index=index)
+        expected = _combined_full_sweep(index, k, *weights)
         assert (result.selected, result.gains) == expected
         assert result.num_gain_evaluations < 2 * k * graph.num_nodes
 

@@ -113,23 +113,6 @@ class TestWireParity:
                 assert tuple(answer["gains"]) == direct.gains
                 assert answer["algorithm"] == direct.algorithm
 
-    def test_select_both_gain_backends(self, graph, index):
-        for gain_backend in ("entries", "bitset"):
-            handle = start_http_server(
-                _service(graph, index, gain_backend=gain_backend)
-            )
-            try:
-                status, answer = _post(handle, "select", {"k": 8})
-                direct = approx_greedy_fast(
-                    graph, 8, LENGTH, index=index, objective="f2",
-                    gain_backend=gain_backend,
-                )
-                assert status == 200
-                assert tuple(answer["selected"]) == direct.selected
-                assert tuple(answer["gains"]) == direct.gains
-            finally:
-                handle.stop()
-
     def test_metrics_and_coverage(self, graph, index, server):
         placement = approx_greedy_fast(
             graph, 6, LENGTH, index=index, objective="f2"

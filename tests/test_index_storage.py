@@ -2,7 +2,7 @@
 
 Covers the delta codec primitives (``pack_value_blocks`` /
 ``unpack_value_blocks``), the three storage classes' parity on real
-indexes, the per-candidate decode path the coverage kernel uses on
+indexes, the per-candidate decode path the gain engine uses on
 compressed storage, and the canonical-order precondition.  Archive-level
 behavior (persistence v3) lives in ``test_persistence.py``; the
 end-to-end build/edit/solve/serve parity lives in the differential
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_fast import approx_greedy_fast
-from repro.core.coverage_kernel import GAIN_BACKENDS, CoverageKernel
 from repro.errors import ParameterError
 from repro.graphs.generators import power_law_graph, ring_graph, star_graph
 from repro.walks.index import FlatWalkIndex
@@ -146,21 +145,6 @@ class TestStorageParity:
             np.testing.assert_array_equal(cs, ds)
             np.testing.assert_array_equal(ch, dh)
 
-    def test_packed_rows_for_matches_full_rows(self, built):
-        _, index = built
-        full = index.packed_hit_rows(include_self=True)
-        compressed = index.compress()
-        for lo, hi in [(0, 1), (7, 23), (0, index.num_nodes),
-                       (index.num_nodes - 1, index.num_nodes)]:
-            np.testing.assert_array_equal(
-                compressed.packed_rows_for(lo, hi), full[lo:hi]
-            )
-        np.testing.assert_array_equal(
-            compressed.packed_rows_for(0, index.num_nodes,
-                                       include_self=False),
-            index.packed_hit_rows(include_self=False),
-        )
-
     def test_compression_shrinks_entry_bytes(self, built):
         _, index = built
         assert index.compress().storage_nbytes() < index.storage_nbytes()
@@ -201,26 +185,18 @@ class TestStorageParity:
 
 
 # ----------------------------------------------------------------------
-# Coverage kernel on compressed storage
+# Gain engine on compressed storage
 # ----------------------------------------------------------------------
 class TestKernelOnCompressed:
-    def test_kernel_defaults_to_streaming_rows(self, built):
-        _, index = built
-        assert CoverageKernel.from_index(index).rows is not None
-        kernel = CoverageKernel.from_index(index.compress())
-        assert kernel._materialize_rows is False
-
-    @pytest.mark.parametrize("backend", GAIN_BACKENDS)
-    def test_selections_identical(self, built, backend):
+    def test_selections_identical(self, built):
         graph, index = built
         reference = approx_greedy_fast(
             graph, 8, index.length, index=index, objective="f2",
-            gain_backend=backend,
         )
         for fmt in ("compressed", "mmap"):
             got = approx_greedy_fast(
                 graph, 8, index.length, index=as_format(index, fmt),
-                objective="f2", gain_backend=backend,
+                objective="f2",
             )
             assert got.selected == reference.selected, fmt
             assert got.gains == reference.gains, fmt
@@ -236,15 +212,3 @@ class TestKernelOnCompressed:
         assert got.selected == reference.selected
         assert got.gains == reference.gains
 
-    def test_materialize_override(self, built):
-        """Forcing materialization on compressed storage must agree with
-        the streaming default (same decoded rows either way)."""
-        graph, index = built
-        compressed = index.compress()
-        eager = CoverageKernel.from_index(
-            compressed, objective="f2", materialize_rows=True
-        )
-        lazy = CoverageKernel.from_index(compressed, objective="f2")
-        np.testing.assert_array_equal(
-            eager.refresh_gains(), lazy.refresh_gains()
-        )

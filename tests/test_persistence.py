@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_fast import approx_greedy_fast
-from repro.core.coverage_kernel import GAIN_BACKENDS
 from repro.errors import GraphFormatError, ParameterError
 from repro.graphs.generators import power_law_graph, ring_graph
 from repro.walks.index import FlatWalkIndex
@@ -263,26 +262,21 @@ class TestV3RoundTrip:
         graph, index = built
         reference = approx_greedy_fast(graph, 6, index.length, index=index)
         path = save_index(index, tmp_path / "walks", format=fmt)
-        for backend in GAIN_BACKENDS:
-            got = approx_greedy_fast(
-                graph, 6, index.length, index=load_index(path),
-                gain_backend=backend,
-            )
-            assert got.selected == reference.selected, (fmt, backend)
-            assert got.gains == reference.gains, (fmt, backend)
+        got = approx_greedy_fast(graph, 6, index.length, index=load_index(path))
+        assert got.selected == reference.selected, fmt
+        assert got.gains == reference.gains, fmt
 
     def test_provenance(self, built, tmp_path):
         graph, index = built
         path = save_index(
             index, tmp_path / "prov", graph=graph, engine="csr", seed=22,
-            gain_backend="bitset", format="compressed",
+            format="compressed",
         )
         prov = index_provenance(path)
         assert prov["version"] == 3
         assert prov["encoding"] == "compressed"
         assert prov["engine"] == "csr"
         assert prov["seed"] == "22"  # seed material is stored as text
-        assert prov["gain_backend"] == "bitset"
         assert prov["graph_num_nodes"] == graph.num_nodes
 
     def test_suffixless_resolution(self, built, tmp_path):
@@ -300,22 +294,99 @@ class TestV3RoundTrip:
         with pytest.raises(ParameterError, match="stale"):
             load_index(path, graph=edited)
 
-    def test_rows_round_trip(self, built, tmp_path):
+
+class TestLegacyArchives:
+    """Archives written before the coverage rows and the gain-backend
+    provenance were removed still load: the v3 reader ignores arrays it
+    does not name, and both readers ignore a stored ``gain_backend``."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        graph = power_law_graph(70, 210, seed=21)
+        index = FlatWalkIndex.build(graph, 4, 8, seed=22)
+        return graph, index
+
+    @staticmethod
+    def _assert_serves_like(graph, index, back):
+        assert back.same_entries(index)
+        for objective in ("f1", "f2"):
+            want = approx_greedy_fast(
+                graph, 6, index.length, index=index, objective=objective
+            )
+            got = approx_greedy_fast(
+                graph, 6, index.length, index=back, objective=objective
+            )
+            assert got.selected == want.selected
+            assert got.gains == want.gains
+
+    def test_v3_with_stored_rows(self, built, tmp_path):
+        from repro.walks.persistence import _write_v3, v3_index_header
+
         graph, index = built
-        path = save_index(index, tmp_path / "walks", format="mmap")
-        back = load_index(path)
-        rows = back.storage.rows
-        assert rows is not None
-        np.testing.assert_array_equal(
-            rows, index.packed_hit_rows(include_self=True)
+        n, num_states = index.num_nodes, index.num_states
+        words = (num_states + 63) >> 6
+        header = v3_index_header(
+            n, index.length, index.num_replicates, encoding="dense",
+            engine="csr", seed=22, graph=graph,
         )
-        # include_rows=False omits them; the index still answers queries.
-        bare = load_index(
-            save_index(index, tmp_path / "bare", format="mmap",
-                       include_rows=False)
+        header["meta"]["gain_backend"] = "bitset"
+        header["state_dtype"] = index.state.dtype.str
+        rng = np.random.default_rng(3)
+        arrays = {
+            "indptr": index.indptr,
+            "state": index.state,
+            "hop": index.hop,
+            "rows": rng.integers(0, 2**63, size=(n, words), dtype=np.uint64),
+            "crow_ptr": np.arange(n + 1, dtype=np.int64),
+            "crow_chunks": np.zeros(n, dtype=np.int32),
+            "crow_types": np.ones(n, dtype=np.uint8),
+            "crow_cards": np.ones(n, dtype=np.int32),
+            "crow_dataptr": np.arange(n + 1, dtype=np.int64),
+            "crow_data": np.arange(n, dtype=np.uint16),
+        }
+        path = tmp_path / "legacy.idx3"
+        _write_v3(str(path), header, arrays)
+        back = load_index(path, graph=graph)
+        assert back.storage_format == "mmap"
+        self._assert_serves_like(graph, index, back)
+        prov = index_provenance(path)
+        assert (prov["version"], prov["encoding"]) == (3, "dense")
+        assert (prov["engine"], prov["seed"]) == ("csr", "22")
+        assert prov["graph_num_nodes"] == n
+        assert "gain_backend" not in prov
+
+    def test_v2_with_gain_backend(self, built, tmp_path):
+        from repro.walks.persistence import graph_fingerprint
+
+        graph, index = built
+        path = tmp_path / "legacy.npz"
+        np.savez(
+            path,
+            version=np.int64(2),
+            header=np.asarray(
+                [index.num_nodes, index.length, index.num_replicates],
+                dtype=np.int64,
+            ),
+            indptr=index.indptr,
+            state=index.state,
+            hop=index.hop,
+            meta_engine=np.str_("numpy"),
+            meta_seed=np.str_("22"),
+            meta_gain_backend=np.str_("bitset"),
+            graph_meta=np.asarray(
+                [graph.num_nodes, graph.num_edges, graph_fingerprint(graph)],
+                dtype=np.int64,
+            ),
         )
-        assert bare.storage.rows is None
-        np.testing.assert_array_equal(bare.state, index.state)
+        back = load_index(path, graph=graph)
+        assert back.storage_format == "dense"
+        self._assert_serves_like(graph, index, back)
+        prov = index_provenance(path)
+        assert (prov["version"], prov["engine"], prov["seed"]) == (
+            2, "numpy", "22"
+        )
+        assert prov["graph_fingerprint"] == graph_fingerprint(graph)
+        assert "gain_backend" not in prov
 
 
 class TestFingerprintMismatchMessage:
@@ -414,7 +485,7 @@ class TestReadOnlyViews:
         graph = power_law_graph(40, 120, seed=51)
         index = FlatWalkIndex.build(graph, 3, 4, seed=52)
         back = load_index(save_index(index, tmp_path / "ro", format="mmap"))
-        for array in (back.state, back.hop, back.storage.rows):
+        for array in (back.state, back.hop):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -450,7 +521,7 @@ def test_v3_round_trip_property(
     tmp_path_factory, num_nodes, extra_edges, length, reps, fmt, engine
 ):
     """save -> load preserves entries and every solver answer, for any
-    format x engine x gain backend."""
+    format x engine."""
     tmp_path = tmp_path_factory.mktemp("v3prop")
     num_edges = min(
         num_nodes + extra_edges,
@@ -466,12 +537,7 @@ def test_v3_round_trip_property(
     assert back.same_entries(index)
     np.testing.assert_array_equal(back.state, index.state)
     k = min(4, num_nodes)
-    for backend in GAIN_BACKENDS:
-        want = approx_greedy_fast(
-            graph, k, length, index=index, gain_backend=backend
-        )
-        got = approx_greedy_fast(
-            graph, k, length, index=back, gain_backend=backend
-        )
-        assert got.selected == want.selected
-        assert got.gains == want.gains
+    want = approx_greedy_fast(graph, k, length, index=index)
+    got = approx_greedy_fast(graph, k, length, index=back)
+    assert got.selected == want.selected
+    assert got.gains == want.gains

@@ -285,8 +285,7 @@ class TestEpochsAndSwap:
         # Replay what an in-flight reader would do post-swap (cache keys
         # lead with the publish generation, 0 before the sync).
         service._cache_put(
-            (0, old.fingerprint, old.epoch, "select", 6, "f2",
-             service.gain_backend),
+            (0, old.fingerprint, old.epoch, "select", 6, "f2"),
             stale,
         )
         assert len(service._cache) == 0

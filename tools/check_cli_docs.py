@@ -5,8 +5,6 @@ Verifies that the documentation layer cannot silently drift from the code:
 
 1. README.md documents every `repro` CLI subcommand (as a `### <name>`
    heading), the `--engine` flag with every registered backend name, the
-   `--gain-backend` flag with every gain backend name, the
-   `--rows-format` flag with every rows-format name, the
    `--telemetry`/`--trace-out` observability flags, and every long
    option of the `serve` and `index` subcommands.
 2. Every `DESIGN.md §N[.M]` reference in the source tree points at a
@@ -44,20 +42,6 @@ def _engine_names() -> list[str]:
     from repro.walks.backends import available_engines
 
     return list(available_engines())
-
-
-def _gain_backend_names() -> list[str]:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.coverage_kernel import GAIN_BACKENDS
-
-    return list(GAIN_BACKENDS)
-
-
-def _rows_format_names() -> list[str]:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.coverage_kernel import ROWS_FORMATS
-
-    return list(ROWS_FORMATS)
 
 
 def _subcommand_options(name: str) -> list[str]:
@@ -122,23 +106,9 @@ def check_docs() -> list[str]:
     for engine in _engine_names():
         if engine not in readme:
             problems.append(f"README.md does not mention engine {engine!r}")
-    if "--gain-backend" not in readme:
-        problems.append("README.md does not document the --gain-backend flag")
     for flag in ("--telemetry", "--trace-out"):
         if flag not in readme:
             problems.append(f"README.md does not document the {flag} flag")
-    for backend in _gain_backend_names():
-        if backend not in readme:
-            problems.append(
-                f"README.md does not mention gain backend {backend!r}"
-            )
-    if "--rows-format" not in readme:
-        problems.append("README.md does not document the --rows-format flag")
-    for rows_format in _rows_format_names():
-        if rows_format not in readme:
-            problems.append(
-                f"README.md does not mention rows format {rows_format!r}"
-            )
     for subcommand in ("serve", "index"):
         for option in _subcommand_options(subcommand):
             if option not in readme:

@@ -3,7 +3,7 @@
 
 Runs the gated benchmark suites (``BENCH_FILES`` below) with ``--json``,
 then rewrites the committed
-baseline file from the fresh measurements (documented in DESIGN.md §8).
+baseline file from the fresh measurements (documented in DESIGN.md §7.1).
 Run it on a quiet machine after a deliberate performance change, review
 the diff, and commit the result::
 
@@ -32,14 +32,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "benchmarks" / "baselines.json"
 BENCH_FILES = [
     "benchmarks/bench_micro_kernels.py",
-    "benchmarks/bench_coverage_kernel.py",
     "benchmarks/bench_dynamic_updates.py",
     "benchmarks/bench_serving.py",
     "benchmarks/bench_http_serving.py",
     "benchmarks/bench_multiproc.py",
     "benchmarks/bench_index_memory.py",
     "benchmarks/bench_oocore_build.py",
-    "benchmarks/bench_row_compression.py",
     "benchmarks/bench_observability.py",
 ]
 

@@ -1,20 +1,19 @@
 """Acceptance benchmark for the out-of-core index build (DESIGN.md §15).
 
-The standing claims on the R=100 memory workload (the same 2k-node
-power-law graph at L=10 as ``bench_index_memory.py``):
+The standing claims on the R=100 memory workload (a 2k-node power-law
+graph at L=10):
 
-* ``build_index_archive`` under a small ``memory_budget`` writes
-  **byte-identical** archives to the in-memory build-then-save path for
-  both v3 formats (``oocore.archive_parity``, hard gate — the container
-  is deterministic, so this cannot depend on the runner), while
-  actually exercising the external sort (≥2 spilled runs asserted: a
-  budget that never spills would gate nothing), and
+* ``build_index_archive`` under a small ``memory_budget`` writes a
+  **byte-identical** archive to the in-memory build-then-save path
+  (``oocore.archive_parity``, hard gate — the container is
+  deterministic, so this cannot depend on the runner), while actually
+  exercising the external sort (≥2 spilled runs asserted: a budget that
+  never spills would gate nothing), and
 * the streamed build's peak traced allocation stays **≥ 2x** below the
   dense path's (``oocore.build_mem_ratio_x``, hard gate).  tracemalloc
   rather than RSS: numpy registers its data allocations with it, so the
   peak is deterministic where RSS is paging-policy noise.  The process
-  RSS delta of each path is still recorded report-only, mirroring the
-  residency keys of ``bench_index_memory.py``.
+  RSS delta of each path is still recorded report-only.
 
 Build wall times and the spill volume are recorded report-only —
 out-of-core trades wall clock for memory by design; this bench gates
@@ -61,14 +60,12 @@ def _dense_path(graph, out):
         graph, LENGTH, REPLICATES, seed=SEED, engine=ENGINE,
         chunk_rows=CHUNK_ROWS,
     )
-    save_index(
-        index, out, graph=graph, engine=ENGINE, seed=SEED, format="mmap"
-    )
+    save_index(index, out, graph=graph, engine=ENGINE, seed=SEED)
 
 
 def _streamed_path(graph, out):
     return build_index_archive(
-        graph, LENGTH, REPLICATES, out, format="mmap", seed=SEED,
+        graph, LENGTH, REPLICATES, out, seed=SEED,
         engine=ENGINE, chunk_rows=CHUNK_ROWS, memory_budget=MEMORY_BUDGET,
     )
 
@@ -91,36 +88,30 @@ def _traced(fn):
 
 
 def test_streamed_archive_byte_parity(graph, bench_record, tmp_path):
-    """Out-of-core v3 archives byte-identical to the in-memory build's."""
+    """Out-of-core v3 archive byte-identical to the in-memory build's."""
     index = FlatWalkIndex.build(
         graph, LENGTH, REPLICATES, seed=SEED, engine=ENGINE,
         chunk_rows=CHUNK_ROWS,
     )
-    parity = True
-    for fmt in ("mmap", "compressed"):
-        ref = save_index(
-            index, tmp_path / f"ref-{fmt}", graph=graph, engine=ENGINE,
-            seed=SEED, format=fmt,
-        )
-        report = build_index_archive(
-            graph, LENGTH, REPLICATES, tmp_path / f"oo-{fmt}.idx3",
-            format=fmt, seed=SEED, engine=ENGINE, chunk_rows=CHUNK_ROWS,
-            memory_budget=MEMORY_BUDGET,
-        )
-        assert report.num_runs >= 2, (
-            f"budget {MEMORY_BUDGET} never spilled — the parity gate "
-            "would not cover the merge path"
-        )
-        same = ref.read_bytes() == report.path.read_bytes()
-        parity = parity and same
-        print(
-            f"\n{fmt}: {report.total_entries:,} entries, "
-            f"{report.num_runs} runs, {report.spilled_bytes:,} B spilled, "
-            f"byte-identical={same}"
-        )
-        if fmt == "mmap":
-            bench_record("oocore.num_runs", report.num_runs)
-            bench_record("oocore.spilled_bytes", report.spilled_bytes)
+    ref = save_index(
+        index, tmp_path / "ref", graph=graph, engine=ENGINE, seed=SEED,
+    )
+    report = build_index_archive(
+        graph, LENGTH, REPLICATES, tmp_path / "oo.idx3", seed=SEED,
+        engine=ENGINE, chunk_rows=CHUNK_ROWS, memory_budget=MEMORY_BUDGET,
+    )
+    assert report.num_runs >= 2, (
+        f"budget {MEMORY_BUDGET} never spilled — the parity gate "
+        "would not cover the merge path"
+    )
+    parity = ref.read_bytes() == report.path.read_bytes()
+    print(
+        f"\n{report.total_entries:,} entries, "
+        f"{report.num_runs} runs, {report.spilled_bytes:,} B spilled, "
+        f"byte-identical={parity}"
+    )
+    bench_record("oocore.num_runs", report.num_runs)
+    bench_record("oocore.spilled_bytes", report.spilled_bytes)
     bench_record("oocore.archive_parity", bool(parity))
     assert parity, "streamed archive differs from the in-memory build's"
 

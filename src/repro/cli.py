@@ -7,7 +7,7 @@ Ten subcommands cover the library's everyday workflows::
     repro generate  # write a synthetic graph as a SNAP edge list
     repro exhibit   # regenerate one of the paper's tables/figures
     repro simulate  # run an application simulation against a placement
-    repro index     # materialize Algorithm 3's walk index to a .npz file
+    repro index     # materialize Algorithm 3's walk index to an .idx3 file
     repro analyze   # horizon (L) recommendation for a target set
     repro dynamic   # edge-churn workloads: trace replay with incremental
                     # index maintenance, robust selection, bondage attack
@@ -43,11 +43,11 @@ A typical index-reuse workflow — pay the walk materialization once, sweep
 budgets afterwards::
 
     repro index --dataset Epinions --dataset-scale 0.25 -L 6 -R 100 \
-        --out epinions.idx.npz
+        --out epinions.idx3
     repro select --dataset Epinions --dataset-scale 0.25 -k 20 \
-        --index epinions.idx.npz
+        --index epinions.idx3
     repro select --dataset Epinions --dataset-scale 0.25 -k 100 \
-        --index epinions.idx.npz
+        --index epinions.idx3
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.errors import ParameterError, RwdomError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import DEFAULT_ENGINE, available_engines
 from repro.walks.build import DEFAULT_CHUNK_ROWS
-from repro.walks.storage import INDEX_FORMATS
 from repro.graphs.datasets import dataset_names, load_dataset
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -236,13 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--seed", type=int, default=None)
     _add_engine_flag(index)
     index.add_argument(
-        "--out", required=True, help="output archive path (.npz or .idx3)"
-    )
-    index.add_argument(
-        "--index-format", choices=INDEX_FORMATS, default="dense",
-        help="archive format: dense (v2 .npz), compressed (v3 delta "
-        "codec), or mmap (v3 raw arrays + packed rows, loads as "
-        "memory maps)",
+        "--out", required=True,
+        help="output archive path (v3; .idx3 is appended when no "
+        ".idx3/.npz suffix is given); loads back as memory maps",
     )
     index.add_argument(
         "--chunk-rows", type=int, default=DEFAULT_CHUNK_ROWS,
@@ -305,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dynamic.add_argument("--seed", type=int, default=None)
     _add_engine_flag(dynamic)
-    dynamic.add_argument(
-        "--index-format", choices=INDEX_FORMATS, default="dense",
-        help="storage backend the replay/attack (re-)solves run on "
-        "(maintenance itself stays dense; selections are identical "
-        "across formats)",
-    )
     dynamic.add_argument(
         "--resolve-threshold", type=float, default=0.9,
         help="replay re-solves when coverage falls below this fraction of "
@@ -407,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=None)
     _add_engine_flag(serve)
-    serve.add_argument(
-        "--index-format", choices=INDEX_FORMATS, default=None,
-        help="in-memory index representation to serve from (default: "
-        "whatever the archive holds, or dense for an in-process build)",
-    )
     serve.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the load report as JSON ('-' for stdout)",
@@ -667,14 +651,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.build_memory_budget is not None:
         report = build_index_archive(
             graph, args.length, args.replicates, args.out,
-            format=args.index_format, seed=args.seed, engine=args.engine,
-            chunk_rows=args.chunk_rows,
+            seed=args.seed, engine=args.engine, chunk_rows=args.chunk_rows,
             memory_budget=args.build_memory_budget,
         )
         print(
             f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
             f"(L={args.length}, {report.total_entries} entries, "
-            f"{report.format}, {report.num_runs} sort runs, "
+            f"{report.num_runs} sort runs, "
             f"{report.spilled_bytes} bytes spilled) -> {report.path}"
         )
         return 0
@@ -684,12 +667,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
     )
     written = save_index(
         index, args.out, graph=graph, engine=args.engine, seed=args.seed,
-        format=args.index_format,
     )
     print(
         f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
-        f"(L={args.length}, {index.total_entries} entries, "
-        f"{args.index_format}) -> {written}"
+        f"(L={args.length}, {index.total_entries} entries) -> {written}"
     )
     return 0
 
@@ -748,12 +729,9 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             targets = tuple(_parse_targets(args.targets))
         else:
             from repro.core.approx_fast import approx_greedy_fast
-            from repro.walks.persistence import as_format
 
             solved = approx_greedy_fast(
-                graph, args.k, args.length,
-                index=as_format(dyn.flat, args.index_format, graph=graph),
-                objective="f2",
+                graph, args.k, args.length, index=dyn.flat, objective="f2",
             )
             targets = solved.selected
             print(f"placement ({solved.algorithm}):",
@@ -786,7 +764,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         graph, trace_text, k=args.k, length=args.length,
         num_replicates=args.replicates, seed=args.seed, engine=args.engine,
         resolve_threshold=args.resolve_threshold,
-        index_format=args.index_format,
     )
     print(
         f"churn replay: {len(report.steps)} batches, k={report.k}, "
@@ -832,18 +809,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     if args.index is not None:
         service = DominationService.from_index_file(
-            args.index, graph, index_format=args.index_format, **options
+            args.index, graph, **options
         )
     else:
         from repro.walks.index import FlatWalkIndex
-        from repro.walks.persistence import as_format
 
         index = FlatWalkIndex.build(
             graph, args.length, args.replicates, seed=args.seed,
             engine=args.engine,
         )
-        if args.index_format is not None:
-            index = as_format(index, args.index_format, graph=graph)
         service = DominationService(
             IndexSnapshot.capture(graph, index), **options
         )

@@ -15,6 +15,10 @@ passes over the :class:`~repro.walks.index.FlatWalkIndex`:
   matches the per-round cost the paper proves for Algorithm 6.
 * Selecting ``u`` relaxes ``d`` on the entry slice of ``u`` only.
 
+The index arrays are plain ndarrays whether the index was built in RAM or
+loaded from an archive (read-only views over its memory maps), so both
+run the same code.
+
 The engine supplies gains; the greedy driver (:mod:`repro.core.greedy`)
 runs the rounds, as CELF lazy evaluation by default (``lazy=True``) or as
 the paper's full sweep.  The per-replicate estimated objectives are genuine
@@ -66,14 +70,6 @@ class FastApproxEngine:
         else:
             self.d = np.zeros(n * r, dtype=np.int32)
         self._chosen = np.zeros(n, dtype=bool)
-        # On compressed storage every states_for is a block decode, and
-        # CELF re-evaluates its hot candidates across rounds — memoize
-        # decoded blocks for this solve.  The cache is bounded by the
-        # dense state array's size, lives only as long as the engine, and
-        # entries are immutable, so sharing them is safe.
-        self._block_cache: "dict[int, np.ndarray] | None" = (
-            {} if index.storage_format == "compressed" else None
-        )
         self.selected: list[int] = []
         self.gains: list[float] = []
         self.num_gain_evaluations = 0
@@ -81,21 +77,6 @@ class FastApproxEngine:
         # the hot paths (cheaper than a branch) and flushed to the metrics
         # registry once per solve by the driver when telemetry is on.
         self.num_full_sweeps = 0
-        self.block_cache_hits = 0
-        self.block_cache_misses = 0
-
-    def _states_of(self, node: int) -> np.ndarray:
-        """``index.states_for`` with per-solve memoization (see above)."""
-        cache = self._block_cache
-        if cache is None:
-            return self.index.states_for(node)
-        states = cache.get(node)
-        if states is None:
-            self.block_cache_misses += 1
-            states = cache[node] = self.index.states_for(node)
-        else:
-            self.block_cache_hits += 1
-        return states
 
     # ------------------------------------------------------------------
     @property
@@ -123,13 +104,9 @@ class FastApproxEngine:
         if self.objective == "f2" and not self.d.any():
             # Nothing covered yet: every entry contributes exactly 1, so
             # the sweep is ``R + per-node entry counts`` — no state pass.
-            # This is the first sweep of every fresh solve, and on
-            # compressed storage it skips the full entry-stream decode.
+            # This is the first sweep of every fresh solve.
             self.num_gain_evaluations += n
             return self.num_replicates + np.diff(index.indptr)
-        # One materialization per sweep: ``state`` is a property that
-        # decodes on every access for compressed storage, so localize it
-        # (and ``hop``) before the arithmetic touches them repeatedly.
         state = index.state
         if self.objective == "f1":
             contrib = self.d[state].astype(np.int64) - index.hop
@@ -165,9 +142,9 @@ class FastApproxEngine:
             )
             self.num_gain_evaluations += 1
             return base + int(contrib.sum())
-        # f2 never reads hops; skip their decode on compressed storage.
+        # f2 never reads hops, and
         # sum(1 - d[state]) == size - sum(d[state]) in two fewer passes.
-        state = self._states_of(node)
+        state = self.index.states_for(node)
         base = self.num_replicates - int(
             self.d[node :: self.num_nodes].sum(dtype=np.int64)
         )
@@ -190,7 +167,7 @@ class FastApproxEngine:
             self.d[state] = np.minimum(self.d[state], hop)
         else:
             self.d[node :: self.num_nodes] = 1
-            self.d[self._states_of(node)] = 1
+            self.d[self.index.states_for(node)] = 1
         self._chosen[node] = True
         self.selected.append(int(node))
         self.gains.append(
@@ -255,16 +232,6 @@ def approx_greedy_fast(
             engine.num_full_sweeps,
             help="Full gain sweeps (kernel passes) across solves.",
             **labels,
-        )
-        obs.inc(
-            "solver_block_cache_hits_total",
-            engine.block_cache_hits,
-            help="Decoded-block cache hits (compressed storage).",
-        )
-        obs.inc(
-            "solver_block_cache_misses_total",
-            engine.block_cache_misses,
-            help="Decoded-block cache misses (compressed storage).",
         )
         obs.observe(
             "solver_solve_seconds",

@@ -5,8 +5,9 @@ selected on one snapshot — how fast does its quality decay as the graph
 churns, and when is it worth re-solving?  :func:`churn_replay` streams an
 edit trace batch by batch, keeps the walk index fresh with incremental
 updates, tracks the sampled coverage / AHT of the standing selection, and
-re-solves (from the maintained index — no rebuild) whenever coverage
-falls below a configurable fraction of what the last solve achieved.
+re-solves (on the maintained in-RAM index — no rebuild, no copy) whenever
+coverage falls below a configurable fraction of what the last solve
+achieved.
 
 Trace files are plain text, one directive per line (``#`` comments and
 blank lines ignored)::
@@ -38,7 +39,6 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.approx_fast import approx_greedy_fast
 from repro.walks.backends import WalkEngine
-from repro.walks.persistence import as_format
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.index import DynamicWalkIndex
 
@@ -292,7 +292,6 @@ def churn_replay(
     seed: "int | None" = None,
     engine: "str | WalkEngine | None" = None,
     resolve_threshold: float = 0.9,
-    index_format: "str | None" = None,
 ) -> ChurnReport:
     """Stream an edit trace, maintain the index, report decay/re-solves.
 
@@ -303,13 +302,6 @@ def churn_replay(
     ``resolve_threshold`` times the fraction achieved at its solve time —
     dropping below triggers a re-solve on the *current* index (cost: one
     greedy run, no walk regeneration).
-
-    ``index_format`` converts the maintained flat index to that storage
-    backend (:data:`~repro.walks.storage.INDEX_FORMATS`) for each
-    (re-)solve — incremental maintenance itself always runs on the dense
-    arrays (entry splicing needs them), so this trades solve-time memory
-    for a per-resolve conversion.  Selections are bit-identical across
-    formats.
     """
     if isinstance(batches, str):
         batches = parse_trace(batches)
@@ -322,11 +314,8 @@ def churn_replay(
     present = np.ones(graph.num_nodes, dtype=bool)
 
     def _solve() -> tuple[int, ...]:
-        flat = dyn.flat
-        if index_format is not None:
-            flat = as_format(flat, index_format, graph=dyn.graph)
         result = approx_greedy_fast(
-            dyn.graph, k, dyn.length, index=flat, objective="f2"
+            dyn.graph, k, dyn.length, index=dyn.flat, objective="f2"
         )
         return result.selected
 

@@ -2,7 +2,9 @@
 
 :class:`DominationService` is the online read path the paper's three
 scenarios need: many clients concurrently asking selection and coverage
-questions against a precomputed walk index.  Three mechanisms make the
+questions against a precomputed walk index — built in process, or loaded
+from a v3 archive and served off its read-only memory maps
+(:meth:`DominationService.from_index_file`).  Three mechanisms make the
 concurrent path cheap without changing a single answer:
 
 * **Immutable snapshots, atomic swap.**  Readers resolve the current
@@ -182,7 +184,6 @@ class DominationService:
         cls,
         path: "str | Path",
         graph: "Graph",
-        index_format: "str | None" = None,
         **kwargs,
     ) -> "DominationService":
         """Serve a persisted index, provenance-checked against ``graph``.
@@ -190,11 +191,9 @@ class DominationService:
         A stale archive (edited graph, wrong node count) raises
         :class:`~repro.errors.ParameterError` at construction instead of
         quietly serving answers for a topology that no longer exists.
-        ``index_format`` selects the in-memory storage backend
-        (``None`` serves the archive's own representation — a v3
-        container is served straight off its read-only memory maps).
+        A v3 archive is served straight off its read-only memory maps.
         """
-        return cls(IndexSnapshot.load(path, graph, index_format), **kwargs)
+        return cls(IndexSnapshot.load(path, graph), **kwargs)
 
     @classmethod
     def from_dynamic(

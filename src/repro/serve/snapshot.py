@@ -9,7 +9,9 @@ after publication — the incremental maintenance path allocates fresh
 entry arrays for every patch — so a reader holding one can keep
 computing on it while newer epochs are published, and the
 ``(fingerprint, epoch)`` pair is a sound cache key for any answer
-derived from it (DESIGN.md §10.1).
+derived from it (DESIGN.md §10.1).  A snapshot loaded from an archive
+(:meth:`IndexSnapshot.load`) serves straight off the archive's read-only
+memory maps; nothing is copied into RAM up front.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.index import FlatWalkIndex
-from repro.walks.persistence import as_format, graph_fingerprint, load_index
+from repro.walks.persistence import graph_fingerprint, load_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -70,12 +72,7 @@ class IndexSnapshot:
         )
 
     @classmethod
-    def load(
-        cls,
-        path: "str | Path",
-        graph: Graph,
-        index_format: "str | None" = None,
-    ) -> "IndexSnapshot":
+    def load(cls, path: "str | Path", graph: Graph) -> "IndexSnapshot":
         """Load a persisted index as epoch-0 snapshot for ``graph``.
 
         Goes through :func:`repro.walks.persistence.load_index` with the
@@ -83,17 +80,8 @@ class IndexSnapshot:
         CSR fingerprint mismatch — raises
         :class:`~repro.errors.ParameterError` instead of serving answers
         for a topology that no longer exists.
-
-        ``index_format`` overrides the in-memory representation: by
-        default the snapshot serves whatever the archive holds (an
-        ``.idx3`` container stays memmapped, an ``.npz`` loads dense);
-        passing ``"dense"``/``"compressed"``/``"mmap"`` converts via
-        :func:`repro.walks.persistence.as_format` first.
         """
-        index = load_index(path, graph=graph)
-        if index_format is not None:
-            index = as_format(index, index_format, graph=graph)
-        return cls.capture(graph, index)
+        return cls.capture(graph, load_index(path, graph=graph))
 
     @property
     def num_nodes(self) -> int:

@@ -2,7 +2,7 @@
 
 An index build that holds every first-visit record at once peaks at a
 multiple of the final index, so the largest graph the package could
-*serve* (mmap or compressed storage, DESIGN.md §13) would be far larger
+*serve* (off a memory-mapped archive, DESIGN.md §13) would be far larger
 than the largest it could *build*.  This module closes that gap by
 turning the build into a streaming pipeline:
 
@@ -22,15 +22,14 @@ turning the build into a streaming pipeline:
    exactly, and the in-memory path is the degenerate one-run case of the
    same pipeline (no temp I/O at all).
 
-Three writers close the loop: :class:`DenseEntryWriter` materializes the
-flat arrays (what ``FlatWalkIndex.build`` uses, any budget), and the two
-archive writers append entry bytes to staged sibling files as the merge
-emits them — the delta codec is per-hit-node-block, so complete block
-runs encode incrementally and concatenate to the whole-index encoding —
-then assemble the v3 container through the same atomic header/layout
-writer ``save_index`` uses.  The result is **byte-identical** to saving
-the in-memory build, for every engine and any budget, while peak memory
-is O(budget + chunk walks + per-node metadata) instead of O(entries).
+Two writers close the loop: :class:`DenseEntryWriter` materializes the
+flat arrays (what ``FlatWalkIndex.build`` uses, any budget), and the
+archive writer appends the state and hop columns to staged sibling files
+as the merge emits them, then assembles the v3 container through the
+same atomic header/layout writer ``save_index`` uses.  The result is
+**byte-identical** to saving the in-memory build, for every engine and
+any budget, while peak memory is O(budget + chunk walks + per-node
+metadata) instead of O(entries).
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from repro.errors import GraphFormatError, ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.index import (
-    FlatWalkIndex,
     _validate_params,
+    entry_state_dtype,
     walker_major_starts,
 )
 from repro.walks.parallel import RecordPacker
@@ -58,16 +57,9 @@ from repro.walks.persistence import (
     FileArraySource,
     _atomic_write_v3,
     _resolve_archive_path,
-    save_index,
     v3_index_header,
 )
 from repro.walks.rng import resolve_rng
-from repro.walks.storage import (
-    block_delta_encode,
-    entry_state_dtype,
-    pack_value_blocks,
-    validate_index_format,
-)
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -443,78 +435,27 @@ class DenseEntryWriter(EntryWriter):
         return self._indptr, self._state, self._hop
 
 
-class _BlockGrouper:
-    """Regroup the sorted entry stream into complete hit-node block spans.
+class _MmapArchiveWriter(EntryWriter):
+    """Stream the entry columns into a v3 archive (``encoding="dense"``).
 
-    The compressed codec is a per-hit-node-block structure, so its
-    archive writer may only encode a block once all its entries have
-    arrived.  Entries arrive in canonical order, so the
-    only incomplete block at any moment is the last one seen: ``push``
-    returns the newly completed span ``[next, last_hit)`` (with per-block
-    counts — interior empty blocks included) and carries the trailing
-    block's entries; ``flush`` closes out the final span up to ``n``.
-    Carry memory is one block — O(the most-hit node's entries).
+    Entries arrive in canonical order, so the state and hop columns are
+    appended to staged sibling temp files as-is and concatenate to
+    exactly the arrays ``save_index`` would write; O(n) metadata stays
+    in memory.  ``finalize`` builds the exact header ``save_index``
+    would and hands the staged files to the shared v3 serializer as
+    :class:`FileArraySource`\\ s — one streamed copy into an atomic temp,
+    then ``os.replace``, so a crash anywhere leaves any prior archive
+    untouched and ``abort``/cleanup removes every staged temp.
     """
 
-    def __init__(self, num_nodes: int):
-        self._num_nodes = num_nodes
-        self._next = 0
-        self._carry: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
-
-    def push(
-        self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
-    ) -> "list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]":
-        if hits.size == 0:
-            return []
-        last = int(hits[-1])
-        if last == self._next:
-            self._carry.append((hits, states, hops))
-            return []
-        cut = int(np.searchsorted(hits, last, side="left"))
-        span = self._make_span(last, (hits[:cut], states[:cut], hops[:cut]))
-        self._carry = [(hits[cut:], states[cut:], hops[cut:])]
-        self._next = last
-        return [span]
-
-    def flush(self) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-        span = self._make_span(self._num_nodes, None)
-        self._carry = []
-        self._next = self._num_nodes
-        return span
-
-    def _make_span(self, hi: int, extra):
-        lo = self._next
-        parts = list(self._carry)
-        if extra is not None and extra[0].size:
-            parts.append(extra)
-        if parts:
-            span_hits = np.concatenate([p[0] for p in parts])
-            states = np.concatenate([p[1] for p in parts])
-            hops = np.concatenate([p[2] for p in parts])
-            counts = np.bincount(span_hits - lo, minlength=hi - lo)
-        else:
-            states = np.empty(0, dtype=np.int64)
-            hops = np.empty(0, dtype=np.int16)
-            counts = np.zeros(hi - lo, dtype=np.int64)
-        return lo, hi, counts, states, hops
-
-
-class _ArchiveWriter(EntryWriter):
-    """Shared staging/assembly plumbing of the incremental v3 writers.
-
-    Big arrays are appended to staged sibling temp files as the merge
-    emits entries; O(n) metadata stays in memory.  ``finalize`` builds
-    the exact header ``save_index`` would and hands the staged files to
-    the shared v3 serializer as :class:`FileArraySource`\\ s — one
-    streamed copy into an atomic temp, then ``os.replace``, so a crash
-    anywhere leaves any prior archive untouched and ``abort``/cleanup
-    removes every staged temp.
-    """
-
-    def __init__(self, out: Path, header: dict):
+    def __init__(
+        self, out: Path, header: dict, num_nodes: int, num_replicates: int
+    ):
         self._out = out
         self._header = header
         self._staged: "dict[str, tuple[object, Path]]" = {}
+        self._num_states = num_nodes * num_replicates
+        self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
     def _stage(self, label: str):
         fd, name = tempfile.mkstemp(
@@ -546,29 +487,6 @@ class _ArchiveWriter(EntryWriter):
     def abort(self) -> None:
         self._cleanup()
 
-    def _assemble(self, arrays: dict) -> Path:
-        try:
-            _atomic_write_v3(self._out, self._header, arrays)
-        finally:
-            self._cleanup()
-        return self._out
-
-
-class _MmapArchiveWriter(_ArchiveWriter):
-    """Incremental v3 ``encoding="dense"`` writer (the ``mmap`` format).
-
-    Entries arrive in canonical order, so the state and hop columns are
-    appended to their staged files as-is and concatenate to exactly the
-    arrays ``save_index`` would write.
-    """
-
-    def __init__(
-        self, out: Path, header: dict, num_nodes: int, num_replicates: int
-    ):
-        super().__init__(out, header)
-        self._num_states = num_nodes * num_replicates
-        self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
-
     def begin(self, indptr, counts, total, max_hop) -> None:
         self._indptr = indptr
         self._total = total
@@ -593,93 +511,11 @@ class _MmapArchiveWriter(_ArchiveWriter):
             ),
             "hop": self._staged_source("hop", np.int16, (self._total,)),
         }
-        return self._assemble(arrays)
-
-
-class _CompressedArchiveWriter(_ArchiveWriter):
-    """Incremental v3 ``encoding="compressed"`` writer.
-
-    The codec is per-hit-node-block (:mod:`repro.walks.storage`): each
-    block owns an independent word region in ``delta_words`` and
-    ``hop_words``, so any complete span of blocks encodes through the
-    same :func:`block_delta_encode` + :func:`pack_value_blocks` the
-    whole-index encoder uses, and the staged regions concatenate — plus
-    the single global pad word at the end — to exactly the arrays
-    ``CompressedStorage.from_arrays`` would produce.  The global
-    ``hop_width`` is the spill phase's running max, known before the
-    merge begins.
-    """
-
-    def __init__(
-        self, out: Path, header: dict, num_nodes: int, num_replicates: int
-    ):
-        super().__init__(out, header)
-        self._num_nodes = num_nodes
-        self._num_states = num_nodes * num_replicates
-        self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
-
-    def begin(self, indptr, counts, total, max_hop) -> None:
-        n = self._num_nodes
-        self._indptr = indptr
-        self._hop_width = int(max_hop).bit_length() if total else 0
-        self._heads = np.zeros(n, dtype=np.int64)
-        self._widths = np.zeros(n, dtype=np.uint8)
-        self._delta_word_counts = np.zeros(n, dtype=np.int64)
-        hop_word_counts = (counts * self._hop_width + 63) >> 6
-        self._hop_wordptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(hop_word_counts, out=self._hop_wordptr[1:])
-        self._delta_f = self._stage("delta")
-        self._hop_f = self._stage("hops")
-        self._grouper = _BlockGrouper(n)
-
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
-            return
-        hits, states = np.divmod(keys, self._num_states)
-        for span in self._grouper.push(hits, states, hops):
-            self._encode_span(span)
-
-    def _encode_span(self, span) -> None:
-        lo, hi, counts, states, hops = span
-        heads, widths, gaps, gap_counts = block_delta_encode(states, counts)
-        self._heads[lo:hi] = heads
-        self._widths[lo:hi] = widths
-        delta_words, delta_wordptr = pack_value_blocks(
-            gaps, gap_counts, widths
-        )
-        self._delta_word_counts[lo:hi] = np.diff(delta_wordptr)
-        self._delta_f.write(delta_words[: delta_wordptr[-1]].tobytes())
-        hop_words, hop_wordptr = pack_value_blocks(
-            hops, counts, np.full(hi - lo, self._hop_width, dtype=np.int64)
-        )
-        self._hop_f.write(hop_words[: hop_wordptr[-1]].tobytes())
-
-    def finalize(self) -> Path:
-        self._encode_span(self._grouper.flush())
-        # The one global trailing pad word of each packed array (decoders
-        # read words[i + 1] unconditionally).
-        pad = np.zeros(1, dtype=np.uint64).tobytes()
-        self._delta_f.write(pad)
-        self._hop_f.write(pad)
-        n = self._num_nodes
-        delta_wordptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._delta_word_counts, out=delta_wordptr[1:])
-        self._header["state_dtype"] = self._state_dtype.str
-        self._header["hop_width"] = self._hop_width
-        arrays = {
-            "indptr": self._indptr,
-            "heads": self._heads,
-            "delta_widths": self._widths,
-            "delta_words": self._staged_source(
-                "delta", np.uint64, (int(delta_wordptr[-1]) + 1,)
-            ),
-            "delta_wordptr": delta_wordptr,
-            "hop_words": self._staged_source(
-                "hops", np.uint64, (int(self._hop_wordptr[-1]) + 1,)
-            ),
-            "hop_wordptr": self._hop_wordptr,
-        }
-        return self._assemble(arrays)
+        try:
+            _atomic_write_v3(self._out, self._header, arrays)
+        finally:
+            self._cleanup()
+        return self._out
 
 
 # ----------------------------------------------------------------------
@@ -690,7 +526,6 @@ class BuildReport:
     """What :func:`build_index_archive` did: where, how much, how spilled."""
 
     path: Path
-    format: str
     total_entries: int
     num_runs: int
     spilled_bytes: int
@@ -701,7 +536,6 @@ def build_index_archive(
     length: int,
     num_replicates: int,
     out: "str | Path",
-    format: str = "mmap",
     seed: "int | np.random.Generator | None" = None,
     engine: "str | WalkEngine | None" = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -715,16 +549,11 @@ def build_index_archive(
     straight into an incremental v3 writer, so peak memory is
     O(``memory_budget`` + one chunk's walks + per-node metadata) while
     the archive bytes are **identical** to saving the in-memory build of
-    the same ``(seed, chunk_rows, engine)`` — byte-for-byte for the v3
-    families (``mmap``/``compressed``), array-for-array for ``dense``
-    (the npz container timestamps its members, and holding the dense
-    arrays is O(entries) regardless, so that format gains no memory —
-    it exists here for CLI uniformity).  Run files and staged arrays
-    live next to the target and are removed on every exit path; the
-    final rename is atomic, so a crash mid-build leaves any existing
+    the same ``(seed, chunk_rows, engine)``.  Run files and staged
+    arrays live next to the target and are removed on every exit path;
+    the final rename is atomic, so a crash mid-build leaves any existing
     archive at ``out`` intact.
     """
-    validate_index_format(format)
     n = graph.num_nodes
     _validate_params(n, length, num_replicates)
     walk_engine = get_engine(engine)
@@ -732,8 +561,7 @@ def build_index_archive(
         engine.name if isinstance(engine, WalkEngine) else None
     )
     rng = resolve_rng(seed)
-    suffix = ".npz" if format == "dense" else ".idx3"
-    out = _resolve_archive_path(Path(out), default_suffix=suffix)
+    out = _resolve_archive_path(out)
     with obs.span(
         "index.build", engine=walk_engine.name, num_nodes=n,
         length=length, num_replicates=num_replicates,
@@ -751,38 +579,15 @@ def build_index_archive(
             ):
                 sink.consume(*chunk)
             num_runs = sink.spill_runs + (1 if sink._buffered else 0)
-            if format == "dense":
-                indptr, state, hop = sink.finalize(
-                    DenseEntryWriter(n, num_replicates)
-                )
-                index = FlatWalkIndex(
-                    indptr=indptr, state=state, hop=hop, num_nodes=n,
-                    length=length, num_replicates=num_replicates,
-                )
-                written = save_index(
-                    index, out, graph=graph, engine=engine_meta, seed=seed,
-                    format="dense",
-                )
-            else:
-                header = v3_index_header(
-                    n, length, num_replicates,
-                    encoding=(
-                        "compressed" if format == "compressed" else "dense"
-                    ),
-                    engine=engine_meta, seed=seed, graph=graph,
-                )
-                if format == "compressed":
-                    writer: _ArchiveWriter = _CompressedArchiveWriter(
-                        out, header, n, num_replicates
-                    )
-                else:
-                    writer = _MmapArchiveWriter(
-                        out, header, n, num_replicates
-                    )
-                written = sink.finalize(writer)
+            header = v3_index_header(
+                n, length, num_replicates, encoding="dense",
+                engine=engine_meta, seed=seed, graph=graph,
+            )
+            written = sink.finalize(
+                _MmapArchiveWriter(out, header, n, num_replicates)
+            )
             report = BuildReport(
                 path=written,
-                format=format,
                 total_entries=sink.total_records,
                 num_runs=num_runs,
                 spilled_bytes=sink.spilled_bytes,

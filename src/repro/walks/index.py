@@ -15,7 +15,9 @@ Two interchangeable representations:
   node (CSR-by-hit), with the ``(replicate, walker)`` pair pre-flattened to
   an index into the flattened ``D`` matrix.  This is the representation the
   vectorized engine (:mod:`repro.core.approx_fast`) consumes; it is built
-  chunk-wise so paper-scale graphs fit in memory.
+  chunk-wise so paper-scale graphs fit in memory, and a saved one loads
+  back as read-only views over the archive's memory maps
+  (:mod:`repro.walks.persistence`).
 
 Both builders accept pre-generated walks, so tests can inject the exact
 walks of the paper's Example 3.1 and compare the two representations
@@ -37,17 +39,13 @@ from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import random_walk
 from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.rng import resolve_rng
-from repro.walks.storage import (
-    CompressedStorage,
-    DenseStorage,
-    entry_state_dtype,
-)
 
 __all__ = [
     "IndexEntry",
     "InvertedIndex",
     "FlatWalkIndex",
     "canonical_entries",
+    "entry_state_dtype",
     "walker_major_starts",
 ]
 
@@ -82,6 +80,21 @@ def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
         )
     if num_replicates < 1:
         raise ParameterError("number of replicates R must be >= 1")
+
+
+def entry_state_dtype(num_nodes: int, num_replicates: int) -> np.dtype:
+    """The dtype every builder stores entry states in.
+
+    ``int32`` while the state space ``n * R`` fits, ``int64`` past it —
+    one rule shared by the in-memory assembler (:func:`canonical_entries`)
+    and the out-of-core archive writer (:mod:`repro.walks.build`), so the
+    two paths can never disagree on the bytes an archive holds.
+    """
+    return np.dtype(
+        np.int32
+        if num_nodes * num_replicates < np.iinfo(np.int32).max
+        else np.int64
+    )
 
 
 def canonical_entries(
@@ -239,114 +252,37 @@ class FlatWalkIndex:
     hop:
         Per-entry first-visit hop (``int16``; hops are ``<= L``).
 
-    The entry arrays live behind a *storage backend*
-    (:mod:`repro.walks.storage`): ``state``/``hop`` are properties that
-    materialize the backend's full arrays, so dense consumers are
-    unchanged, while block-aware consumers (the gain engine's
-    per-candidate path, :meth:`entries_for`) go through the backend's
-    range decode and never materialize more than they touch.
+    The arrays are plain ndarrays: in RAM for a fresh build, read-only
+    views over the archive's memory maps for a loaded one
+    (:func:`repro.walks.persistence.load_index`).  Consumers read them
+    whole (a full gain sweep) or as one hit node's slice
+    (:meth:`entries_for`).
     """
 
     def __init__(
         self,
         indptr: np.ndarray,
-        state: "np.ndarray | None" = None,
-        hop: "np.ndarray | None" = None,
+        state: np.ndarray,
+        hop: np.ndarray,
         num_nodes: int = 0,
         length: int = 0,
         num_replicates: int = 1,
-        storage=None,
     ):
         _validate_params(num_nodes, length, num_replicates)
         if indptr.size != num_nodes + 1:
             raise ParameterError("indptr must have n + 1 entries")
-        if storage is None:
-            if state is None or hop is None:
-                raise ParameterError(
-                    "FlatWalkIndex needs either state/hop arrays or a storage"
-                )
-            storage = DenseStorage(indptr, state, hop)
-        elif state is not None or hop is not None:
-            raise ParameterError("pass state/hop arrays or storage, not both")
-        if storage.num_entries != indptr[-1]:
-            raise ParameterError("state/hop size must match indptr[-1]")
-        if (
-            isinstance(storage, DenseStorage)
-            and storage._state.size != storage._hop.size
-        ):
+        if state.size != indptr[-1] or hop.size != state.size:
             raise ParameterError("state/hop size must match indptr[-1]")
         self.indptr = indptr
-        self._storage = storage
+        self.state = state
+        self.hop = hop
         self.num_nodes = num_nodes
         self.length = length
         self.num_replicates = num_replicates
 
-    # ------------------------------------------------------------------
-    # Storage seam (DESIGN.md §13)
-    @property
-    def state(self) -> np.ndarray:
-        """Full per-entry state array (decoded on demand off-dense)."""
-        return self._storage.state_array()
-
-    @property
-    def hop(self) -> np.ndarray:
-        """Full per-entry hop array (decoded on demand off-dense)."""
-        return self._storage.hop_array()
-
-    @property
-    def storage(self):
-        """The storage backend holding the entry arrays."""
-        return self._storage
-
-    @property
-    def storage_format(self) -> str:
-        """``"dense"``, ``"compressed"``, or ``"mmap"``."""
-        return self._storage.format_name
-
     def storage_nbytes(self) -> int:
-        """Bytes held (dense/compressed) or mapped (mmap) by the index."""
-        return int(self.indptr.nbytes) + int(self._storage.nbytes)
-
-    def compress(self) -> "FlatWalkIndex":
-        """This index on :class:`~repro.walks.storage.CompressedStorage`.
-
-        A no-op when already compressed; otherwise encodes the canonical
-        entry arrays (strictly increasing states per hit-node block —
-        every builder since the backends were unified) into the per-block
-        delta codec.  Entries, selections, and every derived quantity are
-        bit-identical to the dense index.
-        """
-        if isinstance(self._storage, CompressedStorage):
-            return self
-        return FlatWalkIndex(
-            indptr=self.indptr,
-            num_nodes=self.num_nodes,
-            length=self.length,
-            num_replicates=self.num_replicates,
-            storage=CompressedStorage.from_arrays(
-                self.indptr, self.state, self.hop
-            ),
-        )
-
-    def densify(self) -> "FlatWalkIndex":
-        """This index on in-RAM :class:`~repro.walks.storage.DenseStorage`.
-
-        A no-op for dense storage; compressed and mmap indexes
-        materialize their full entry arrays (mmap additionally copies, so
-        the result is writable and independent of the archive file).
-        """
-        if type(self._storage) is DenseStorage:
-            return self
-        state = np.array(self.state, copy=True)
-        hop = np.array(self.hop, copy=True)
-        return FlatWalkIndex(
-            indptr=np.array(self.indptr, copy=True),
-            state=state,
-            hop=hop,
-            num_nodes=self.num_nodes,
-            length=self.length,
-            num_replicates=self.num_replicates,
-        )
+        """Bytes of the three arrays (held in RAM or mapped from disk)."""
+        return int(self.indptr.nbytes + self.state.nbytes + self.hop.nbytes)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -476,25 +412,17 @@ class FlatWalkIndex:
         return int(self.indptr[-1])
 
     def entries_for(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(state, hop)`` slices for entries whose hit node is ``node``.
-
-        Routed through the storage backend: dense/mmap return array
-        views, compressed decodes exactly this node's block.
-        """
+        """``(state, hop)`` views of the entries whose hit node is ``node``."""
         if not 0 <= node < self.num_nodes:
             raise ParameterError(f"node {node} out of range")
-        return self._storage.range_arrays(node, node + 1)
+        lo, hi = int(self.indptr[node]), int(self.indptr[node + 1])
+        return self.state[lo:hi], self.hop[lo:hi]
 
     def states_for(self, node: int) -> np.ndarray:
-        """The ``state`` slice alone for one hit node.
-
-        The f2 objective never reads hops, and on compressed storage the
-        hop decode is real work per candidate — this is the cheap spelling
-        for callers that only need the states.
-        """
+        """The ``state`` view alone for one hit node (f2 never reads hops)."""
         if not 0 <= node < self.num_nodes:
             raise ParameterError(f"node {node} out of range")
-        return self._storage.range_states(node, node + 1)
+        return self.state[int(self.indptr[node]) : int(self.indptr[node + 1])]
 
     def entry_records(self, node: int) -> list[tuple[int, int, int]]:
         """Readable ``(replicate, walker, hop)`` triples for one hit node,

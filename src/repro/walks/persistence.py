@@ -6,29 +6,23 @@ the index lets operational workflows — parameter sweeps over ``k``,
 re-ranking after a business-rule change, the paper's own Figs. 6-7 protocol
 of reading one greedy run at several budgets — pay that cost once.
 
-Two archive families, both version-stamped and sniffed by magic bytes so
-:func:`load_index` accepts either transparently:
+:func:`save_index` writes one archive format, **v3** (DESIGN.md §13): a
+raw binary container built for ``np.memmap`` — magic, a JSON header
+(provenance: walk-engine name, seed material, and a fingerprint of the
+graph the index was built on), then the three flat arrays at
+64-byte-aligned offsets, uncompressed.  Loading is O(metadata): every
+array comes back as a read-only view over a memory map and pages in only
+when touched.  The graph fingerprint lets :func:`load_index` refuse a
+*stale* index — one whose graph has since been edited — instead of
+silently producing selections for a topology that no longer exists.
 
-* **v1/v2** — a single ``.npz`` (numpy archive): the three flat arrays
-  plus a small integer header.  Version 2 adds provenance metadata
-  (walk-engine name and seed material) and a fingerprint of
-  the graph the index was built on, so :func:`load_index` can refuse a
-  *stale* index — one whose graph has since been edited — instead of
-  silently producing selections for a topology that no longer exists.
-  Version-1 archives (no metadata) still load.
-* **v3** (DESIGN.md §13) — a raw binary container built for
-  ``np.memmap``: magic, a JSON header (same provenance as v2), then the
-  arrays at 64-byte-aligned offsets, uncompressed.  Loading is
-  O(metadata): every array comes back as a read-only memory map and
-  pages in only when touched.  The ``encoding`` field selects what the
-  arrays are — ``"dense"`` stores the flat entry arrays and loads as an
-  mmap-backed index; ``"compressed"`` stores the delta codec of
-  :class:`~repro.walks.storage.CompressedStorage`.  The reader maps every
-  declared array but uses only those it names, so arrays written by
-  older releases (packed coverage rows) are ignored.
-  :func:`save_index` picks the family via ``format=`` (``"dense"`` → v2
-  npz, ``"compressed"``/``"mmap"`` → v3), and :func:`as_format` converts
-  a live index between the three storage backends in memory.
+:func:`load_index` sniffs the family by magic bytes, so the **v1/v2**
+``.npz`` archives that earlier releases wrote by default still load
+(read-only; nothing writes them any more).  Either reader checks the
+arrays' structure before handing out an index.  The v3 reader maps every
+declared array but uses only those it names, so arrays written by older
+releases (packed coverage rows) are ignored; archives of the retired
+``"compressed"`` encoding are refused with a pointer to ``repro index``.
 
 :func:`save_dynamic_index` / :func:`load_dynamic_index` persist the richer
 :class:`~repro.dynamic.index.DynamicWalkIndex` as a *journal-aware
@@ -45,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import time
 import zipfile
 import zlib
@@ -58,12 +51,6 @@ from repro import obs
 from repro.errors import GraphFormatError, ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.index import FlatWalkIndex
-from repro.walks.storage import (
-    INDEX_FORMATS,
-    CompressedStorage,
-    MmapStorage,
-    validate_index_format,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dynamic.index import DynamicWalkIndex
@@ -71,15 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "save_index",
     "load_index",
-    "as_format",
     "index_provenance",
     "graph_fingerprint",
     "save_dynamic_index",
     "load_dynamic_index",
-    "INDEX_FORMATS",
 ]
 
-_FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _DYNAMIC_FORMAT_VERSION = 1
 _V3_VERSION = 3
@@ -88,21 +72,19 @@ _V3_MAGIC = b"RWIDX3\x00\n"
 
 
 def _resolve_archive_path(
-    path: "str | Path", default_suffix: str = ".npz"
+    path: "str | Path", default_suffix: str = ".idx3"
 ) -> Path:
-    """The path an index archive actually lives at.
+    """The path an archive actually lives at.
 
-    ``np.savez`` silently appends ``.npz`` to any filename that lacks it,
-    so ``save_index(idx, "myindex")`` used to write ``myindex.npz`` while
-    ``load_index("myindex")`` looked for the literal name and failed.
-    Both sides now resolve identically: a literal path that already
-    exists as a file is honored as-is (so a genuinely suffixless archive
-    can be overwritten and re-read, never shadowed by a fresh
-    suffixed sibling); otherwise ``default_suffix`` is appended when no
-    known archive suffix is present (``.npz`` for the v2 family,
-    ``.idx3`` for v3).  The atomic writer never hands the resolved name
-    to numpy (the temp file carries the suffix), so no second
-    normalization can sneak in.
+    ``save_index(idx, "myindex")`` and ``load_index("myindex")`` resolve
+    identically: a literal path that already exists as a file is honored
+    as-is (so a genuinely suffixless archive can be overwritten and
+    re-read, never shadowed by a fresh suffixed sibling); otherwise
+    ``default_suffix`` is appended when no known archive suffix is
+    present (``.idx3`` for index archives, ``.npz`` for dynamic
+    snapshots, which ``np.savez`` would suffix anyway).  The atomic
+    writer never hands the resolved name to numpy (the temp file carries
+    the suffix), so no second normalization can sneak in.
     """
     path = Path(path)
     if path.suffix in (".npz", ".idx3") or path.is_file():
@@ -114,19 +96,20 @@ def _resolve_load_path(path: "str | Path") -> Path:
     """Where :func:`load_index` should look for ``path``.
 
     A literal existing file or a known suffix wins; otherwise the
-    ``.npz`` and ``.idx3`` suffixed siblings are probed in that order
-    (``.npz`` first: the older convention, and deterministic when both
-    exist).  When neither exists the ``.npz`` name is returned so the
-    downstream error message points at the conventional location.
+    ``.idx3`` and ``.npz`` suffixed siblings are probed in that order —
+    ``.idx3`` first, because that is the name :func:`save_index` writes,
+    so a fresh save is never shadowed by an older ``.npz`` sibling.
+    When neither exists the ``.idx3`` name is returned so the downstream
+    error message points at the conventional location.
     """
     path = Path(path)
     if path.suffix in (".npz", ".idx3") or path.is_file():
         return path
-    for suffix in (".npz", ".idx3"):
+    for suffix in (".idx3", ".npz"):
         candidate = path.with_name(path.name + suffix)
         if candidate.is_file():
             return candidate
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ".idx3")
 
 
 def _sniff_is_v3(path: Path) -> bool:
@@ -258,6 +241,36 @@ def _check_graph_match(
         )
 
 
+def _check_index_arrays(
+    path: Path, indptr: np.ndarray, state: np.ndarray, hop: np.ndarray
+) -> None:
+    """Raise :class:`GraphFormatError` unless the arrays form an index.
+
+    Every reader calls this before building a :class:`FlatWalkIndex`:
+    ``indptr`` must be an integer CSR offset vector (starts at 0, never
+    decreases, ends at the entry count), ``state`` ``int32``/``int64``
+    and ``hop`` ``int16`` — the dtypes every builder writes, and the
+    ones the gain engine indexes and subtracts with.  The cost is one
+    pass over ``indptr`` (O(n)); entry *values* are not range-checked,
+    since that would read every entry and make a mapped load O(entries).
+    """
+    problem = None
+    if indptr.ndim != 1 or state.ndim != 1 or hop.ndim != 1:
+        problem = "arrays must be one-dimensional"
+    elif not np.issubdtype(indptr.dtype, np.integer) or indptr.size == 0:
+        problem = "indptr must be a non-empty integer array"
+    elif state.dtype not in (np.int32, np.int64):
+        problem = f"state dtype {state.dtype} is not int32/int64"
+    elif hop.dtype != np.int16:
+        problem = f"hop dtype {hop.dtype} is not int16"
+    elif indptr[0] != 0 or indptr[-1] != state.size or hop.size != state.size:
+        problem = "indptr does not span the entry arrays"
+    elif indptr.size > 1 and (np.diff(indptr) < 0).any():
+        problem = "indptr decreases"
+    if problem is not None:
+        raise GraphFormatError(f"{path}: inconsistent index arrays ({problem})")
+
+
 # ----------------------------------------------------------------------
 # Persistence v3: raw aligned arrays behind a JSON header (DESIGN.md §13)
 # ----------------------------------------------------------------------
@@ -305,7 +318,7 @@ def v3_index_header(
 ) -> dict:
     """The v3 header dict for a flat-index archive (sans array specs).
 
-    One constructor shared by :func:`save_index` and the incremental
+    One constructor shared by :func:`save_index` and the out-of-core
     writer so the serialized JSON — and therefore the archive bytes —
     cannot depend on which build path produced the index.
     """
@@ -389,7 +402,8 @@ def _copy_file_bytes(source: FileArraySource, dest) -> None:
 def _atomic_write_v3(
     path: Path, header: dict, arrays: "dict[str, np.ndarray]"
 ) -> None:
-    """:func:`_write_v3` under the same temp + rename discipline as npz."""
+    """:func:`_write_v3` through a same-directory temp + rename (the
+    discipline and permission rules of :func:`_atomic_savez`)."""
     tmp_name = _create_atomic_temp(path, path.suffix or ".idx3")
     try:
         _write_v3(tmp_name, header, arrays)
@@ -437,11 +451,15 @@ def _read_v3_header(path: Path) -> tuple[dict, int, int]:
 def _map_v3_arrays(
     path: Path, header: dict, data_start: int, size: int
 ) -> "dict[str, np.ndarray]":
-    """Read-only memmap views of every array a v3 header declares.
+    """Read-only views over memory maps of every array a v3 header declares.
 
     Each declared extent is checked against the file size first, so a
     truncated data section fails loudly at load rather than as a bus
-    error when the missing pages are first touched.
+    error when the missing pages are first touched.  The views are plain
+    ``np.ndarray`` objects, not ``np.memmap`` ones: numpy runs a
+    subclass's hooks on every slice and arithmetic result, which slowed
+    CELF's per-candidate work measurably.  Each view's ``.base`` is its
+    map, so the map (and the open file) lives as long as the view.
     """
     arrays: dict[str, np.ndarray] = {}
     for spec in header.get("arrays", ()):
@@ -470,10 +488,10 @@ def _map_v3_arrays(
         if nbytes == 0:
             arrays[name] = np.empty(shape, dtype=dtype)
         else:
-            arrays[name] = np.memmap(
+            arrays[name] = np.asarray(np.memmap(
                 path, mode="r", dtype=dtype, shape=shape,
                 offset=data_start + offset,
-            )
+            ))
     return arrays
 
 
@@ -507,7 +525,12 @@ def _load_v3(path: Path, graph: "Graph | None") -> FlatWalkIndex:
         raise GraphFormatError(
             f"{path}: unsupported index format version {version}"
         )
-    if encoding not in ("dense", "compressed"):
+    if encoding == "compressed":
+        raise GraphFormatError(
+            f"{path}: v3 encoding 'compressed' (the retired delta codec) "
+            "is no longer readable; rebuild the archive with 'repro index'"
+        )
+    if encoding != "dense":
         raise GraphFormatError(
             f"{path}: unsupported v3 encoding {encoding!r}"
         )
@@ -515,20 +538,10 @@ def _load_v3(path: Path, graph: "Graph | None") -> FlatWalkIndex:
     if obs.enabled():
         obs.inc(
             "persistence_bytes_mapped_total",
-            sum(
-                a.nbytes for a in arrays.values() if isinstance(a, np.memmap)
-            ),
+            sum(a.nbytes for a in arrays.values()),
             help="Index bytes exposed as read-only memory maps.",
         )
-    required = (
-        {"indptr", "state", "hop"}
-        if encoding == "dense"
-        else {
-            "indptr", "heads", "delta_widths", "delta_words",
-            "delta_wordptr", "hop_words", "hop_wordptr",
-        }
-    )
-    missing = required - set(arrays)
+    missing = {"indptr", "state", "hop"} - set(arrays)
     if missing:
         raise GraphFormatError(
             f"{path}: not a walk-index archive (missing {sorted(missing)})"
@@ -537,46 +550,31 @@ def _load_v3(path: Path, graph: "Graph | None") -> FlatWalkIndex:
         _check_graph_match(
             path, graph, num_nodes, _v3_graph_meta(header, path)
         )
-    indptr = arrays["indptr"]
-    if encoding == "dense":
-        storage = MmapStorage(
-            indptr, arrays["state"], arrays["hop"], source=str(path)
-        )
-    else:
-        if (
-            arrays["delta_wordptr"].size != num_nodes + 1
-            or arrays["hop_wordptr"].size != num_nodes + 1
-            or arrays["heads"].size != num_nodes
-            or arrays["delta_widths"].size != num_nodes
-            or (num_nodes and arrays["delta_wordptr"][-1] >= arrays["delta_words"].size)
-            or (num_nodes and arrays["hop_wordptr"][-1] >= arrays["hop_words"].size)
-        ):
-            raise GraphFormatError(f"{path}: inconsistent index arrays")
-        try:
-            state_dtype = np.dtype(str(header.get("state_dtype", "<i8")))
-            hop_width = int(header.get("hop_width", 0))
-        except (TypeError, ValueError) as exc:
-            raise GraphFormatError(
-                f"{path}: unreadable index archive (corrupt codec header)"
-            ) from exc
-        storage = CompressedStorage(
-            indptr=indptr,
-            heads=arrays["heads"],
-            delta_widths=arrays["delta_widths"],
-            delta_words=arrays["delta_words"],
-            delta_wordptr=arrays["delta_wordptr"],
-            hop_width=hop_width,
-            hop_words=arrays["hop_words"],
-            hop_wordptr=arrays["hop_wordptr"],
-            state_dtype=state_dtype,
-        )
+    return _checked_index(
+        path, arrays["indptr"], arrays["state"], arrays["hop"],
+        num_nodes, length, num_replicates,
+    )
+
+
+def _checked_index(
+    path: Path,
+    indptr: np.ndarray,
+    state: np.ndarray,
+    hop: np.ndarray,
+    num_nodes: int,
+    length: int,
+    num_replicates: int,
+) -> FlatWalkIndex:
+    """A :class:`FlatWalkIndex` over checked archive arrays."""
+    _check_index_arrays(path, indptr, state, hop)
     try:
         return FlatWalkIndex(
             indptr=indptr,
+            state=state,
+            hop=hop,
             num_nodes=num_nodes,
             length=length,
             num_replicates=num_replicates,
-            storage=storage,
         )
     except ParameterError as exc:
         raise GraphFormatError(f"{path}: inconsistent index arrays") from exc
@@ -588,105 +586,57 @@ def save_index(
     graph: "Graph | None" = None,
     engine: "str | None" = None,
     seed: "int | str | None" = None,
-    format: str = "dense",
 ) -> Path:
-    """Write a :class:`FlatWalkIndex` to ``path``.
+    """Write a :class:`FlatWalkIndex` to ``path`` as a v3 archive.
 
-    ``format`` selects the archive family: ``"dense"`` (default) writes
-    the version-2 ``.npz``; ``"compressed"`` writes a v3 container
-    holding the delta codec; ``"mmap"`` writes a v3 container holding
-    the raw entry arrays at aligned offsets — the layout
-    :func:`load_index` maps back without materializing.
-
-    The optional keyword metadata is provenance, identical across
-    families: ``engine`` (walk backend that generated the walks),
-    ``seed`` (seed material, stored as text so arbitrary-precision
-    entropy survives), and ``graph`` — when given, the graph's shape and
-    CSR fingerprint are stored and enforced at load time.
+    The archive holds the three flat arrays at aligned offsets — the
+    layout :func:`load_index` maps back without materializing.  The
+    optional keyword metadata is provenance: ``engine`` (walk backend
+    that generated the walks), ``seed`` (seed material, stored as text
+    so arbitrary-precision entropy survives), and ``graph`` — when
+    given, the graph's shape and CSR fingerprint are stored and enforced
+    at load time.
 
     The destination resolves exactly as :func:`load_index` resolves it
-    (an existing literal file is overwritten in place; otherwise the
-    family's suffix — ``.npz`` or ``.idx3`` — is appended when missing),
-    so save/load round-trips for any path.  Every write is atomic: a
-    temp file in the destination directory, renamed into place, so a
-    crash mid-write never destroys a previous good archive.  Returns the
-    path actually written.
+    (an existing literal file is overwritten in place; otherwise
+    ``.idx3`` is appended when no ``.idx3``/``.npz`` suffix is present;
+    the suffix never changes what is written), so save/load round-trips
+    for any path.  Every write is atomic: a temp file in the destination
+    directory, renamed into place, so a crash mid-write never destroys a
+    previous good archive.  Returns the path actually written.
     """
     started = time.perf_counter()
-    with obs.span("persistence.save", format=format):
-        out = _save_index_impl(index, path, graph, engine, seed, format)
+    with obs.span("persistence.save"):
+        out = _save_index_impl(index, path, graph, engine, seed)
     if obs.enabled():
-        obs.inc(
-            "persistence_saves_total",
-            help="Index archives written.",
-            format=format,
-        )
+        obs.inc("persistence_saves_total", help="Index archives written.")
         obs.inc(
             "persistence_bytes_written_total",
             out.stat().st_size,
             help="Bytes of index archive written.",
-            format=format,
         )
         obs.observe(
             "persistence_save_seconds",
             time.perf_counter() - started,
             help="Index archive write wall time.",
-            format=format,
         )
     return out
 
 
-def _save_index_impl(index, path, graph, engine, seed, format) -> Path:
-    validate_index_format(format)
+def _save_index_impl(index, path, graph, engine, seed) -> Path:
     if graph is not None and graph.num_nodes != index.num_nodes:
         raise ParameterError(
             "provenance graph does not match the index node count"
         )
-    if format == "dense":
-        path = _resolve_archive_path(path)
-        payload: dict = {
-            "version": np.int64(_FORMAT_VERSION),
-            "header": np.asarray(
-                [index.num_nodes, index.length, index.num_replicates],
-                dtype=np.int64,
-            ),
-            "indptr": np.asarray(index.indptr),
-            "state": np.asarray(index.state),
-            "hop": np.asarray(index.hop),
-            "meta_engine": np.str_(engine or ""),
-            "meta_seed": np.str_("" if seed is None else str(seed)),
-        }
-        if graph is not None:
-            payload["graph_meta"] = np.asarray(
-                [graph.num_nodes, graph.num_edges, graph_fingerprint(graph)],
-                dtype=np.int64,
-            )
-        _atomic_savez(path, payload)
-        return path
-
-    path = _resolve_archive_path(path, default_suffix=".idx3")
+    path = _resolve_archive_path(path)
     header = v3_index_header(
         index.num_nodes, index.length, index.num_replicates,
-        encoding="compressed" if format == "compressed" else "dense",
-        engine=engine, seed=seed, graph=graph,
+        encoding="dense", engine=engine, seed=seed, graph=graph,
     )
-    if format == "compressed":
-        comp = (
-            index.storage
-            if index.storage_format == "compressed"
-            else CompressedStorage.from_arrays(
-                index.indptr, index.state, index.hop
-            )
-        )
-        header["state_dtype"] = comp.state_dtype.str
-        header["hop_width"] = comp.hop_width
-        arrays = {"indptr": index.indptr, **comp.arrays()}
-    else:  # mmap: raw dense arrays, memmap-ready
-        state = np.asarray(index.state)
-        hop = np.asarray(index.hop)
-        header["state_dtype"] = state.dtype.str
-        arrays = {"indptr": index.indptr, "state": state, "hop": hop}
-    _atomic_write_v3(path, header, arrays)
+    header["state_dtype"] = index.state.dtype.str
+    _atomic_write_v3(path, header, {
+        "indptr": index.indptr, "state": index.state, "hop": index.hop,
+    })
     return path
 
 
@@ -706,9 +656,11 @@ def load_index(
 ) -> FlatWalkIndex:
     """Read a :class:`FlatWalkIndex` written by :func:`save_index`.
 
-    Validates the version stamp and the structural invariants (indptr
-    monotone and consistent with the entry arrays) so a truncated or
-    foreign file fails loudly instead of corrupting a selection run.
+    Validates the version stamp and the structural invariants (an
+    integer ``indptr`` that starts at 0, never decreases and spans the
+    entry arrays; ``int32``/``int64`` states and ``int16`` hops) so a
+    truncated or foreign file fails loudly instead of corrupting a
+    selection run.
 
     Pass the ``graph`` the index is about to be used with to also enforce
     freshness: a node-count mismatch always raises
@@ -717,26 +669,21 @@ def load_index(
     (a stale index for an edited graph) raises too.
 
     Accepts the same suffixless paths :func:`save_index` does: when the
-    literal path does not exist, the ``.npz``- then ``.idx3``-suffixed
+    literal path does not exist, the ``.idx3``- then ``.npz``-suffixed
     names are tried.  The family is sniffed from the magic bytes, never
-    the suffix: v3 containers load as memory maps (O(metadata) — see the
-    module docstring), npz archives load eagerly as before.
+    the suffix: v3 containers load as read-only views over memory maps
+    (O(metadata) — see the module docstring), legacy npz archives load
+    eagerly.
     """
     started = time.perf_counter()
     with obs.span("persistence.load", path=str(path)):
         index = _load_index_impl(path, graph)
     if obs.enabled():
-        fmt = index.storage_format
-        obs.inc(
-            "persistence_loads_total",
-            help="Index archives loaded.",
-            format=fmt,
-        )
+        obs.inc("persistence_loads_total", help="Index archives loaded.")
         obs.observe(
             "persistence_load_seconds",
             time.perf_counter() - started,
             help="Index archive load wall time.",
-            format=fmt,
         )
     return index
 
@@ -777,26 +724,19 @@ def _load_index_impl(
         )
     if graph is not None:
         _check_graph_match(path, graph, num_nodes, graph_meta)
-    try:
-        return FlatWalkIndex(
-            indptr=indptr,
-            state=state,
-            hop=hop,
-            num_nodes=num_nodes,
-            length=length,
-            num_replicates=num_replicates,
-        )
-    except ParameterError as exc:
-        raise GraphFormatError(f"{path}: inconsistent index arrays") from exc
+    return _checked_index(
+        path, indptr, state, hop, num_nodes, length, num_replicates
+    )
 
 
 def index_provenance(path: "str | Path") -> dict:
     """Provenance metadata of a saved index (empty strings when absent).
 
-    Returns ``version``, ``engine``, ``seed`` (text), and — when the archive carries graph provenance —
-    ``graph_num_nodes`` / ``graph_num_edges`` / ``graph_fingerprint``.
-    v3 archives additionally report ``encoding``
-    (``"dense"``/``"compressed"``).
+    Returns ``version``, ``engine``, ``seed`` (text), and — when the
+    archive carries graph provenance — ``graph_num_nodes`` /
+    ``graph_num_edges`` / ``graph_fingerprint``.  v3 archives
+    additionally report ``encoding`` (``"dense"``, or ``"compressed"``
+    for a retired codec archive that :func:`load_index` refuses).
     """
     path = _resolve_load_path(path)
     if path.is_file() and _sniff_is_v3(path):
@@ -833,48 +773,6 @@ def index_provenance(path: "str | Path") -> dict:
         raise GraphFormatError(f"{path}: unreadable index archive") from exc
 
 
-def as_format(
-    index: FlatWalkIndex,
-    format: str,
-    graph: "Graph | None" = None,
-) -> FlatWalkIndex:
-    """``index`` on the requested storage backend (a no-op when it already
-    is).
-
-    ``"dense"`` materializes, ``"compressed"`` encodes in memory, and
-    ``"mmap"`` spills a v3 archive to a temporary file, maps it back,
-    and unlinks the name — the maps keep the inode alive (POSIX), so the
-    caller gets a disk-backed index with no path to manage and the pages
-    drop with the last reference.  Entries and every derived selection
-    are bit-identical across formats.  ``graph`` is optional provenance
-    for the spilled archive (it is checked on the immediate reload, so a
-    mismatched graph fails here rather than at first query).
-    """
-    validate_index_format(format)
-    if format == index.storage_format:
-        return index
-    if format == "dense":
-        return index.densify()
-    if format == "compressed":
-        return index.compress()
-    fd, tmp_name = tempfile.mkstemp(suffix=".idx3", prefix="rwdom-index-")
-    os.close(fd)
-    try:
-        save_index(index, tmp_name, graph=graph, format="mmap")
-        loaded = load_index(tmp_name, graph=graph)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    try:
-        os.unlink(tmp_name)
-    except OSError:  # pragma: no cover - non-POSIX fallback: leak the temp
-        pass
-    return loaded
-
-
 # ----------------------------------------------------------------------
 # Journal-aware dynamic snapshots
 # ----------------------------------------------------------------------
@@ -890,7 +788,7 @@ def save_dynamic_index(index: "DynamicWalkIndex", path: "str | Path") -> Path:
     ``*.npz`` path (returned) via a same-directory temp file and
     ``os.replace``.
     """
-    path = _resolve_archive_path(path)
+    path = _resolve_archive_path(path, default_suffix=".npz")
     graph = index.graph
     _atomic_savez(path, {
         "dynamic_version": np.int64(_DYNAMIC_FORMAT_VERSION),
@@ -928,7 +826,7 @@ def load_dynamic_index(
     """
     from repro.dynamic.index import DynamicWalkIndex
 
-    path = _resolve_archive_path(path)
+    path = _resolve_archive_path(path, default_suffix=".npz")
     required = {
         "dynamic_version", "header", "indptr", "state", "hop",
         "walks", "graph_indptr", "graph_indices", "meta_engine", "meta_seed",
@@ -970,19 +868,13 @@ def load_dynamic_index(
             "(the snapshot was taken at a different epoch or on a "
             "different graph)"
         )
-    try:
-        flat = FlatWalkIndex(
-            indptr=indptr,
-            state=state,
-            hop=hop,
-            num_nodes=num_nodes,
-            length=length,
-            num_replicates=num_replicates,
+    flat = _checked_index(
+        path, indptr, state, hop, num_nodes, length, num_replicates
+    )
+    if walks.shape != (num_nodes * num_replicates, length + 1):
+        raise GraphFormatError(
+            f"{path}: inconsistent snapshot arrays (walk matrix shape)"
         )
-        if walks.shape != (num_nodes * num_replicates, length + 1):
-            raise ParameterError("walk matrix shape mismatch")
-    except ParameterError as exc:
-        raise GraphFormatError(f"{path}: inconsistent snapshot arrays") from exc
     return DynamicWalkIndex(
         graph=snapshot_graph,
         flat=flat,

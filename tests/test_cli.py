@@ -197,6 +197,13 @@ class TestParser:
         assert "--gain-backend" not in usage
         assert "--rows-format" not in usage
 
+    @pytest.mark.parametrize("command", ["index", "dynamic", "serve"])
+    def test_no_index_format_flag(self, command, capsys):
+        # One archive format: there is no representation to choose.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--index-format" not in capsys.readouterr().out
+
 
 class TestSimulate:
     def test_social_with_explicit_targets(self, edge_list, capsys):
@@ -263,7 +270,7 @@ class TestExhibitPlot:
 
 class TestIndexWorkflow:
     def test_index_then_select(self, edge_list, tmp_path, capsys):
-        index_path = str(tmp_path / "walks.idx.npz")
+        index_path = str(tmp_path / "walks.idx3")
         code = main([
             "index", "--edge-list", edge_list, "-L", "4", "-R", "10",
             "--seed", "3", "--out", index_path,
@@ -278,7 +285,7 @@ class TestIndexWorkflow:
         assert "selected:" in capsys.readouterr().out
 
     def test_index_reuse_is_deterministic(self, edge_list, tmp_path, capsys):
-        index_path = str(tmp_path / "walks.idx.npz")
+        index_path = str(tmp_path / "walks.idx3")
         main([
             "index", "--edge-list", edge_list, "-L", "3", "-R", "8",
             "--seed", "5", "--out", index_path,
@@ -296,7 +303,7 @@ class TestIndexWorkflow:
         ]
 
     def test_index_requires_approx_fast(self, edge_list, tmp_path):
-        index_path = str(tmp_path / "walks.idx.npz")
+        index_path = str(tmp_path / "walks.idx3")
         main(["index", "--edge-list", edge_list, "-L", "3", "-R", "4",
               "--out", index_path])
         with pytest.raises(SystemExit):
@@ -315,66 +322,6 @@ class TestIndexWorkflow:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestIndexFormats:
-    """--index-format: archive variants are interchangeable at the CLI."""
-
-    def _selected(self, capsys):
-        out = capsys.readouterr().out
-        return [line for line in out.splitlines() if "selected:" in line]
-
-    def test_all_formats_select_identically(self, edge_list, tmp_path,
-                                            capsys):
-        reference = None
-        for fmt in ("dense", "compressed", "mmap"):
-            index_path = str(tmp_path / f"walks-{fmt}")
-            code = main([
-                "index", "--edge-list", edge_list, "-L", "3", "-R", "8",
-                "--seed", "5", "--out", index_path, "--index-format", fmt,
-            ])
-            assert code == 0
-            assert fmt in capsys.readouterr().out
-            code = main([
-                "select", "--edge-list", edge_list, "-k", "4",
-                "--index", index_path,
-            ])
-            assert code == 0
-            selected = self._selected(capsys)
-            if reference is None:
-                reference = selected
-            assert selected == reference, fmt
-
-    def test_serve_converts_in_memory(self, edge_list, tmp_path, capsys):
-        workload = tmp_path / "workload.txt"
-        workload.write_text("select 3\nmetrics 1,2\n")
-        code = main([
-            "serve", "--edge-list", edge_list, "--workload", str(workload),
-            "-L", "3", "-R", "8", "--seed", "1", "--clients", "2",
-            "--index-format", "compressed",
-        ])
-        assert code == 0
-        assert "errors: 0" in capsys.readouterr().out
-
-    def test_dynamic_solves_on_compressed(self, edge_list, tmp_path,
-                                          capsys):
-        trace = tmp_path / "trace.txt"
-        trace.write_text("del 0 1\nstep\nadd 0 1\nstep\n")
-        argv = [
-            "dynamic", "--edge-list", edge_list, "--churn-trace",
-            str(trace), "-k", "3", "-L", "3", "-R", "5", "--seed", "2",
-        ]
-        assert main(argv) == 0
-        dense = capsys.readouterr().out
-        assert main(argv + ["--index-format", "compressed"]) == 0
-        assert capsys.readouterr().out == dense
-
-    def test_unknown_format_rejected(self, edge_list, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "index", "--edge-list", edge_list, "-L", "3", "-R", "4",
-                "--out", str(tmp_path / "x"), "--index-format", "sparse",
-            ])
 
 
 class TestAnalyze:
@@ -476,7 +423,7 @@ class TestServe:
                                        tmp_path, capsys):
         other = tmp_path / "other.txt"
         write_edge_list(power_law_graph(80, 241, seed=5), other)
-        index_path = tmp_path / "stale.npz"
+        index_path = tmp_path / "stale.idx3"
         code = main([
             "index", "--edge-list", str(other), "-L", "3", "-R", "10",
             "--seed", "1", "--out", str(index_path),

@@ -1,9 +1,9 @@
-"""Differential fuzz harness across walk engines and storage backends.
+"""Differential fuzz harness across walk engines and the archive round trip.
 
 Parity between execution paths is the repo's core invariant: four walk
-backends, three storage backends, a dynamic (incrementally maintained)
-index, and a serving layer all promise bit-identical answers on the same
-seed.
+backends, an index saved to a v3 archive and loaded back, a dynamic
+(incrementally maintained) index, and a serving layer all promise
+bit-identical answers on the same seed.
 Instead of ad-hoc per-feature parity tests, this harness composes random
 op sequences over the whole pipeline::
 
@@ -15,8 +15,8 @@ and asserts, at every step, that
   byte-identical to each other *and* to a fresh static
   ``FlatWalkIndex.build`` on the current graph under every engine
   (incremental == rebuild, engine-independent, canonical order);
-* solver selections and gains agree across every engine x storage-backend
-  combination;
+* solver selections and gains agree across every engine, and between an
+  in-memory index and its own save/load round trip;
 * served answers (``select``/``metrics``/``coverage``/``min_targets``)
   agree across engines and with the direct solver/metrics calls —
   including the walk-matrix vs entries metrics twins.
@@ -27,6 +27,9 @@ sequence is reported via ``note()`` for replay.
 The exhaustive property runs in the slow lane (``-m slow``); a pinned
 three-op smoke stays in tier-1 so the harness itself cannot rot.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,16 +58,18 @@ from repro.graphs.adjacency import Graph
 from repro.serve import DominationService, IndexSnapshot
 from repro.walks.backends import MultiprocWalkEngine
 from repro.walks.index import FlatWalkIndex
-from repro.walks.persistence import as_format
-from repro.walks.storage import INDEX_FORMATS
+from repro.walks.persistence import load_index, save_index
 
 SEED = 1234
 ENGINES = ("numpy", "csr", "sharded", "multiproc")
 
 
-def _storage_variants(flat: FlatWalkIndex):
-    """The reference index on every storage backend (dense first)."""
-    return [(fmt, as_format(flat, fmt)) for fmt in INDEX_FORMATS]
+def _stored_variants(flat: FlatWalkIndex):
+    """The index in RAM and after its own save/load round trip (read-only
+    views over the archive's maps; they outlive the unlinked file)."""
+    with tempfile.TemporaryDirectory() as tmpdir:
+        loaded = load_index(save_index(flat, Path(tmpdir) / "walks"))
+    return [("ram", flat), ("archive", loaded)]
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +111,14 @@ def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length, reps,
             assert np.array_equal(
                 getattr(reference, field), getattr(static, field)
             ), f"static rebuild diverged for engine {name!r} ({field})"
-    # Storage-backend parity: the compressed and mmap variants must hold
-    # the very same entries (arrays and per-node slices) as the dense
-    # reference after every edit.
-    for fmt, variant in _storage_variants(reference):
-        assert variant.storage_format == fmt
+    # Archive parity: the saved and reloaded index must hold the very
+    # same entries as the in-memory reference after every edit.
+    for where, variant in _stored_variants(reference):
         for field in ("indptr", "state", "hop"):
             assert np.array_equal(
                 getattr(reference, field), getattr(variant, field)
-            ), f"storage variant {fmt!r} diverged ({field})"
-        assert variant.same_entries(reference), fmt
+            ), f"{where} index diverged ({field})"
+        assert variant.same_entries(reference), where
     return reference
 
 
@@ -130,17 +133,16 @@ def _assert_solve_agrees(dyn: dict, graph: Graph, k: int, objective: str):
             reference = result
         assert result.selected == reference.selected, name
         assert result.gains == reference.gains, name
-    # One engine's index through every storage backend: selections and
-    # gains must be bit-identical to the dense reference (the compressed
-    # path decodes per candidate block, the mmap path reads through the
-    # archive maps).
+    # One engine's index in RAM and through its own save/load round trip:
+    # selections and gains must be bit-identical (the loaded index reads
+    # through the archive maps).
     flat = next(iter(dyn.values())).flat
-    for fmt, variant in _storage_variants(flat):
+    for where, variant in _stored_variants(flat):
         result = approx_greedy_fast(
             graph, k, flat.length, index=variant, objective=objective,
         )
-        assert result.selected == reference.selected, fmt
-        assert result.gains == reference.gains, fmt
+        assert result.selected == reference.selected, where
+        assert result.gains == reference.gains, where
 
 
 def _assert_serve_agrees(dyn: dict, seed: int):

@@ -534,7 +534,7 @@ class TestPersistenceMetadata:
     def test_provenance_roundtrip(self, tmp_path):
         graph = power_law_graph(40, 120, seed=16)
         index = FlatWalkIndex.build(graph, 4, 5, seed=40)
-        path = tmp_path / "walks.npz"
+        path = tmp_path / "walks.idx3"
         save_index(index, path, graph=graph, engine="csr", seed=40)
         info = index_provenance(path)
         assert info["engine"] == "csr"
@@ -546,7 +546,7 @@ class TestPersistenceMetadata:
     def test_stale_index_rejected(self, tmp_path):
         graph = power_law_graph(40, 120, seed=17)
         index = FlatWalkIndex.build(graph, 4, 5, seed=41)
-        path = tmp_path / "walks.npz"
+        path = tmp_path / "walks.idx3"
         save_index(index, path, graph=graph)
         edge = tuple(map(int, graph.edge_array()[0]))
         edited = edit_graph(graph, deletes=[edge])
@@ -565,7 +565,7 @@ class TestPersistenceMetadata:
     def test_node_count_mismatch_rejected(self, tmp_path):
         graph = ring_graph(8)
         index = FlatWalkIndex.build(graph, 3, 2, seed=42)
-        path = tmp_path / "walks.npz"
+        path = tmp_path / "walks.idx3"
         save_index(index, path)
         with pytest.raises(ParameterError):
             load_index(path, graph=ring_graph(9))
@@ -700,7 +700,7 @@ class TestDynamicCli:
         from repro.cli import main
 
         graph, path = edge_list
-        index_path = tmp_path / "walks.npz"
+        index_path = tmp_path / "walks.idx3"
         code = main([
             "index", "--edge-list", path, "-L", "4", "-R", "10",
             "--seed", "1", "--out", str(index_path),

@@ -185,7 +185,7 @@ class TestEndToEndWorkflows:
         assert reloaded == graph
 
         index = FlatWalkIndex.build(reloaded, 5, 20, seed=4)
-        index_path = tmp_path / "walks.npz"
+        index_path = tmp_path / "walks.idx3"
         save_index(index, index_path)
         result = approx_greedy_fast(
             reloaded, 8, 5, index=load_index(index_path), objective="f2"

@@ -413,7 +413,7 @@ class TestMetricsEndpoint:
         assert status == 200
         snapshot = served.server._service.snapshot
         path = save_index(
-            snapshot.index, tmp_path / "i.npz", graph=snapshot.graph
+            snapshot.index, tmp_path / "i.idx3", graph=snapshot.graph
         )
         load_index(path)
         status, text, content_type = self._get_text(served, "/metrics")
@@ -513,7 +513,7 @@ class TestCli:
         trace = tmp_path / "trace.json"
         status = main([
             "index", "--synthetic", "60,180", "-L", "3", "-R", "5",
-            "--seed", "1", "--out", str(tmp_path / "i.npz"),
+            "--seed", "1", "--out", str(tmp_path / "i.idx3"),
             "--telemetry", "--trace-out", str(trace),
         ])
         assert status == 0

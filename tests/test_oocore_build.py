@@ -1,13 +1,12 @@
 """The out-of-core build pipeline (repro.walks.build, DESIGN.md §15).
 
-The load-bearing claim is *byte-identity*: for every engine, v3 format,
-and memory budget, `build_index_archive` writes the same bytes
-`save_index` writes for the in-memory build — so these tests compare
-whole files, not decoded arrays, wherever the container allows it
-(v3 carries no timestamp; npz members do, so the dense format compares
-arrays).  The rest covers the pipeline's edges: the single-run fast
-path, run boundaries splitting one hit node's block, empty inputs,
-crash-mid-merge atomicity, and temp-file hygiene.
+The load-bearing claim is *byte-identity*: for every engine and memory
+budget, `build_index_archive` writes the same bytes `save_index` writes
+for the in-memory build — so these tests compare whole files, not
+decoded arrays (the v3 container carries no timestamp).  The rest covers
+the pipeline's edges: the single-run fast path, run boundaries splitting
+one hit node's block, empty inputs, crash-mid-merge atomicity, and
+temp-file hygiene.
 """
 
 import os
@@ -41,29 +40,28 @@ def multiproc_engine():
     engine.close()
 
 
-def _reference_archive(tmp_path, graph, length, reps, fmt, seed, chunk_rows,
+def _reference_archive(tmp_path, graph, length, reps, seed, chunk_rows,
                        engine=None, name="ref"):
     index = FlatWalkIndex.build(
         graph, length, reps, seed=seed, engine=engine, chunk_rows=chunk_rows
     )
     path = tmp_path / f"{name}.idx3"
     meta = engine.name if isinstance(engine, MultiprocWalkEngine) else engine
-    save_index(index, path, graph=graph, engine=meta, seed=seed, format=fmt)
+    save_index(index, path, graph=graph, engine=meta, seed=seed)
     return path
 
 
 class TestByteParity:
     @pytest.mark.parametrize("engine", ["numpy", "csr", "sharded"])
-    @pytest.mark.parametrize("fmt", ["mmap", "compressed"])
-    def test_every_engine_and_format(self, tmp_path, engine, fmt):
+    def test_every_engine(self, tmp_path, engine):
         graph = power_law_graph(120, 700, seed=9)
         ref = _reference_archive(
-            tmp_path, graph, 6, 8, fmt, seed=3, chunk_rows=128, engine=engine
+            tmp_path, graph, 6, 8, seed=3, chunk_rows=128, engine=engine
         )
         for budget in (None, 4096):
             out = tmp_path / f"oo-{budget}.idx3"
             report = build_index_archive(
-                graph, 6, 8, out, format=fmt, seed=3, engine=engine,
+                graph, 6, 8, out, seed=3, engine=engine,
                 chunk_rows=128, memory_budget=budget,
             )
             assert out.read_bytes() == ref.read_bytes()
@@ -76,33 +74,15 @@ class TestByteParity:
         # chunks, which still exercises its iter_walk_records override.
         graph = power_law_graph(100, 500, seed=4)
         ref = _reference_archive(
-            tmp_path, graph, 5, 6, "mmap", seed=7, chunk_rows=100,
+            tmp_path, graph, 5, 6, seed=7, chunk_rows=100,
             engine=multiproc_engine,
         )
         out = tmp_path / "oo.idx3"
         build_index_archive(
-            graph, 5, 6, out, format="mmap", seed=7,
+            graph, 5, 6, out, seed=7,
             engine=multiproc_engine, chunk_rows=100, memory_budget=2048,
         )
         assert out.read_bytes() == ref.read_bytes()
-
-    def test_dense_format_array_parity(self, tmp_path):
-        graph = power_law_graph(90, 400, seed=5)
-        index = FlatWalkIndex.build(graph, 5, 6, seed=2, chunk_rows=64)
-        out = tmp_path / "oo.npz"
-        build_index_archive(
-            graph, 5, 6, out, format="dense", seed=2, chunk_rows=64,
-            memory_budget=2048,
-        )
-        back = load_index(out, graph=graph)
-        np.testing.assert_array_equal(back.indptr, index.indptr)
-        np.testing.assert_array_equal(
-            np.asarray(back.state), np.asarray(index.state)
-        )
-        np.testing.assert_array_equal(
-            np.asarray(back.hop), np.asarray(index.hop)
-        )
-        assert np.asarray(back.state).dtype == np.asarray(index.state).dtype
 
     def test_in_memory_build_with_budget_identical(self, tmp_path):
         graph = power_law_graph(100, 500, seed=6)
@@ -125,8 +105,7 @@ class TestByteParity:
         index = FlatWalkIndex.build(graph, 5, 10, seed=9, chunk_rows=100)
         out = tmp_path / "oo.idx3"
         build_index_archive(
-            graph, 5, 10, out, format="compressed", seed=9, chunk_rows=100,
-            memory_budget=4096,
+            graph, 5, 10, out, seed=9, chunk_rows=100, memory_budget=4096,
         )
         back = load_index(out, graph=graph)
         for node in range(0, 80, 13):
@@ -141,7 +120,7 @@ class TestEdgeCases:
         graph = ring_graph(40)
         out = tmp_path / "oo.idx3"
         report = build_index_archive(
-            graph, 4, 3, out, format="mmap", seed=1, memory_budget=1 << 24,
+            graph, 4, 3, out, seed=1, memory_budget=1 << 24,
         )
         assert report.num_runs == 1
         assert report.spilled_bytes == 0
@@ -152,33 +131,25 @@ class TestEdgeCases:
     def test_zero_length_walks(self, tmp_path):
         # L=0: every walk is just its start, no first visits, no records.
         graph = ring_graph(12)
-        for fmt in ("mmap", "compressed"):
-            ref = _reference_archive(
-                tmp_path, graph, 0, 2, fmt, seed=1, chunk_rows=8,
-                name=f"ref-{fmt}",
-            )
-            out = tmp_path / f"oo-{fmt}.idx3"
-            report = build_index_archive(
-                graph, 0, 2, out, format=fmt, seed=1, chunk_rows=8,
-                memory_budget=64,
-            )
-            assert report.total_entries == 0
-            assert out.read_bytes() == ref.read_bytes()
-            back = load_index(out, graph=graph)
-            assert back.total_entries == 0
+        ref = _reference_archive(tmp_path, graph, 0, 2, seed=1, chunk_rows=8)
+        out = tmp_path / "oo.idx3"
+        report = build_index_archive(
+            graph, 0, 2, out, seed=1, chunk_rows=8, memory_budget=64,
+        )
+        assert report.total_entries == 0
+        assert out.read_bytes() == ref.read_bytes()
+        back = load_index(out, graph=graph)
+        assert back.total_entries == 0
 
     def test_run_boundary_splits_hub_block(self, tmp_path):
         # A star graph concentrates almost all records on the hub, so a
         # tiny budget is guaranteed to split the hub's block across many
-        # runs — the merge and the block grouper must reassemble it.
+        # runs — the merge must reassemble it.
         graph = star_graph(30)
-        ref = _reference_archive(
-            tmp_path, graph, 4, 8, "compressed", seed=2, chunk_rows=16
-        )
+        ref = _reference_archive(tmp_path, graph, 4, 8, seed=2, chunk_rows=16)
         out = tmp_path / "oo.idx3"
         report = build_index_archive(
-            graph, 4, 8, out, format="compressed", seed=2, chunk_rows=16,
-            memory_budget=256,
+            graph, 4, 8, out, seed=2, chunk_rows=16, memory_budget=256,
         )
         assert report.num_runs > 2
         assert out.read_bytes() == ref.read_bytes()
@@ -188,7 +159,7 @@ class TestEdgeCases:
     ):
         graph = power_law_graph(60, 300, seed=3)
         out = tmp_path / "oo.idx3"
-        build_index_archive(graph, 5, 4, out, format="mmap", seed=5)
+        build_index_archive(graph, 5, 4, out, seed=5)
         good = out.read_bytes()
 
         from repro.walks import build as build_mod
@@ -199,7 +170,7 @@ class TestEdgeCases:
         monkeypatch.setattr(build_mod._MmapArchiveWriter, "emit", boom)
         with pytest.raises(RuntimeError, match="disk on fire"):
             build_index_archive(
-                graph, 5, 4, out, format="mmap", seed=5, memory_budget=1024,
+                graph, 5, 4, out, seed=5, memory_budget=1024,
             )
         assert out.read_bytes() == good  # prior archive untouched
         assert [p.name for p in tmp_path.iterdir()] == ["oo.idx3"]
@@ -213,10 +184,6 @@ class TestEdgeCases:
         with pytest.raises(ParameterError):
             build_index_archive(
                 graph, 3, 2, tmp_path / "x.idx3", chunk_rows=0
-            )
-        with pytest.raises(ParameterError):
-            build_index_archive(
-                graph, 3, 2, tmp_path / "x.idx3", format="roaring"
             )
 
     def test_truncated_run_file_fails_loudly(self, tmp_path):
@@ -422,7 +389,7 @@ class TestCli:
         oo = tmp_path / "oo.idx3"
         base = [
             "index", "--synthetic", "80,300", "-L", "4", "-R", "5",
-            "--seed", "11", "--index-format", "mmap", "--chunk-rows", "64",
+            "--seed", "11", "--chunk-rows", "64",
         ]
         assert main(base + ["--out", str(ref)]) == 0
         assert main(
@@ -435,7 +402,7 @@ class TestCli:
         out = tmp_path / "oo.idx3"
         assert main([
             "index", "--synthetic", "80,300", "-L", "4", "-R", "5",
-            "--seed", "11", "--index-format", "compressed",
+            "--seed", "11",
             "--out", str(out), "--build-memory-budget", "4096",
         ]) == 0
         capsys.readouterr()

@@ -434,7 +434,7 @@ class TestFromIndexFile:
             assert service.select(5).selected == direct.selected
 
     def test_stale_archive_rejected(self, graph, index, tmp_path):
-        path = save_index(index, tmp_path / "stale.npz", graph=graph)
+        path = save_index(index, tmp_path / "stale.idx3", graph=graph)
         other = power_law_graph(120, 421, seed=8)
         with pytest.raises(ParameterError):
             DominationService.from_index_file(path, other)

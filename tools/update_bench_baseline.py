@@ -36,7 +36,6 @@ BENCH_FILES = [
     "benchmarks/bench_serving.py",
     "benchmarks/bench_http_serving.py",
     "benchmarks/bench_multiproc.py",
-    "benchmarks/bench_index_memory.py",
     "benchmarks/bench_oocore_build.py",
     "benchmarks/bench_observability.py",
 ]

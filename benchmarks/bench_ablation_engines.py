@@ -9,8 +9,7 @@ Two head-to-head comparisons on the same workload:
 * *Walk backend* — the registered walk engines
   (:mod:`repro.walks.backends`) generating the index walks.  ``"numpy"``
   and ``"csr"`` are bit-identical under one seed, so the comparison is
-  pure execution strategy; ``"sharded"`` uses spawned per-shard streams,
-  so it is timed on the same workload but not stream-matched.
+  pure execution strategy.
 """
 
 import numpy as np
@@ -62,7 +61,7 @@ def run_backend_ablation(config):
         columns=("backend", "kernel", "seconds"),
     )
     walks_by_backend = {}
-    for name in ("numpy", "csr", "sharded"):
+    for name in ("numpy", "csr"):
         engine = get_engine(name)
         engine.batch_walks(graph, starts[:64], length, seed=0)  # warm plans
         started = time.perf_counter()
@@ -95,4 +94,3 @@ def test_walk_backend_ablation(benchmark, config, report):
     report(table, "ablation_walk_backends.txt")
     # numpy and csr are stream-matched: identical walks, only speed differs.
     assert np.array_equal(walks["numpy"], walks["csr"])
-    assert walks["sharded"].shape == walks["numpy"].shape

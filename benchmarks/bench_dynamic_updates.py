@@ -94,7 +94,6 @@ def _clone(index: DynamicWalkIndex) -> DynamicWalkIndex:
         walks=index.walks.copy(),
         seed_entropy=index.seed_entropy,
         engine_name=index.engine_name,
-        num_shards=index.num_shards,
         epoch=index.epoch,
         uniforms=index.uniforms,
         keys=index.keys.copy(),

@@ -2,24 +2,11 @@
 
 Paper shape: runtime grows linearly with both the number of nodes and the
 number of edges (the family scales both together).
-
-The multi-core head-to-head times the Fig. 9 dominant cost — the index
-build — on a mid-family graph under the csr and multiproc engines with a
-hard bit-identity gate (timings report-only here; the enforced >=2x
-multi-core floor lives in ``bench_multiproc.py``).
 """
-
-import os
 
 import numpy as np
 
-from repro.experiments.config import default_config
 from repro.experiments.figures import fig9
-from repro.graphs.datasets import scalability_graph
-from repro.walks.backends import MultiprocWalkEngine
-from repro.walks.index import FlatWalkIndex
-
-from benchmarks.conftest import best_of
 
 
 def test_fig9(benchmark, config, report):
@@ -40,36 +27,3 @@ def test_fig9(benchmark, config, report):
         # And an order of magnitude more graph should not cost two orders
         # of magnitude more time (rules out super-linear blowups).
         assert times[-1] <= 30 * max(times[0], 1e-3)
-
-
-def test_fig9_multicore_head_to_head(bench_record):
-    """Fig. 9 index build, csr vs multiproc: bit-identical, timed."""
-    config = default_config()
-    graph = scalability_graph(3, scale=config.scale, seed=config.seed)
-    engine = MultiprocWalkEngine(min_parallel_rows=0)
-    try:
-        engine.batch_walks(graph, np.arange(4096), 2, seed=0)  # warm pool
-        csr_index = FlatWalkIndex.build(graph, 6, 20, seed=7, engine="csr")
-        multiproc_index = FlatWalkIndex.build(graph, 6, 20, seed=7, engine=engine)
-        parity = (
-            np.array_equal(csr_index.indptr, multiproc_index.indptr)
-            and np.array_equal(csr_index.state, multiproc_index.state)
-            and np.array_equal(csr_index.hop, multiproc_index.hop)
-        )
-        bench_record("fig9.multicore_index_parity", bool(parity))
-        assert parity
-        csr_s, _ = best_of(
-            2, lambda: FlatWalkIndex.build(graph, 6, 20, seed=7, engine="csr")
-        )
-        multiproc_s, _ = best_of(
-            2, lambda: FlatWalkIndex.build(graph, 6, 20, seed=7, engine=engine)
-        )
-    finally:
-        engine.close()
-    print(
-        f"\nfig9 G3 index build (n={graph.num_nodes}, m={graph.num_edges}, "
-        f"R=20, L=6): csr {csr_s:.3f} s, multiproc {multiproc_s:.3f} s "
-        f"-> {csr_s / multiproc_s:.2f}x on {os.cpu_count()} core(s)"
-    )
-    bench_record("fig9.multicore_csr_s", csr_s)
-    bench_record("fig9.multicore_multiproc_s", multiproc_s)

@@ -97,21 +97,6 @@ def test_index_build_backend(benchmark, backend_graph, engine_name):
     )
 
 
-def test_parallel_backends_parity(backend_graph, bench_record):
-    """sharded and multiproc reproduce the numpy stream bit for bit.
-
-    The four-backend bit-identity contract on the canonical workload —
-    a hard gate in the walk-backend CI job (timing never enters it).
-    """
-    starts = walker_major_starts(backend_graph.num_nodes, 10)[:100_000]
-    reference = get_engine("numpy").batch_walks(backend_graph, starts, 6, seed=3)
-    for name in ("sharded", "multiproc"):
-        walks = get_engine(name).batch_walks(backend_graph, starts, 6, seed=3)
-        parity = np.array_equal(reference, walks)
-        bench_record(f"walk_backends.{name}_parity", bool(parity))
-        assert parity, f"{name} walks differ from numpy"
-
-
 def test_csr_backend_speedup(backend_graph, bench_record, timing_gate):
     """The standing claim: csr >= 2x numpy on batched walks, bit-identical.
 

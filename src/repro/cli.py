@@ -33,11 +33,8 @@ Sampling-based subcommands (``select`` with a walk-based method,
 ``metrics --sampled``, ``simulate``, ``index``, ``dynamic``, ``serve``)
 accept ``--engine`` to pick the walk backend (see
 :mod:`repro.walks.backends`):
-``numpy`` (default), ``csr`` (fastest single-threaded), ``sharded``
-(stream-sliced shards on a thread pool), or ``multiproc`` (the same
-shards on a shared-memory process pool — the multi-core path).  All
-four are bit-identical under one seed, so the flag changes wall-clock
-only.
+``numpy`` (default, the reference kernels) or ``csr`` (faster).  Both
+are bit-identical under one seed, so the flag changes wall-clock only.
 
 A typical index-reuse workflow — pay the walk materialization once, sweep
 budgets afterwards::
@@ -437,9 +434,7 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=available_engines(), default=DEFAULT_ENGINE,
         help="walk-engine backend for sampling-based work (default: "
-        f"{DEFAULT_ENGINE}; 'csr' is fastest single-threaded, 'sharded' "
-        "spreads stream-sliced shards over a thread pool, 'multiproc' "
-        "over a shared-memory process pool; all backends produce "
+        f"{DEFAULT_ENGINE}; 'csr' is faster; both backends produce "
         "bit-identical results under one seed)",
     )
 

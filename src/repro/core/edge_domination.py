@@ -44,7 +44,7 @@ from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
 from repro.walks.engine import batch_walks
 from repro.walks.index import _validate_params, walker_major_starts
-from repro.walks.parallel import MAX_WALK_LENGTH
+from repro.walks.records import MAX_WALK_LENGTH
 from repro.walks.rng import resolve_rng
 
 __all__ = [

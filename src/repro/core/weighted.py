@@ -32,7 +32,7 @@ from repro.walks.index import (
     _validate_params,
     walker_major_starts,
 )
-from repro.walks.parallel import first_visit_records
+from repro.walks.records import first_visit_records
 from repro.walks.rng import resolve_rng
 
 __all__ = [

@@ -20,7 +20,7 @@ That functional form yields the two properties this module is built on:
   entry arrays, the same index — as a from-scratch
   :meth:`DynamicWalkIndex.build` on the edited graph with the same seed
   material.  ``tests/test_dynamic.py`` pins this with a hypothesis
-  property over all three walk engines, and
+  property over both walk engines, and
   ``benchmarks/bench_dynamic_updates.py`` gates it (plus a >= 5x
   end-to-end speedup) in CI.
 
@@ -54,7 +54,7 @@ from repro.walks.index import (
     canonical_entries,
     walker_major_starts,
 )
-from repro.walks.parallel import (
+from repro.walks.records import (
     RecordPacker,
     canonical_record_key,
     first_visit_records as _first_visit_records,
@@ -90,43 +90,17 @@ def _resolve_entropy(seed: "int | None") -> int:
     )
 
 
-def engine_uniforms(
-    entropy: int,
-    batch: int,
-    length: int,
-    num_shards: int = 0,
-) -> np.ndarray:
+def engine_uniforms(entropy: int, batch: int, length: int) -> np.ndarray:
     """The uniform draws a walk engine consumes for one full batch call.
 
     Returns a walk-major ``(B, L)`` array: ``out[b, t - 1]`` is the
     uniform that decides walk ``b``'s hop ``t`` — walk-major so the
     incremental path can slice a dirty-row subset with contiguous reads.
     Every registered backend burns exactly one ``rng.random(batch)`` per
-    hop from a single PCG64 stream — the sequential engines draw it
-    outright, the sharded/multiproc engines slice it per shard
-    (:mod:`repro.walks.parallel`) — which is precisely
+    hop from a single PCG64 stream, which is precisely
     ``default_rng(entropy).random((L, B))`` read row by row, so one
-    frozen-uniform discipline reproduces all of them.  ``num_shards > 0``
-    selects the *legacy* per-shard ``SeedSequence`` discipline of
-    pre-unification sharded snapshots, kept so their reloaded journals
-    keep replaying bit-identically.
+    frozen-uniform discipline reproduces all of them.
     """
-    if num_shards > 0:
-        # Legacy replay path: snapshots written before the walk backends
-        # were unified onto one sliceable stream stored the sharded
-        # engine's old per-shard SeedSequence discipline; regenerating
-        # their uniforms must keep matching the cached trajectories.
-        # New builds always record ``num_shards == 0``.
-        rng = np.random.default_rng(entropy)
-        shards = max(1, min(num_shards, batch))
-        children = rng.spawn(shards)
-        base, rem = divmod(batch, shards)
-        sizes = [base + 1] * rem + [base] * (shards - rem)
-        parts = [
-            child.random((length, size))
-            for child, size in zip(children, sizes)
-        ]
-        return np.ascontiguousarray(np.concatenate(parts, axis=1).T)
     return np.ascontiguousarray(
         np.random.default_rng(entropy).random((length, batch)).T
     )
@@ -215,7 +189,6 @@ class DynamicWalkIndex:
         walks: np.ndarray,
         seed_entropy: int,
         engine_name: str,
-        num_shards: int = 0,
         epoch: int = 0,
         uniforms: "np.ndarray | None" = None,
         keys: "np.ndarray | None" = None,
@@ -225,7 +198,6 @@ class DynamicWalkIndex:
         self.walks = walks
         self.seed_entropy = int(seed_entropy)
         self.engine_name = engine_name
-        self.num_shards = int(num_shards)
         self.epoch = int(epoch)
         self._uniforms = uniforms
         # Canonical sort keys `hit * num_states + state`, maintained in
@@ -264,10 +236,8 @@ class DynamicWalkIndex:
         """
         _validate_params(graph.num_nodes, length, num_replicates)
         walk_engine = get_engine(engine)
-        # Every registered backend consumes (or slices) the same logical
-        # stream, so one frozen-uniform discipline reproduces them all;
-        # num_shards stays 0 except when reloading pre-unification
-        # snapshots (see engine_uniforms).
+        # Every registered backend consumes the same stream, so one
+        # frozen-uniform discipline reproduces them all.
         entropy = _resolve_entropy(seed)
         n = graph.num_nodes
         starts = walker_major_starts(n, num_replicates)
@@ -340,14 +310,11 @@ class DynamicWalkIndex:
 
         Journal-aware snapshots persist only the seed material, not the
         14-bytes-per-hop stream itself; the first incremental update after
-        a reload regenerates it from ``(entropy, engine, num_shards)``.
+        a reload regenerates it from the seed entropy.
         """
         if self._uniforms is None:
             self._uniforms = engine_uniforms(
-                self.seed_entropy,
-                self.walks.shape[0],
-                self.length,
-                self.num_shards,
+                self.seed_entropy, self.walks.shape[0], self.length
             )
         return self._uniforms
 

@@ -22,11 +22,6 @@ helpers here (:func:`inc`, :func:`observe`, :func:`set_gauge`,
 :func:`span`) or grabs a metric handle via :func:`registry`.  Hot loops
 should accumulate plain ints and flush once per operation under
 :func:`enabled` — see ``core/approx_fast.py`` for the pattern.
-
-Worker processes each see the default-disabled module state; the
-multiproc walk path opts workers in per task (``task["telemetry"]``) and
-ships worker-local snapshots back for :func:`absorb` (registry module
-docstring).
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "SpanTracer",
-    "absorb",
     "configure",
     "disable",
     "enabled",
@@ -151,12 +145,6 @@ def span(name: str, **args):
 # -- export ------------------------------------------------------------
 def snapshot() -> MetricsSnapshot:
     return _registry.snapshot()
-
-
-def absorb(payload) -> None:
-    """Fold a worker snapshot (``MetricsSnapshot`` or its dict form) into
-    the process registry; dropped when disabled."""
-    _registry.absorb(payload)
 
 
 def render_prometheus(*extra: MetricsSnapshot) -> str:

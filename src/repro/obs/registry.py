@@ -15,12 +15,9 @@ zero and contention on one metric is a single uncontended-in-the-common-case
 lock acquire (no busy retry loops, no lost updates — asserted by the
 hypothesis suite in ``tests/test_obs.py``).
 
-Cross-process story: workers cannot share a registry, so a worker builds a
-private one, records into it, and ships :meth:`MetricsRegistry.snapshot`
-(as a plain dict — spawn-picklable, JSON-safe) back with its payload; the
-parent calls :meth:`MetricsRegistry.absorb`.  Counters and histograms add,
-gauges last-write-win.  The multiproc walk engine threads this through its
-existing record-streaming path (``walks/parallel.py``).
+Snapshots (:meth:`MetricsRegistry.snapshot`) are plain data and merge
+(:meth:`MetricsSnapshot.merge`): counters and histograms add, gauges
+last-write-win.
 
 :class:`NullRegistry` is the disabled-mode stand-in: every accessor returns
 a shared no-op metric, so instrumented code pays one attribute call and a
@@ -199,9 +196,7 @@ class Histogram:
 class MetricsSnapshot:
     """A point-in-time copy of a registry — plain data, mergeable.
 
-    Keys are ``(name, ((label, value), ...))`` tuples; :meth:`to_dict` /
-    :meth:`from_dict` provide a JSON-safe spelling for the multiproc
-    record-streaming path and for on-disk dumps.
+    Keys are ``(name, ((label, value), ...))`` tuples.
     """
 
     counters: dict = field(default_factory=dict)
@@ -233,54 +228,6 @@ class MetricsSnapshot:
         for snap in snapshots:
             out = out.merge(snap)
         return out
-
-    # -- JSON-safe spelling -------------------------------------------
-    def to_dict(self) -> dict:
-        def encode(key):
-            name, labels = key
-            return [name, [list(pair) for pair in labels]]
-
-        return {
-            "counters": [
-                [encode(k), v] for k, v in sorted(self.counters.items())
-            ],
-            "gauges": [
-                [encode(k), v] for k, v in sorted(self.gauges.items())
-            ],
-            "histograms": [
-                [
-                    encode(k),
-                    {
-                        "bounds": list(s.bounds),
-                        "counts": list(s.counts),
-                        "sum": s.sum,
-                        "count": s.count,
-                    },
-                ]
-                for k, s in sorted(self.histograms.items())
-            ],
-            "help": dict(self.help),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsSnapshot":
-        def decode(raw):
-            name, labels = raw
-            return (str(name), tuple((str(k), str(v)) for k, v in labels))
-
-        snap = cls(help={str(k): str(v) for k, v in payload.get("help", {}).items()})
-        for raw, value in payload.get("counters", []):
-            snap.counters[decode(raw)] = float(value)
-        for raw, value in payload.get("gauges", []):
-            snap.gauges[decode(raw)] = float(value)
-        for raw, state in payload.get("histograms", []):
-            snap.histograms[decode(raw)] = HistogramState(
-                bounds=tuple(float(b) for b in state["bounds"]),
-                counts=tuple(int(c) for c in state["counts"]),
-                sum=float(state["sum"]),
-                count=int(state["count"]),
-            )
-        return snap
 
 
 class MetricsRegistry:
@@ -341,35 +288,6 @@ class MetricsRegistry:
             help=help,
         )
 
-    def absorb(self, snapshot: "MetricsSnapshot | dict") -> None:
-        """Fold a (possibly remote) snapshot into the live metrics."""
-        if isinstance(snapshot, dict):
-            snapshot = MetricsSnapshot.from_dict(snapshot)
-        for (name, labels), value in snapshot.counters.items():
-            self.counter(
-                name, dict(labels), help=snapshot.help.get(name, "")
-            ).inc(value)
-        for (name, labels), value in snapshot.gauges.items():
-            self.gauge(
-                name, dict(labels), help=snapshot.help.get(name, "")
-            ).set(value)
-        for (name, labels), state in snapshot.histograms.items():
-            hist = self.histogram(
-                name,
-                dict(labels),
-                buckets=state.bounds,
-                help=snapshot.help.get(name, ""),
-            )
-            if hist.bounds != state.bounds:
-                raise ParameterError(
-                    f"histogram {name!r} bucket mismatch on absorb"
-                )
-            with hist._lock:
-                for i, count in enumerate(state.counts):
-                    hist._counts[i] += count
-                hist._sum += state.sum
-                hist._count += state.count
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -404,8 +322,8 @@ _NULL_METRIC = _NullMetric()
 
 
 class NullRegistry(MetricsRegistry):
-    """Disabled-mode registry: accessors return a shared no-op metric,
-    snapshots are empty, absorb drops its input."""
+    """Disabled-mode registry: accessors return a shared no-op metric and
+    snapshots are empty."""
 
     def counter(self, name, labels=None, help=""):
         return _NULL_METRIC
@@ -418,9 +336,6 @@ class NullRegistry(MetricsRegistry):
 
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot()
-
-    def absorb(self, snapshot) -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

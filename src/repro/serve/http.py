@@ -88,6 +88,7 @@ _REASONS = {
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -462,6 +463,15 @@ class DominationHttpServer:
                     400, f"malformed header line {line.decode('latin-1')!r}"
                 )
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read: a chunked body would
+            # otherwise read as empty and its chunk lines would parse as
+            # the next request on this connection.
+            raise _HttpError(
+                501,
+                "Transfer-Encoding is not supported; send the body with "
+                "Content-Length",
+            )
         raw_length = headers.get("content-length", "0")
         try:
             length = int(raw_length)

@@ -31,9 +31,7 @@ from repro.walks.alias import (
 from repro.walks.backends import (
     CSRWalkEngine,
     DEFAULT_ENGINE,
-    MultiprocWalkEngine,
     NumpyWalkEngine,
-    ShardedWalkEngine,
     WalkEngine,
     available_engines,
     get_engine,
@@ -69,8 +67,6 @@ __all__ = [
     "WalkEngine",
     "NumpyWalkEngine",
     "CSRWalkEngine",
-    "ShardedWalkEngine",
-    "MultiprocWalkEngine",
     "DEFAULT_ENGINE",
     "available_engines",
     "get_engine",

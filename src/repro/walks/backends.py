@@ -7,12 +7,12 @@ kernel directly.  Engines are looked up by name in a process-wide registry,
 so alternative execution strategies (GPU, distributed, cached) can be
 slotted in by registering a new backend without touching any solver.
 
-Four backends ship with the package, and **all four are bit-identical
-under one seed**: they consume (or slice) the same logical PCG64 stream
-— one batch of uniforms per hop — so any engine can replace any other
-mid-experiment, mid-index, or mid-serving-epoch without changing a
-single answer.  Differential tests (``tests/test_differential.py``)
-enforce this across index builds, solvers, dynamic replay, and serving.
+Two backends ship with the package, and **both are bit-identical under
+one seed**: they consume the same PCG64 stream — one batch of uniforms
+per hop — so either engine can replace the other mid-experiment,
+mid-index, or mid-serving-epoch without changing a single answer.
+Differential tests (``tests/test_differential.py``) enforce this across
+index builds, solvers, dynamic replay, and serving.
 
 ``"numpy"``
     The original gather-loop kernels, :func:`repro.walks.engine.batch_walks`
@@ -26,23 +26,6 @@ enforce this across index builds, solvers, dynamic replay, and serving.
     indexing, no copies, no bounds-check passes.  Weighted graphs reuse a
     cached :class:`~repro.walks.alias.AliasSampler` (alias tables are
     built once per graph, not once per call).
-``"sharded"``
-    Cuts the batch into row shards and computes each shard's *slice of
-    the same logical stream* on a thread pool — workers jump to their
-    rows' offset inside every per-hop uniform block with ``PCG64.advance``
-    (:mod:`repro.walks.parallel`), so the assembled result equals the
-    sequential backends bit for bit, independent of ``num_shards`` *and*
-    worker count.  The hot kernels are numpy gathers, which release the
-    GIL; one in-process address space, no serialization.
-``"multiproc"``
-    The same stream-sliced shards fanned out to a *process* pool: the
-    augmented CSR is placed in :mod:`multiprocessing.shared_memory` once
-    per graph, workers attach read-only views and ship back walk slices
-    — or, on the index-build path (:meth:`WalkEngine.walk_records`),
-    only the extracted first-visit records, so the walk matrices
-    themselves never cross a process boundary and peak parent memory
-    stays bounded.  This is the true multi-core path (no GIL); see
-    DESIGN.md §11 for the layout and teardown rules.
 
 Resolution rules (:func:`get_engine`): ``None`` means the package default
 (``"numpy"``), a string is looked up in the registry, and a ready
@@ -52,39 +35,24 @@ takes ``engine=`` accepts all three forms.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import os
 import threading
-import time
-import weakref
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.graphs.weighted import WeightedDiGraph
 from repro.walks.alias import AliasSampler, weighted_batch_walks
 from repro.walks.engine import batch_first_hits, batch_walks
-from repro.walks.parallel import (
-    SharedArrayPack,
-    first_visit_records,
-    run_task,
-    slice_first_hits,
-    slice_walks,
-    slice_weighted_walks,
-)
-from repro.walks.rng import advance_stream, resolve_rng, stream_state
+from repro.walks.records import first_visit_records
+from repro.walks.rng import resolve_rng
 
 __all__ = [
     "WalkEngine",
     "NumpyWalkEngine",
     "CSRWalkEngine",
-    "ShardedWalkEngine",
-    "MultiprocWalkEngine",
     "DEFAULT_ENGINE",
     "available_engines",
     "get_engine",
@@ -186,18 +154,20 @@ class WalkEngine(ABC):
     ):
         """Per-chunk first-visit ``(hit, state, hop)`` record arrays.
 
-        The streaming spelling of :meth:`walk_records`: yields one record
-        triple per ``chunk_rows``-row chunk of the batch, so a consumer
-        (the out-of-core builder, :mod:`repro.walks.build`) can reduce
-        each chunk before the next one's walks exist — peak memory is one
-        chunk's walks plus whatever the consumer retains.  The chunking
-        is part of the RNG contract — chunk ``c`` consumes its
-        ``len(chunk) * length`` uniforms before chunk ``c + 1`` begins —
-        so every backend yields the same per-chunk record *sets* for the
-        same ``(seed, chunk_rows)``.  Arguments are validated eagerly
-        (before the first chunk is computed); the caller's generator is
-        only guaranteed to be positioned past the whole batch once the
-        iterator is exhausted.
+        The index builders' entry point (Algorithm 3's extraction):
+        ``states[b]`` is row ``b``'s flattened ``D`` index, carried into
+        the records.  Yields one record triple per ``chunk_rows``-row
+        chunk of the batch, so a consumer (the out-of-core builder,
+        :mod:`repro.walks.build`) can reduce each chunk before the next
+        one's walks exist — peak memory is one chunk's walks plus
+        whatever the consumer retains.  The chunking is part of the RNG
+        contract — chunk ``c`` consumes its ``len(chunk) * length``
+        uniforms before chunk ``c + 1`` begins — so every backend yields
+        the same per-chunk record *sets* for the same ``(seed,
+        chunk_rows)``; record order is a detail the canonical sort
+        removes.  Arguments are validated eagerly (before the first chunk
+        is computed); the caller's generator is only guaranteed to be
+        positioned past the whole batch once the iterator is exhausted.
         """
         starts = _check_walk_args(graph.num_nodes, starts, length)
         states = np.asarray(states, dtype=np.int64)
@@ -206,67 +176,16 @@ class WalkEngine(ABC):
         if chunk_rows < 1:
             raise ParameterError("chunk_rows must be >= 1")
         rng = resolve_rng(seed)
-        return self._iter_records_sequential(
-            graph, starts, length, states, rng, chunk_rows
-        )
+        return self._iter_records(graph, starts, length, states, rng, chunk_rows)
 
-    def _iter_records_sequential(
-        self, graph, starts, length, states, rng, chunk_rows
-    ):
+    def _iter_records(self, graph, starts, length, states, rng, chunk_rows):
         for lo in range(0, starts.size, chunk_rows):
             rows = starts[lo : lo + chunk_rows]
             walks = self.batch_walks(graph, rows, length, seed=rng)
             yield first_visit_records(walks, states[lo : lo + chunk_rows])
 
-    def walk_records(
-        self,
-        graph: Graph,
-        starts: "Sequence[int] | np.ndarray",
-        length: int,
-        states: np.ndarray,
-        seed: "int | np.random.Generator | None" = None,
-        chunk_rows: int = 1 << 19,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First-visit ``(hit, state, hop)`` record arrays for a batch.
-
-        The index builders' entry point (Algorithm 3's extraction):
-        ``states[b]`` is row ``b``'s flattened ``D`` index, carried into
-        the records.  Concatenates :meth:`iter_walk_records` — same
-        chunking, same RNG contract — so every backend produces the same
-        record *set* for the same ``(seed, chunk_rows)``; record order is
-        a backend detail that :meth:`FlatWalkIndex._from_records`
-        canonicalizes away.  The default generates walks chunk-by-chunk
-        via :meth:`batch_walks` and extracts in-process; the multiproc
-        backend yields chunks whose records were extracted inside its
-        workers.
-        """
-        hit_parts: list[np.ndarray] = []
-        state_parts: list[np.ndarray] = []
-        hop_parts: list[np.ndarray] = []
-        for hits, row_states, hops in self.iter_walk_records(
-            graph, starts, length, states, seed=seed, chunk_rows=chunk_rows
-        ):
-            if hits.size:
-                hit_parts.append(hits)
-                state_parts.append(row_states)
-                hop_parts.append(hops)
-        return _concat_records(hit_parts, state_parts, hop_parts)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def _concat_records(
-    hit_parts: list, state_parts: list, hop_parts: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not hit_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return (
-        np.concatenate(hit_parts),
-        np.concatenate(state_parts),
-        np.concatenate(hop_parts),
-    )
 
 
 class NumpyWalkEngine(WalkEngine):
@@ -337,9 +256,9 @@ class _PlanCache:
 
     The cache keeps a strong reference to each graph, so an ``id()`` can
     never be recycled while its plan is alive; graphs are immutable, so a
-    cached plan never goes stale.  Concurrent builds of the same plan (the
-    sharded engine's thread pool) are benign: both threads compute the same
-    immutable arrays and one wins the dict slot.
+    cached plan never goes stale.  Concurrent builds of the same plan
+    (serving threads share the registry's csr instance) are benign: both
+    threads compute the same immutable arrays and one wins the dict slot.
     """
 
     def __init__(self, maxsize: int = 8):
@@ -354,8 +273,8 @@ class _PlanCache:
         plan = build(graph)
         self._data[key] = (graph, plan)
         while len(self._data) > self._maxsize:
-            # pop(…, None): two pool threads may race to evict the same
-            # oldest entry; losing the race must not raise.
+            # pop(…, None): two serving threads may race to evict the
+            # same oldest entry; losing the race must not raise.
             self._data.pop(next(iter(self._data)), None)
         return plan
 
@@ -376,7 +295,7 @@ class CSRWalkEngine(WalkEngine):
         self._weighted_plans = _PlanCache(cache_size)
         # Hop-loop scratch, reused across calls of the same batch size so
         # steady-state walking performs zero allocations.  Thread-local
-        # because the sharded engine drives one CSR engine from a pool.
+        # because serving threads share the registry's one csr instance.
         self._scratch = threading.local()
 
     # ------------------------------------------------------------------
@@ -492,548 +411,6 @@ class CSRWalkEngine(WalkEngine):
 
 
 # ----------------------------------------------------------------------
-# Shard partitioning (shared by the sharded and multiproc backends)
-# ----------------------------------------------------------------------
-def _shard_bounds(total: int, shards: int) -> "list[tuple[int, int]]":
-    """Contiguous ``[lo, hi)`` row ranges, ``np.array_split`` sizing."""
-    shards = max(1, min(shards, total))
-    base, rem = divmod(total, shards)
-    bounds = []
-    lo = 0
-    for k in range(shards):
-        hi = lo + base + (1 if k < rem else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-# ----------------------------------------------------------------------
-# Sharded backend
-# ----------------------------------------------------------------------
-class ShardedWalkEngine(WalkEngine):
-    """Row shards of one logical stream on a thread pool.
-
-    The batch is cut into ``num_shards`` contiguous shards and each shard
-    computes its *slice of the same PCG64 stream* the sequential backends
-    consume (:func:`repro.walks.parallel.slice_walks`): a worker jumps to
-    its rows' offset inside every per-hop uniform block with ``advance``
-    and draws only its rows.  The assembled output is therefore
-    **bit-identical to the numpy/csr backends under the same seed** —
-    independent of ``num_shards``, worker count, and scheduling — and the
-    caller's generator is advanced past exactly the draws the batch
-    consumed, so a stream threaded through several calls stays aligned.
-
-    Two cases cannot be sliced and fall back to one sequential call on
-    the base engine (still bit-identical, just not parallel): seeds whose
-    bit generator lacks 64-bit-draw ``advance`` semantics (anything but
-    PCG64/PCG64DXSM), and weighted graphs with dangling rows, whose
-    masked sampling consumes the stream data-dependently.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        base: "str | WalkEngine" = "csr",
-        num_shards: int = 8,
-        max_workers: "int | None" = None,
-    ):
-        if num_shards < 1:
-            raise ParameterError("num_shards must be >= 1")
-        self._base_spec = base
-        self.num_shards = num_shards
-        self.max_workers = max_workers
-
-    @property
-    def base(self) -> WalkEngine:
-        """The sequential engine used when a call cannot be sliced."""
-        return get_engine(self._base_spec)
-
-    def _csr(self) -> CSRWalkEngine:
-        """The plan provider (the base engine when it is a CSR engine, so
-        plans are shared with direct csr calls; a registry csr otherwise)."""
-        base = self.base
-        if isinstance(base, CSRWalkEngine):
-            return base
-        return get_engine("csr")
-
-    # ------------------------------------------------------------------
-    def _map_shards(self, run_shard, bounds) -> list:
-        if obs.enabled():
-            inner = run_shard
-
-            def run_shard(lo, hi):
-                obs.inc(
-                    "walk_shard_rows_total", hi - lo,
-                    help="Walk rows computed by shard workers.",
-                    mode="threaded",
-                )
-                obs.inc(
-                    "walk_shards_total",
-                    help="Shard tasks executed.",
-                    mode="threaded",
-                )
-                return inner(lo, hi)
-        if len(bounds) == 1:
-            return [run_shard(*bounds[0])]
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
-            return list(pool.map(lambda b: run_shard(*b), bounds))
-
-    def batch_walks(self, graph, starts, length, seed=None):
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        state = stream_state(rng)
-        total = starts.size
-        if state is None or not (length and total):
-            return self.base.batch_walks(graph, starts, length, seed=rng)
-        plan = self._csr()._plan(graph)
-        parts = self._map_shards(
-            lambda lo, hi: slice_walks(
-                plan.indptr, plan.indices, plan.degrees_f64,
-                starts[lo:hi], length, state, lo, total,
-            ),
-            _shard_bounds(total, self.num_shards),
-        )
-        advance_stream(rng, total * length)
-        return np.vstack(parts)
-
-    def weighted_batch_walks(self, graph, starts, length, seed=None):
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        state = stream_state(rng)
-        total = starts.size
-        plan = self._csr()._weighted_plan(graph)
-        if state is None or plan.has_dangling or not (length and total):
-            # The masked AliasSampler path (data-dependent draws) and
-            # non-sliceable generators: one sequential call, same stream.
-            return weighted_batch_walks(
-                graph, starts, length, seed=rng, sampler=plan.sampler
-            )
-        sampler = plan.sampler
-        parts = self._map_shards(
-            lambda lo, hi: slice_weighted_walks(
-                graph.indptr, plan.indices, plan.out_degrees_f64,
-                sampler.prob, sampler.alias,
-                starts[lo:hi], length, state, lo, total,
-            ),
-            _shard_bounds(total, self.num_shards),
-        )
-        advance_stream(rng, 2 * total * length)
-        return np.vstack(parts)
-
-    def walk_first_hits(self, graph, starts, length, target_mask, seed=None):
-        if isinstance(graph, WeightedDiGraph):
-            return super().walk_first_hits(
-                graph, starts, length, target_mask, seed=seed
-            )
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        state = stream_state(rng)
-        total = starts.size
-        if state is None or not (length and total):
-            return self.base.walk_first_hits(
-                graph, starts, length, target_mask, seed=rng
-            )
-        plan = self._csr()._plan(graph)
-        mask = np.asarray(target_mask, dtype=bool)
-        parts = self._map_shards(
-            lambda lo, hi: slice_first_hits(
-                plan.indptr, plan.indices, plan.degrees_f64,
-                starts[lo:hi], length, mask, state, lo, total,
-            ),
-            _shard_bounds(total, self.num_shards),
-        )
-        advance_stream(rng, total * length)
-        return np.concatenate(parts)
-
-
-# ----------------------------------------------------------------------
-# Multiproc backend
-# ----------------------------------------------------------------------
-def _release_multiproc_resources(resources: dict) -> None:
-    """Tear down a multiproc engine's pool and shared-memory segments.
-
-    Module-level so a :func:`weakref.finalize` can run it at engine
-    collection or interpreter exit without keeping the engine alive.
-    Idempotent: every path that can leave the engine in a doubtful state
-    (worker crash, ``KeyboardInterrupt`` mid-shard, pool breakage) calls
-    it, so segments are unlinked exactly once and never leaked.
-    """
-    pool = resources.pop("pool", None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    for key in ("packs", "weighted_packs"):
-        packs = resources.get(key, {})
-        while packs:
-            _, (_graph, pack) = packs.popitem()
-            pack.close()
-
-
-class MultiprocWalkEngine(WalkEngine):
-    """Stream-sliced shards on a process pool over shared-memory CSR.
-
-    The true multi-core backend: the augmented CSR arrays (and, for
-    weighted graphs, the alias tables) are copied into
-    :mod:`multiprocessing.shared_memory` once per graph and cached;
-    worker processes attach read-only views and run the same slice
-    kernels as the sharded backend, so the output is **bit-identical to
-    every other backend under one seed** while the hop loops run on as
-    many cores as the pool has workers, with no GIL in sight.
-
-    Resource discipline (DESIGN.md §11):
-
-    * The process pool is created lazily and persists across calls (spawn
-      context — safe to combine with the serving layer's threads).
-    * Per-graph segments live in a small FIFO cache; per-call segments
-      (the first-hit target mask) are unlinked in a ``finally``.
-    * Any exception escaping a fan-out — a crashed worker, an interrupt
-      mid-shard, a broken pool — tears down the pool *and unlinks every
-      cached segment* before re-raising; the next call starts fresh.  A
-      finalizer covers engine collection and interpreter exit.  Workers
-      never unlink anything, so a dying worker cannot orphan a segment.
-    * The caller's generator is advanced only after a fan-out completes;
-      a failed call leaves the stream position untouched, so the caller
-      can retry (or fall back) without losing reproducibility.
-
-    Calls below ``min_parallel_rows`` (and seeds whose bit generator is
-    not sliceable, and weighted graphs with dangling rows) run
-    sequentially on the csr backend instead — same answer, no IPC tax on
-    small batches.
-
-    On the index-build path (:meth:`walk_records`) workers extract
-    first-visit records shard-locally and stream back only the record
-    arrays — the walk matrices never cross the process boundary, which
-    is what keeps peak parent memory bounded on million-node builds.
-    """
-
-    name = "multiproc"
-
-    def __init__(
-        self,
-        num_procs: "int | None" = None,
-        shard_rows: int = 1 << 16,
-        min_parallel_rows: int = 8192,
-        cache_size: int = 4,
-        mp_context: str = "spawn",
-    ):
-        if num_procs is not None and num_procs < 1:
-            raise ParameterError("num_procs must be >= 1")
-        if shard_rows < 1:
-            raise ParameterError("shard_rows must be >= 1")
-        if cache_size < 1:
-            raise ParameterError("cache_size must be >= 1")
-        self.num_procs = (
-            int(num_procs)
-            if num_procs is not None
-            else max(1, min(os.cpu_count() or 1, 8))
-        )
-        self.shard_rows = int(shard_rows)
-        self.min_parallel_rows = int(min_parallel_rows)
-        self._cache_size = int(cache_size)
-        self._mp_context = mp_context
-        self._resources: dict = {"pool": None, "packs": {}, "weighted_packs": {}}
-        self._finalizer = weakref.finalize(
-            self, _release_multiproc_resources, self._resources
-        )
-
-    # ------------------------------------------------------------------
-    # Resource management
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared-memory segment.
-
-        Safe to call repeatedly; the engine remains usable — the next
-        call simply recreates the pool and republishes the segments.
-        """
-        _release_multiproc_resources(self._resources)
-        self._resources["pool"] = None
-
-    def _ensure_pool(self):
-        pool = self._resources.get("pool")
-        if pool is None:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.num_procs,
-                mp_context=multiprocessing.get_context(self._mp_context),
-            )
-            self._resources["pool"] = pool
-        return pool
-
-    def _pack_for(self, graph, key: str, build) -> SharedArrayPack:
-        """The cached shared-memory pack for ``graph`` (FIFO-bounded)."""
-        packs = self._resources[key]
-        hit = packs.get(id(graph))
-        if hit is not None and hit[0] is graph:
-            return hit[1]
-        pack = SharedArrayPack(build())
-        packs[id(graph)] = (graph, pack)
-        while len(packs) > self._cache_size:
-            oldest = next(iter(packs))
-            if oldest == id(graph):
-                break
-            _, old_pack = packs.pop(oldest)
-            old_pack.close()
-        return pack
-
-    def _graph_pack(self, graph: Graph) -> SharedArrayPack:
-        plan = get_engine("csr")._plan(graph)
-        return self._pack_for(
-            graph, "packs",
-            lambda: {
-                "indptr": plan.indptr,
-                "indices": plan.indices,
-                "degrees_f64": plan.degrees_f64,
-            },
-        )
-
-    def _weighted_pack(self, graph: WeightedDiGraph, plan) -> SharedArrayPack:
-        return self._pack_for(
-            graph, "weighted_packs",
-            lambda: {
-                "indptr": graph.indptr,
-                "indices": plan.indices,
-                "out_degrees_f64": plan.out_degrees_f64,
-                "prob": plan.sampler.prob,
-                "alias": plan.sampler.alias,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Fan-out core
-    # ------------------------------------------------------------------
-    def _scatter(self, tasks: list, collect) -> None:
-        """Run ``tasks`` on the pool, streaming results to ``collect``.
-
-        At most ``2 * num_procs`` tasks are in flight, so results stream
-        back in bounded memory regardless of the batch size.  Any
-        exception — worker crash, interrupt, broken pool — releases the
-        pool and unlinks every segment before re-raising (the
-        can't-leak-on-crash contract the regression tests pin down).
-
-        With telemetry enabled, tasks carry ``task["telemetry"]`` so
-        workers record shard-level metrics into private registries and
-        return them alongside the payload (``walks/parallel.py``); this
-        loop absorbs each snapshot and times every submit→result round
-        trip.  The task dicts, stream slicing, and payloads are unchanged
-        either way — results stay bit-identical.
-        """
-        telemetry = obs.enabled()
-        submitted: dict = {}
-        try:
-            pool = self._ensure_pool()
-            window = 2 * self.num_procs
-            pending = {}
-            queued = iter(enumerate(tasks))
-            exhausted = False
-            while pending or not exhausted:
-                while not exhausted and len(pending) < window:
-                    nxt = next(queued, None)
-                    if nxt is None:
-                        exhausted = True
-                        break
-                    index, task = nxt
-                    if telemetry:
-                        task["telemetry"] = True
-                    future = pool.submit(run_task, task)
-                    pending[future] = index
-                    if telemetry:
-                        submitted[future] = time.perf_counter()
-                if not pending:
-                    break
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    result = future.result()
-                    if telemetry:
-                        obs.observe(
-                            "walk_worker_roundtrip_seconds",
-                            time.perf_counter() - submitted.pop(future),
-                            help="Multiproc shard submit-to-result round trip.",
-                        )
-                    # The records payload is also a 3-tuple (of arrays),
-                    # so the sentinel test must check the type first.
-                    if (
-                        isinstance(result, tuple)
-                        and len(result) == 3
-                        and isinstance(result[0], str)
-                        and result[0] == "__obs__"
-                    ):
-                        obs.absorb(result[2])
-                        result = result[1]
-                    collect(pending.pop(future), result)
-        except BaseException:
-            self.close()
-            raise
-
-    def _sliceable(self, rng, total: int, length: int):
-        """The stream state when this call should use the pool, else None."""
-        if length == 0 or total < max(1, self.min_parallel_rows):
-            return None
-        return stream_state(rng)
-
-    # ------------------------------------------------------------------
-    # WalkEngine interface
-    # ------------------------------------------------------------------
-    def batch_walks(self, graph, starts, length, seed=None):
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        state = self._sliceable(rng, starts.size, length)
-        if state is None:
-            return get_engine("csr").batch_walks(graph, starts, length, seed=rng)
-        total = starts.size
-        specs = self._graph_pack(graph).specs
-        walks = np.empty((total, length + 1), dtype=np.int32)
-        bounds = _shard_bounds(total, -(-total // self.shard_rows))
-        tasks = [
-            {
-                "mode": "walks", "specs": specs, "starts": starts[lo:hi],
-                "length": length, "state": state, "lo": lo, "total": total,
-            }
-            for lo, hi in bounds
-        ]
-        self._scatter(
-            tasks, lambda i, part: walks.__setitem__(
-                slice(bounds[i][0], bounds[i][1]), part
-            )
-        )
-        advance_stream(rng, total * length)
-        return walks
-
-    def weighted_batch_walks(self, graph, starts, length, seed=None):
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        plan = get_engine("csr")._weighted_plan(graph)
-        state = self._sliceable(rng, starts.size, length)
-        if state is None or plan.has_dangling:
-            return weighted_batch_walks(
-                graph, starts, length, seed=rng, sampler=plan.sampler
-            )
-        total = starts.size
-        specs = self._weighted_pack(graph, plan).specs
-        walks = np.empty((total, length + 1), dtype=np.int32)
-        bounds = _shard_bounds(total, -(-total // self.shard_rows))
-        tasks = [
-            {
-                "mode": "weighted", "specs": specs, "starts": starts[lo:hi],
-                "length": length, "state": state, "lo": lo, "total": total,
-            }
-            for lo, hi in bounds
-        ]
-        self._scatter(
-            tasks, lambda i, part: walks.__setitem__(
-                slice(bounds[i][0], bounds[i][1]), part
-            )
-        )
-        advance_stream(rng, 2 * total * length)
-        return walks
-
-    def walk_first_hits(self, graph, starts, length, target_mask, seed=None):
-        if isinstance(graph, WeightedDiGraph):
-            return super().walk_first_hits(
-                graph, starts, length, target_mask, seed=seed
-            )
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        rng = resolve_rng(seed)
-        state = self._sliceable(rng, starts.size, length)
-        if state is None:
-            return get_engine("csr").walk_first_hits(
-                graph, starts, length, target_mask, seed=rng
-            )
-        total = starts.size
-        specs = self._graph_pack(graph).specs
-        mask = np.ascontiguousarray(
-            np.asarray(target_mask, dtype=bool).view(np.uint8)
-        )
-        mask_pack = SharedArrayPack({"mask": mask})
-        try:
-            hits = np.empty(total, dtype=np.int64)
-            bounds = _shard_bounds(total, -(-total // self.shard_rows))
-            tasks = [
-                {
-                    "mode": "first_hits", "specs": specs,
-                    "mask_spec": mask_pack.specs["mask"],
-                    "starts": starts[lo:hi], "length": length,
-                    "state": state, "lo": lo, "total": total,
-                }
-                for lo, hi in bounds
-            ]
-            self._scatter(
-                tasks, lambda i, part: hits.__setitem__(
-                    slice(bounds[i][0], bounds[i][1]), part
-                )
-            )
-        finally:
-            mask_pack.close()
-        advance_stream(rng, total * length)
-        return hits
-
-    def iter_walk_records(
-        self, graph, starts, length, states, seed=None, chunk_rows=1 << 19
-    ):
-        starts = _check_walk_args(graph.num_nodes, starts, length)
-        states = np.asarray(states, dtype=np.int64)
-        if states.size != starts.size:
-            raise ParameterError("states must align with starts")
-        if chunk_rows < 1:
-            raise ParameterError("chunk_rows must be >= 1")
-        rng = resolve_rng(seed)
-        state = self._sliceable(rng, starts.size, length)
-        if state is None:
-            return self._iter_records_sequential(
-                graph, starts, length, states, rng, chunk_rows
-            )
-        return self._iter_records_parallel(
-            graph, starts, length, states, rng, state, chunk_rows
-        )
-
-    def _iter_records_parallel(
-        self, graph, starts, length, states, rng, state, chunk_rows
-    ):
-        """One pool fan-out per chunk, records extracted in the workers.
-
-        Stream offsets honor the chunk contract: chunk c's draws occupy
-        [offset_c, offset_c + len(chunk) * L); shards subdivide rows
-        *within* a chunk, slicing that chunk's segment of the stream.
-        The caller's generator is advanced only after the last chunk is
-        consumed — an abandoned or failed iteration leaves the stream
-        position untouched, same as a failed :meth:`batch_walks` call.
-        """
-        specs = self._graph_pack(graph).specs
-        stream_offset = 0
-        for chunk_lo in range(0, starts.size, chunk_rows):
-            chunk_size = min(chunk_rows, starts.size - chunk_lo)
-            tasks = [
-                {
-                    "mode": "records", "specs": specs,
-                    "starts": starts[chunk_lo + lo : chunk_lo + hi],
-                    "states": states[chunk_lo + lo : chunk_lo + hi],
-                    "length": length, "state": state,
-                    "lo": stream_offset + lo, "total": chunk_size,
-                }
-                for lo, hi in _shard_bounds(
-                    chunk_size, -(-chunk_size // self.shard_rows)
-                )
-            ]
-            parts: list = [None] * len(tasks)
-            self._scatter(tasks, parts.__setitem__)
-            stream_offset += chunk_size * length
-            yield _concat_records(
-                [p[0] for p in parts if p[0].size],
-                [p[1] for p in parts if p[1].size],
-                [p[2] for p in parts if p[2].size],
-            )
-        advance_stream(rng, starts.size * length)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MultiprocWalkEngine(num_procs={self.num_procs}, "
-            f"shard_rows={self.shard_rows})"
-        )
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _FACTORIES: "dict[str, Callable[[], WalkEngine]]" = {}
@@ -1092,5 +469,3 @@ def get_engine(engine: "str | WalkEngine | None" = None) -> WalkEngine:
 
 register_engine("numpy", NumpyWalkEngine)
 register_engine("csr", CSRWalkEngine)
-register_engine("sharded", ShardedWalkEngine)
-register_engine("multiproc", MultiprocWalkEngine)

@@ -10,7 +10,7 @@ turning the build into a streaming pipeline:
    (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`).
 2. A :class:`RecordSink` consumes them.  The concrete
    :class:`ExternalSortSink` packs each record into one ``int64``
-   (:class:`~repro.walks.parallel.RecordPacker`: the canonical sort key
+   (:class:`~repro.walks.records.RecordPacker`: the canonical sort key
    shifted left past the hop bits, 8 bytes per record); when a
    ``memory_budget`` is set and the buffer exceeds it, the buffer is
    sorted in place and spilled as one *run* to a temp file next to the
@@ -52,7 +52,7 @@ from repro.walks.index import (
     entry_state_dtype,
     walker_major_starts,
 )
-from repro.walks.parallel import RecordPacker
+from repro.walks.records import RecordPacker
 from repro.walks.persistence import (
     FileArraySource,
     _atomic_write_v3,
@@ -152,7 +152,7 @@ class ExternalSortSink(RecordSink):
     """Bounded-memory record sorter: buffer, spill sorted runs, merge.
 
     Every record is buffered as one packed ``int64``
-    (:class:`~repro.walks.parallel.RecordPacker` for walks of ``length``
+    (:class:`~repro.walks.records.RecordPacker` for walks of ``length``
     hops; its range check runs before anything is allocated).  With
     ``memory_budget=None`` (the default) nothing ever spills and
     ``finalize`` sorts the whole buffer in place, decodes it once and
@@ -225,7 +225,7 @@ class ExternalSortSink(RecordSink):
         # Keys are globally unique (states are unique within a hit block),
         # so the sorted values — hence every downstream byte — are
         # independent of the sort algorithm and of how records were
-        # partitioned into chunks, shards, or runs.
+        # partitioned into chunks or runs.
         packed.sort()
         return packed
 

@@ -37,7 +37,7 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import random_walk
-from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
+from repro.walks.records import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -110,12 +110,12 @@ def canonical_entries(
     Canonical order is ``(hit, state)``.  States are unique within a hit
     node (first-visit dedup), so the key is a strict total order: the
     assembled arrays are *independent of record generation order* — for
-    a fixed ``(seed, chunk_rows)``, every backend and any shard
-    partitioning land on byte-identical arrays, which is what lets the
+    a fixed ``(seed, chunk_rows)``, every backend lands on
+    byte-identical arrays, which is what lets the
     differential harness compare engines strictly.  (``chunk_rows``
     itself still matters: it shapes the stream consumption and hence the
     walks.)  The records are
-    packed one ``int64`` each (:class:`~repro.walks.parallel.RecordPacker`,
+    packed one ``int64`` each (:class:`~repro.walks.records.RecordPacker`,
     which also range-checks ``(n, R, L)``), value-sorted in place and
     decoded; ``keys`` are the sorted ``hit * n R + state`` keys, which
     the dynamic index maintains across patches.
@@ -303,12 +303,10 @@ class FlatWalkIndex:
         backend (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`):
         walks are produced in chunks of ``chunk_rows`` rows and reduced to
         first-visit records before the next chunk starts, so peak memory
-        is ``O(chunk_rows * L)`` plus the final entry arrays — and the
-        multiproc backend extracts inside its worker processes, streaming
-        only the records back.  Every registered backend builds a
-        **byte-identical** index under the same ``(seed, chunk_rows)``;
-        entries land in canonical ``(hit, state)`` order regardless of
-        how the work was partitioned.
+        is ``O(chunk_rows * L)`` plus the final entry arrays.  Every
+        registered backend builds a **byte-identical** index under the
+        same ``(seed, chunk_rows)``; entries land in canonical
+        ``(hit, state)`` order regardless of the order records arrive in.
 
         The record stream feeds the external-sort pipeline of
         :mod:`repro.walks.build` (DESIGN.md §15), one packed ``int64`` per

@@ -16,13 +16,12 @@ when touched.  The graph fingerprint lets :func:`load_index` refuse a
 *stale* index — one whose graph has since been edited — instead of
 silently producing selections for a topology that no longer exists.
 
-:func:`load_index` sniffs the family by magic bytes, so the **v1/v2**
-``.npz`` archives that earlier releases wrote by default still load
-(read-only; nothing writes them any more).  Either reader checks the
-arrays' structure before handing out an index.  The v3 reader maps every
-declared array but uses only those it names, so arrays written by older
-releases (packed coverage rows) are ignored; archives of the retired
-``"compressed"`` encoding are refused with a pointer to ``repro index``.
+:func:`load_index` checks the magic bytes first: the **v1/v2** ``.npz``
+archives that earlier releases wrote are refused with a pointer to
+``repro index``, as are v3 archives of the retired ``"compressed"``
+encoding.  The reader checks the arrays' structure before handing out an
+index.  It maps every declared array but uses only those it names, so
+arrays written by older releases (packed coverage rows) are ignored.
 
 :func:`save_dynamic_index` / :func:`load_dynamic_index` persist the richer
 :class:`~repro.dynamic.index.DynamicWalkIndex` as a *journal-aware
@@ -64,7 +63,6 @@ __all__ = [
     "load_dynamic_index",
 ]
 
-_READABLE_VERSIONS = (1, 2)
 _DYNAMIC_FORMAT_VERSION = 1
 _V3_VERSION = 3
 #: v3 magic: 8 bytes, never a valid zip prefix, so one read disambiguates.
@@ -96,40 +94,14 @@ def _resolve_load_path(path: "str | Path") -> Path:
     """Where :func:`load_index` should look for ``path``.
 
     A literal existing file or a known suffix wins; otherwise the
-    ``.idx3`` and ``.npz`` suffixed siblings are probed in that order —
-    ``.idx3`` first, because that is the name :func:`save_index` writes,
-    so a fresh save is never shadowed by an older ``.npz`` sibling.
-    When neither exists the ``.idx3`` name is returned so the downstream
-    error message points at the conventional location.
+    ``.idx3`` name :func:`save_index` writes is returned, so a suffixless
+    save and load meet at the same file.  An ``.npz`` sibling is never
+    probed: that suffix only ever held the retired v1/v2 archives.
     """
     path = Path(path)
     if path.suffix in (".npz", ".idx3") or path.is_file():
         return path
-    for suffix in (".idx3", ".npz"):
-        candidate = path.with_name(path.name + suffix)
-        if candidate.is_file():
-            return candidate
     return path.with_name(path.name + ".idx3")
-
-
-def _sniff_is_v3(path: Path) -> bool:
-    """Whether ``path`` holds a v3 container (vs a zip/npz archive).
-
-    Reads the first 8 bytes; an unreadable or unrecognized file raises
-    :class:`GraphFormatError` exactly like the npz loader would.
-    """
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_V3_MAGIC))
-    except OSError as exc:
-        raise GraphFormatError(f"{path}: unreadable index archive") from exc
-    if magic == _V3_MAGIC:
-        return True
-    if magic[:2] == b"PK":
-        return False
-    raise GraphFormatError(
-        f"{path}: unreadable index archive (unrecognized magic bytes)"
-    )
 
 
 def _atomic_savez(path: Path, payload: dict) -> None:
@@ -419,13 +391,27 @@ def _atomic_write_v3(
 def _read_v3_header(path: Path) -> tuple[dict, int, int]:
     """``(header, data_start, file_size)`` of a v3 container.
 
-    Truncated or malformed headers raise :class:`GraphFormatError` — the
-    corruption error class (staleness stays :class:`ParameterError`).
+    The magic bytes are checked first: a zip file is a v1/v2 ``.npz``
+    archive of an earlier release, whose reader is retired, and the
+    error names the format and the rebuild.  Unrecognized magic,
+    truncated or malformed headers raise :class:`GraphFormatError` too —
+    the corruption error class (staleness stays :class:`ParameterError`).
     """
     try:
         size = os.path.getsize(path)
         with open(path, "rb") as fh:
-            fh.seek(len(_V3_MAGIC))
+            magic = fh.read(len(_V3_MAGIC))
+            if magic[:2] == b"PK":
+                raise GraphFormatError(
+                    f"{path}: v1/v2 .npz index archives of earlier releases "
+                    "are no longer readable; rebuild the archive with "
+                    "'repro index'"
+                )
+            if magic != _V3_MAGIC:
+                raise GraphFormatError(
+                    f"{path}: unreadable index archive (unrecognized magic "
+                    "bytes)"
+                )
             raw = fh.read(8)
             if len(raw) < 8:
                 raise GraphFormatError(f"{path}: truncated index archive")
@@ -511,7 +497,10 @@ def _v3_graph_meta(header: dict, path: Path) -> "dict | None":
         ) from exc
 
 
-def _load_v3(path: Path, graph: "Graph | None") -> FlatWalkIndex:
+def _load_index_impl(
+    path: "str | Path", graph: "Graph | None" = None
+) -> FlatWalkIndex:
+    path = _resolve_load_path(path)
     header, data_start, size = _read_v3_header(path)
     try:
         version = int(header["version"])
@@ -640,17 +629,6 @@ def _save_index_impl(index, path, graph, engine, seed) -> Path:
     return path
 
 
-def _read_graph_meta(archive) -> "dict | None":
-    if "graph_meta" not in archive.files:
-        return None
-    raw = archive["graph_meta"]
-    return {
-        "graph_num_nodes": int(raw[0]),
-        "graph_num_edges": int(raw[1]),
-        "graph_fingerprint": int(raw[2]),
-    }
-
-
 def load_index(
     path: "str | Path", graph: "Graph | None" = None
 ) -> FlatWalkIndex:
@@ -665,15 +643,15 @@ def load_index(
     Pass the ``graph`` the index is about to be used with to also enforce
     freshness: a node-count mismatch always raises
     :class:`ParameterError`, and for archives carrying graph provenance
-    (version 2 and 3), an edge-count or adjacency-fingerprint mismatch
-    (a stale index for an edited graph) raises too.
+    (saved with ``graph=``), an edge-count or adjacency-fingerprint
+    mismatch (a stale index for an edited graph) raises too.
 
     Accepts the same suffixless paths :func:`save_index` does: when the
-    literal path does not exist, the ``.idx3``- then ``.npz``-suffixed
-    names are tried.  The family is sniffed from the magic bytes, never
-    the suffix: v3 containers load as read-only views over memory maps
-    (O(metadata) — see the module docstring), legacy npz archives load
-    eagerly.
+    literal path does not exist, the ``.idx3``-suffixed name is tried.
+    The format is checked by its magic bytes, never the suffix: arrays
+    load as read-only views over memory maps (O(metadata) — see the
+    module docstring), and a v1/v2 ``.npz`` archive of an earlier release
+    raises :class:`GraphFormatError` naming ``repro index``.
     """
     started = time.perf_counter()
     with obs.span("persistence.load", path=str(path)):
@@ -688,89 +666,29 @@ def load_index(
     return index
 
 
-def _load_index_impl(
-    path: "str | Path", graph: "Graph | None" = None
-) -> FlatWalkIndex:
-    path = _resolve_load_path(path)
-    if path.is_file() and _sniff_is_v3(path):
-        return _load_v3(path, graph)
-    try:
-        with np.load(path) as archive:
-            missing = {"version", "header", "indptr", "state", "hop"} - set(
-                archive.files
-            )
-            if missing:
-                raise GraphFormatError(
-                    f"{path}: not a walk-index archive (missing {sorted(missing)})"
-                )
-            version = int(archive["version"])
-            if version not in _READABLE_VERSIONS:
-                raise GraphFormatError(
-                    f"{path}: unsupported index format version {version}"
-                )
-            header = archive["header"]
-            num_nodes, length, num_replicates = (int(v) for v in header)
-            indptr = archive["indptr"]
-            state = archive["state"]
-            hop = archive["hop"]
-            graph_meta = _read_graph_meta(archive)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise GraphFormatError(f"{path}: unreadable index archive") from exc
-    if obs.enabled():
-        obs.inc(
-            "persistence_bytes_materialized_total",
-            indptr.nbytes + state.nbytes + hop.nbytes,
-            help="Index bytes loaded eagerly into memory.",
-        )
-    if graph is not None:
-        _check_graph_match(path, graph, num_nodes, graph_meta)
-    return _checked_index(
-        path, indptr, state, hop, num_nodes, length, num_replicates
-    )
-
-
 def index_provenance(path: "str | Path") -> dict:
     """Provenance metadata of a saved index (empty strings when absent).
 
     Returns ``version``, ``engine``, ``seed`` (text), and — when the
     archive carries graph provenance — ``graph_num_nodes`` /
-    ``graph_num_edges`` / ``graph_fingerprint``.  v3 archives
-    additionally report ``encoding`` (``"dense"``, or ``"compressed"``
-    for a retired codec archive that :func:`load_index` refuses).
+    ``graph_num_edges`` / ``graph_fingerprint``, and ``encoding``
+    (``"dense"``, or ``"compressed"`` for a retired codec archive that
+    :func:`load_index` refuses).  A v1/v2 ``.npz`` archive raises
+    :class:`GraphFormatError`, as in :func:`load_index`.
     """
     path = _resolve_load_path(path)
-    if path.is_file() and _sniff_is_v3(path):
-        header, _, _ = _read_v3_header(path)
-        meta = header.get("meta") or {}
-        info = {
-            "version": int(header.get("version", _V3_VERSION)),
-            "encoding": str(header.get("encoding", "")),
-            "engine": str(meta.get("engine", "")),
-            "seed": str(meta.get("seed", "")),
-        }
-        graph_meta = _v3_graph_meta(header, path)
-        if graph_meta is not None:
-            info.update(graph_meta)
-        return info
-    try:
-        with np.load(path) as archive:
-            if "version" not in archive.files:
-                raise GraphFormatError(f"{path}: not a walk-index archive")
-            info = {
-                "version": int(archive["version"]),
-                "engine": str(archive["meta_engine"])
-                if "meta_engine" in archive.files
-                else "",
-                "seed": str(archive["meta_seed"])
-                if "meta_seed" in archive.files
-                else "",
-            }
-            meta = _read_graph_meta(archive)
-            if meta is not None:
-                info.update(meta)
-            return info
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise GraphFormatError(f"{path}: unreadable index archive") from exc
+    header, _, _ = _read_v3_header(path)
+    meta = header.get("meta") or {}
+    info = {
+        "version": int(header.get("version", _V3_VERSION)),
+        "encoding": str(header.get("encoding", "")),
+        "engine": str(meta.get("engine", "")),
+        "seed": str(meta.get("seed", "")),
+    }
+    graph_meta = _v3_graph_meta(header, path)
+    if graph_meta is not None:
+        info.update(graph_meta)
+    return info
 
 
 # ----------------------------------------------------------------------
@@ -783,7 +701,10 @@ def save_dynamic_index(index: "DynamicWalkIndex", path: "str | Path") -> Path:
     CSR at the index's epoch, the trajectories, the canonical entry
     arrays, the seed material / engine provenance, and the epoch itself.
     The frozen uniform stream is *not* stored — it regenerates
-    deterministically from the seed material.  Suffix handling and
+    deterministically from the seed material.  The header keeps five
+    ``int64`` slots; the fifth, a shard count that only snapshots of the
+    retired per-shard seeding used, is always written as 0.  Suffix
+    handling and
     atomicity follow :func:`save_index`: the snapshot lands at a
     ``*.npz`` path (returned) via a same-directory temp file and
     ``os.replace``.
@@ -798,7 +719,7 @@ def save_dynamic_index(index: "DynamicWalkIndex", path: "str | Path") -> Path:
                 index.length,
                 index.num_replicates,
                 index.epoch,
-                index.num_shards,
+                0,
             ],
             dtype=np.int64,
         ),
@@ -822,7 +743,10 @@ def load_dynamic_index(
     The snapshot carries its own graph (the snapshot-epoch topology);
     pass ``graph`` to additionally assert it matches — a mismatch raises
     :class:`ParameterError`, the stale-index guard for callers that load
-    a snapshot against what they believe is the same graph.
+    a snapshot against what they believe is the same graph.  A nonzero
+    stored shard count (a snapshot of the retired per-shard seeding,
+    whose walks no current engine reproduces) raises
+    :class:`GraphFormatError`.
     """
     from repro.dynamic.index import DynamicWalkIndex
 
@@ -845,7 +769,7 @@ def load_dynamic_index(
                     f"{path}: unsupported dynamic snapshot version {version}"
                 )
             header = archive["header"]
-            num_nodes, length, num_replicates, epoch, num_shards = (
+            num_nodes, length, num_replicates, epoch, shard_slot = (
                 int(v) for v in header
             )
             indptr = archive["indptr"]
@@ -859,6 +783,12 @@ def load_dynamic_index(
             entropy = int(str(archive["meta_seed"]))
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise GraphFormatError(f"{path}: unreadable dynamic snapshot") from exc
+    if shard_slot != 0:
+        raise GraphFormatError(
+            f"{path}: snapshot of the retired per-shard seeding "
+            f"({shard_slot} shards) is no longer readable; rebuild it "
+            "with DynamicWalkIndex.build"
+        )
     if graph is not None and (
         graph.num_nodes != snapshot_graph.num_nodes
         or graph_fingerprint(graph) != graph_fingerprint(snapshot_graph)
@@ -881,6 +811,5 @@ def load_dynamic_index(
         walks=np.ascontiguousarray(walks),
         seed_entropy=entropy,
         engine_name=engine_name,
-        num_shards=num_shards,
         epoch=epoch,
     )

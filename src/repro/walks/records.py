@@ -1,0 +1,170 @@
+"""The first-visit record format every index builder shares.
+
+Algorithm 3 reduces a batch of walks to *first-visit records*: one
+``(hit, state, hop)`` triple per position whose node differs from every
+earlier position of its walk.  This module owns that format end to end —
+the extraction (:func:`first_visit_records`), the canonical sort key
+(:func:`canonical_record_key`), the hop-width cap (:data:`MAX_WALK_LENGTH`)
+and the one-``int64`` packed record the canonical sort runs on
+(:class:`RecordPacker`) — so the static, out-of-core, weighted and
+dynamic builders can never disagree on it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import ParameterError
+
+__all__ = [
+    "first_visit_records",
+    "canonical_record_key",
+    "MAX_WALK_LENGTH",
+    "RecordPacker",
+]
+
+
+def first_visit_records(
+    walks: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-visit ``(hit, state, hop)`` records of a block of walks.
+
+    The Algorithm-3 extraction shared by the walk engines'
+    :meth:`~repro.walks.backends.WalkEngine.iter_walk_records` (the static
+    and out-of-core builders), the weighted builder and the dynamic
+    builder (:mod:`repro.dynamic.index`): a position is a record iff its
+    node differs from every earlier position of the walk.
+    ``states`` carries the per-row flattened ``D`` index.
+    """
+    batch = walks.shape[0]
+    length = walks.shape[1] - 1
+    hit_parts: list[np.ndarray] = []
+    state_parts: list[np.ndarray] = []
+    hop_parts: list[np.ndarray] = []
+    for hop in range(1, length + 1):
+        col = walks[:, hop].astype(np.int64)
+        fresh = np.ones(batch, dtype=bool)
+        for prev in range(hop):
+            np.logical_and(fresh, col != walks[:, prev], out=fresh)
+        if not fresh.any():
+            continue
+        hit_parts.append(col[fresh])
+        state_parts.append(states[fresh])
+        hop_parts.append(np.full(int(fresh.sum()), hop, dtype=np.int64))
+    if not hit_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    return (
+        np.concatenate(hit_parts),
+        np.concatenate(state_parts),
+        np.concatenate(hop_parts),
+    )
+
+
+def canonical_record_key(
+    hits: np.ndarray, states: np.ndarray, num_states: int
+) -> np.ndarray:
+    """The canonical ``hit * num_states + state`` sort key, as ``int64``.
+
+    States are unique within one hit node's records (first-visit dedup),
+    so the key is a strict total order over any record set — the one
+    every builder sorts by, in-memory (``FlatWalkIndex._from_records``)
+    and out-of-core (:mod:`repro.walks.build`) alike, kept in one place
+    so the two can never disagree.  Both operands are forced to
+    ``int64`` *before* the multiply: under NEP 50 (numpy >= 2) and under
+    1.x value-based casting alike, ``int32_array * python_int`` stays
+    ``int32`` whenever the scalar fits, so int32 inputs would wrap
+    silently once ``hit * n * R`` crosses 2^31 — reordering entries
+    instead of crashing.  Keys are decodable: ``hit = key // num_states``
+    and ``state = key % num_states`` (states are ``< num_states`` by
+    construction), which is what lets :class:`RecordPacker` carry a whole
+    record in one ``int64``.
+    """
+    keys = np.multiply(hits, np.int64(num_states), dtype=np.int64)
+    keys += states
+    return keys
+
+
+#: The longest walk an index can hold: every builder stores hops as int16.
+MAX_WALK_LENGTH = int(np.iinfo(np.int16).max)
+
+
+class RecordPacker:
+    """One first-visit record as one sortable ``int64``: ``key << b | hop``.
+
+    ``key`` is :func:`canonical_record_key` and the low ``b =
+    L.bit_length()`` bits hold the hop.  Keys are unique and hops are
+    ``< 2**b``, so sorting the packed *values* orders records exactly as
+    sorting by key — an in-place SIMD value sort instead of an argsort
+    plus one gather per column — and every assembler (the external
+    sorter's buffer, spill runs and merge; ``FlatWalkIndex._from_records``;
+    the dynamic index) shares this one format.  A mask reads the hop
+    back, a shift the key, and ``key % num_states`` the state.
+
+    The constructor is the range check: the largest packed record,
+    ``(n * n R << b) - 1``, must fit ``int64`` and ``L`` must fit the
+    int16 hop column, else :class:`~repro.errors.ParameterError`.  No
+    buildable instance reaches the int64 bound — 10^6 nodes at R=100
+    fit at every valid ``L`` — so there is no fallback format.
+    """
+
+    def __init__(self, num_nodes: int, num_replicates: int, length: int):
+        if not 0 <= length <= MAX_WALK_LENGTH:
+            raise ParameterError(
+                f"walk length L={length} outside [0, {MAX_WALK_LENGTH}] "
+                "(hops are stored as int16)"
+            )
+        num_states = int(num_nodes) * int(num_replicates)
+        bits = int(length).bit_length()
+        if (int(num_nodes) * num_states) << bits > 1 << 63:
+            raise ParameterError(
+                f"walk records of n={num_nodes}, R={num_replicates}, "
+                f"L={length} do not pack into int64 (needs "
+                f"n * n * R * 2**{bits} <= 2**63)"
+            )
+        self.num_states = num_states
+        self.length = int(length)
+        self.hop_bits = bits
+
+    def check_hops(self, hops: np.ndarray) -> int:
+        """Raise unless every hop lies in ``[0, L]``; return the largest.
+
+        A hop past ``L`` would spill into the key bits and a negative
+        one would set them all, silently reordering records.
+        """
+        if hops.size == 0:
+            return 0
+        low, high = int(hops.min()), int(hops.max())
+        if low < 0 or high > self.length:
+            raise ParameterError(
+                f"record hops must lie in [0, L={self.length}] "
+                f"(got {low}..{high})"
+            )
+        return high
+
+    def pack(
+        self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
+    ) -> np.ndarray:
+        """A fresh ``int64`` array of packed records.
+
+        ``hops`` must lie in ``[0, L]`` (:meth:`check_hops`) and
+        ``states`` in ``[0, n R)``.
+        """
+        packed = canonical_record_key(hits, states, self.num_states)
+        packed <<= self.hop_bits
+        packed |= hops
+        return packed
+
+    def decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, int16 hops)``, shifting ``packed`` into the keys in place."""
+        hops = np.empty(packed.size, dtype=np.int16)
+        np.bitwise_and(
+            packed, (1 << self.hop_bits) - 1, out=hops, casting="unsafe"
+        )
+        packed >>= self.hop_bits
+        return packed, hops
+
+    def sort_decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sort ``packed`` in place, then :meth:`decode` it."""
+        packed.sort()
+        return self.decode(packed)

@@ -15,19 +15,10 @@ from repro.errors import ParameterError
 __all__ = [
     "resolve_rng",
     "spawn_children",
-    "stream_state",
-    "generator_at",
-    "advance_stream",
     "SeedLike",
 ]
 
 SeedLike = "int | numpy.random.Generator | None"
-
-#: Bit generators whose ``advance(k)`` is exactly "as if ``k`` 64-bit draws
-#: were made" — the property the stream-slicing parallel backends rely on.
-#: (Philox also has ``advance`` but counts 256-bit blocks, so it is *not*
-#: sliceable this way; it is deliberately absent.)
-_SLICEABLE_BIT_GENERATORS = ("PCG64", "PCG64DXSM")
 
 
 def resolve_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
@@ -60,65 +51,3 @@ def spawn_children(
     if count < 0:
         raise ParameterError("count must be non-negative")
     return resolve_rng(seed).spawn(count)
-
-
-# ----------------------------------------------------------------------
-# Stream slicing (the substrate of the sharded / multiproc walk backends)
-# ----------------------------------------------------------------------
-# A PCG64 ``Generator`` consumes exactly one 64-bit state step per
-# ``random()`` double, and ``bit_generator.advance(k)`` repositions the
-# stream as if ``k`` such draws had been made.  Together these make the
-# single logical stream *sliceable*: a worker can reconstruct the
-# generator from its picklable state dict, jump straight to its slice of
-# a ``rng.random(batch)`` block, draw its rows, and skip over everyone
-# else's — producing bit-identical uniforms to the sequential engines
-# without any cross-worker communication.
-
-def stream_state(rng: np.random.Generator) -> "tuple[str, dict] | None":
-    """Picklable ``(bit-generator class name, state dict)`` of a stream.
-
-    Returns ``None`` when the generator's bit generator is not sliceable
-    (its ``advance`` does not count 64-bit draws, or it has none), which
-    tells the parallel backends to fall back to a sequential kernel.
-    """
-    bit_gen = rng.bit_generator
-    name = type(bit_gen).__name__
-    if name not in _SLICEABLE_BIT_GENERATORS:
-        return None
-    return name, bit_gen.state
-
-
-def generator_at(state: "tuple[str, dict]", offset: int) -> np.random.Generator:
-    """A fresh :class:`~numpy.random.Generator` positioned ``offset``
-    64-bit draws into the captured stream.
-
-    The returned generator owns a private bit generator, so advancing it
-    never perturbs the stream the state was captured from.
-    """
-    name, raw = state
-    bit_gen = getattr(np.random, name)()
-    bit_gen.state = raw
-    if offset:
-        bit_gen.advance(offset)
-    return np.random.Generator(bit_gen)
-
-
-def advance_stream(rng: np.random.Generator, count: int) -> None:
-    """Advance ``rng`` as if ``count`` doubles had been drawn from it.
-
-    Used by the parallel backends to move the *caller's* generator past
-    the draws their workers consumed, so a shared stream threaded through
-    several calls stays aligned with the sequential backends.  The 32-bit
-    spill buffer (``has_uint32``/``uinteger``) is preserved — double
-    draws never touch it, but ``advance`` would clear it.
-    """
-    if count <= 0:
-        return
-    bit_gen = rng.bit_generator
-    before = bit_gen.state
-    bit_gen.advance(count)
-    if isinstance(before, dict) and before.get("has_uint32"):
-        after = bit_gen.state
-        after["has_uint32"] = before["has_uint32"]
-        after["uinteger"] = before["uinteger"]
-        bit_gen.state = after

@@ -76,6 +76,16 @@ class TestSelect:
             ])
         assert excinfo.value.code == 2  # argparse usage error
 
+    @pytest.mark.parametrize("engine", ["sharded", "multiproc"])
+    def test_deleted_engines_are_usage_errors(self, edge_list, engine, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "select", "--edge-list", edge_list, "-k", "2",
+                "--method", "approx-fast", "--engine", engine,
+            ])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{engine}'" in capsys.readouterr().err
+
     def test_json_stdout(self, edge_list, capsys):
         main([
             "select", "--edge-list", edge_list, "-k", "2", "-L", "3",

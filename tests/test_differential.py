@@ -1,6 +1,6 @@
 """Differential fuzz harness across walk engines and the archive round trip.
 
-Parity between execution paths is the repo's core invariant: four walk
+Parity between execution paths is the repo's core invariant: both walk
 backends, an index saved to a v3 archive and loaded back, a dynamic
 (incrementally maintained) index, and a serving layer all promise
 bit-identical answers on the same seed.
@@ -11,7 +11,7 @@ op sequences over the whole pipeline::
 
 and asserts, at every step, that
 
-* the four per-engine :class:`DynamicWalkIndex` instances remain
+* the per-engine :class:`DynamicWalkIndex` instances remain
   byte-identical to each other *and* to a fresh static
   ``FlatWalkIndex.build`` on the current graph under every engine
   (incremental == rebuild, engine-independent, canonical order);
@@ -56,12 +56,11 @@ from repro.dynamic import DynamicGraph, DynamicWalkIndex
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.serve import DominationService, IndexSnapshot
-from repro.walks.backends import MultiprocWalkEngine
 from repro.walks.index import FlatWalkIndex
 from repro.walks.persistence import load_index, save_index
 
 SEED = 1234
-ENGINES = ("numpy", "csr", "sharded", "multiproc")
+ENGINES = ("numpy", "csr")
 
 
 def _stored_variants(flat: FlatWalkIndex):
@@ -72,26 +71,11 @@ def _stored_variants(flat: FlatWalkIndex):
     return [("ram", flat), ("archive", loaded)]
 
 
-@pytest.fixture(scope="module")
-def pooled_multiproc():
-    """A pool-forced multiproc engine so the differential run exercises
-    real shared-memory fan-out, not the small-batch fallback."""
-    engine = MultiprocWalkEngine(
-        num_procs=2, shard_rows=32, min_parallel_rows=0
-    )
-    yield engine
-    engine.close()
-
-
-def _engine_spec(name, pooled):
-    return pooled if name == "multiproc" else name
-
-
 # ----------------------------------------------------------------------
 # Step assertions
 # ----------------------------------------------------------------------
-def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length, reps,
-                              pooled) -> FlatWalkIndex:
+def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length,
+                              reps) -> FlatWalkIndex:
     # Dynamic == static holds byte-for-byte because every instance here
     # fits one static-build chunk (n * R << chunk_rows); see the
     # dynamic/index.py module docstring for the multi-chunk caveat.
@@ -104,8 +88,7 @@ def _assert_indexes_identical(dyn: dict, dgraph: DynamicGraph, length, reps,
         assert np.array_equal(dyn["numpy"].walks, maintained.walks), name
     for name in ENGINES:
         static = FlatWalkIndex.build(
-            dgraph.graph, length, reps, seed=SEED,
-            engine=_engine_spec(name, pooled),
+            dgraph.graph, length, reps, seed=SEED, engine=name
         )
         for field in ("indptr", "state", "hop"):
             assert np.array_equal(
@@ -222,16 +205,14 @@ def _random_edit(dgraph: DynamicGraph, seed: int):
 # ----------------------------------------------------------------------
 # The differential runner
 # ----------------------------------------------------------------------
-def run_differential(edges, num_nodes, length, reps, ops, pooled):
+def run_differential(edges, num_nodes, length, reps, ops):
     graph = Graph.from_edges(edges, num_nodes=num_nodes)
     dgraph = DynamicGraph(graph)
     dyn = {
-        name: DynamicWalkIndex.build(
-            graph, length, reps, seed=SEED, engine=_engine_spec(name, pooled)
-        )
+        name: DynamicWalkIndex.build(graph, length, reps, seed=SEED, engine=name)
         for name in ENGINES
     }
-    _assert_indexes_identical(dyn, dgraph, length, reps, pooled)
+    _assert_indexes_identical(dyn, dgraph, length, reps)
     for op in ops:
         note(f"op: {op}")
         if op[0] == "edit":
@@ -243,7 +224,7 @@ def run_differential(edges, num_nodes, length, reps, ops, pooled):
             dgraph.apply_batch(inserts=inserts, deletes=deletes)
             for maintained in dyn.values():
                 maintained.sync(dgraph)
-            _assert_indexes_identical(dyn, dgraph, length, reps, pooled)
+            _assert_indexes_identical(dyn, dgraph, length, reps)
         elif op[0] == "solve":
             _, k, objective = op
             _assert_solve_agrees(dyn, dgraph.graph, min(k, num_nodes), objective)
@@ -300,14 +281,14 @@ def _instances(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(instance=_instances())
-def test_differential_pipeline(instance, pooled_multiproc):
+def test_differential_pipeline(instance):
     edges, num_nodes, length, reps, ops = instance
     note(f"graph: n={num_nodes} edges={edges} L={length} R={reps}")
-    run_differential(edges, num_nodes, length, reps, ops, pooled_multiproc)
+    run_differential(edges, num_nodes, length, reps, ops)
 
 
-def test_differential_smoke(pooled_multiproc):
+def test_differential_smoke():
     """A pinned build -> edit -> solve -> serve sequence in tier-1."""
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]
     ops = [("edit", 7), ("solve", 2, "f2"), ("solve", 2, "f1"), ("serve", 11)]
-    run_differential(edges, 6, 3, 2, ops, pooled_multiproc)
+    run_differential(edges, 6, 3, 2, ops)

@@ -3,7 +3,7 @@
 The load-bearing property, pinned both deterministically and with a
 hypothesis sweep: *incremental update ∘ arbitrary edit batches ==
 from-scratch rebuild, bit-identically* — same trajectories, same entry
-arrays, same greedy selections — across all three walk engines.
+arrays, same greedy selections — across both walk engines.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.dynamic import (
     robust_greedy,
 )
 
-ENGINES = ("numpy", "csr", "sharded", "multiproc")
+ENGINES = ("numpy", "csr")
 
 
 def assert_index_identical(a: DynamicWalkIndex, b: DynamicWalkIndex) -> None:
@@ -570,7 +570,10 @@ class TestPersistenceMetadata:
         with pytest.raises(ParameterError):
             load_index(path, graph=ring_graph(9))
 
-    def test_v1_archives_still_load(self, tmp_path):
+    def test_v1_archives_refused(self, tmp_path):
+        """A v1 ``.npz`` archive (no provenance, no graph metadata) is
+        refused by the loader and the provenance reader alike, naming
+        the retired format and the rebuild."""
         graph = ring_graph(8)
         index = FlatWalkIndex.build(graph, 3, 2, seed=43)
         path = tmp_path / "v1.npz"
@@ -582,10 +585,59 @@ class TestPersistenceMetadata:
             state=index.state,
             hop=index.hop,
         )
-        back = load_index(path, graph=graph)  # no metadata: shape check only
-        np.testing.assert_array_equal(back.state, index.state)
-        info = index_provenance(path)
-        assert info["engine"] == ""
+        for read in (load_index, index_provenance):
+            with pytest.raises(
+                GraphFormatError, match=r"v1/v2 \.npz"
+            ) as excinfo:
+                read(path)
+            assert str(path) in str(excinfo.value)
+            assert "repro index" in str(excinfo.value)
+
+    def test_multiproc_provenance_still_loads(self, tmp_path):
+        """Archives and snapshots built with the deleted ``multiproc``
+        engine hold the same walks as csr's; their provenance is only
+        text, so they load and keep resuming."""
+        graph = power_law_graph(40, 120, seed=16)
+        index = FlatWalkIndex.build(graph, 4, 5, seed=40, engine="csr")
+        path = save_index(
+            index, tmp_path / "walks", graph=graph, engine="multiproc",
+            seed=40,
+        )
+        assert index_provenance(path)["engine"] == "multiproc"
+        assert load_index(path, graph=graph).same_entries(index)
+
+        dyn = DynamicWalkIndex.build(graph, 4, 5, seed=43, engine="csr")
+        snap = save_dynamic_index(dyn, tmp_path / "dyn.npz")
+        with np.load(snap) as archive:
+            payload = dict(archive)
+        payload["meta_engine"] = np.str_("multiproc")
+        np.savez(snap, **payload)
+        reloaded = load_dynamic_index(snap, graph=graph)
+        assert reloaded.engine_name == "multiproc"
+        assert_index_identical(reloaded, dyn)
+        dgraph = DynamicGraph(graph)
+        dgraph.apply_batch(*random_edits(graph, np.random.default_rng(5), 2, 2))
+        reloaded.sync(dgraph)
+        assert_index_identical(
+            reloaded,
+            DynamicWalkIndex.build(dgraph.graph, 4, 5, seed=43, engine="csr"),
+        )
+
+    def test_snapshot_shard_slot(self, tmp_path):
+        """The snapshot header keeps its five int64 slots with 0 in the
+        shard slot (snapshots of earlier releases load); a nonzero
+        count — the retired per-shard seeding — is refused."""
+        graph = power_law_graph(30, 90, seed=17)
+        dyn = DynamicWalkIndex.build(graph, 3, 4, seed=44)
+        path = save_dynamic_index(dyn, tmp_path / "dyn.npz")
+        with np.load(path) as archive:
+            payload = dict(archive)
+        assert payload["header"].dtype == np.int64
+        assert payload["header"].tolist() == [30, 3, 4, 0, 0]
+        payload["header"][4] = 4
+        np.savez(path, **payload)
+        with pytest.raises(GraphFormatError, match="shard"):
+            load_dynamic_index(path)
 
     def test_dynamic_snapshot_resumes_incrementally(self, tmp_path):
         graph = power_law_graph(50, 150, seed=18)

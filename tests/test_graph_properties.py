@@ -4,13 +4,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
-from repro.graphs.generators import (
-    complete_graph,
-    path_graph,
-    power_law_graph,
-    ring_graph,
-    star_graph,
-)
+from repro.graphs.generators import complete_graph, power_law_graph
 from repro.graphs.properties import (
     bfs_distances,
     connected_components,

@@ -257,6 +257,27 @@ class TestTypedErrors:
         assert response.startswith("HTTP/1.1 400")
         assert "malformed request line" in response
 
+    def test_chunked_body_gets_one_501_then_eof(self, server):
+        """A chunked body is refused outright: read as Content-Length 0,
+        its chunk lines would parse as further requests on the socket."""
+        body = json.dumps({"k": 2}).encode()
+        with socket.create_connection(
+            ("127.0.0.1", server.server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /query/select HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        response = received.decode()
+        assert response.startswith("HTTP/1.1 501 Not Implemented")
+        assert response.count("HTTP/1.1 ") == 1
+        assert "Transfer-Encoding" in response
+        assert "Connection: close" in response
+
     def test_internal_errors_do_not_leak_tracebacks(self, graph, index):
         service = _service(graph, index)
 

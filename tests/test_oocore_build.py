@@ -23,21 +23,9 @@ from repro.walks.build import (
     ExternalSortSink,
     build_index_archive,
 )
-from repro.walks.backends import MultiprocWalkEngine
 from repro.walks.index import FlatWalkIndex
-from repro.walks.parallel import MAX_WALK_LENGTH, RecordPacker
+from repro.walks.records import MAX_WALK_LENGTH, RecordPacker
 from repro.walks.persistence import load_index, save_index
-
-
-@pytest.fixture(scope="module")
-def multiproc_engine():
-    """A pool-forced multiproc engine (min_parallel_rows=0 so even the
-    small test batches fan out through the worker processes)."""
-    engine = MultiprocWalkEngine(
-        num_procs=2, shard_rows=128, min_parallel_rows=0
-    )
-    yield engine
-    engine.close()
 
 
 def _reference_archive(tmp_path, graph, length, reps, seed, chunk_rows,
@@ -46,13 +34,12 @@ def _reference_archive(tmp_path, graph, length, reps, seed, chunk_rows,
         graph, length, reps, seed=seed, engine=engine, chunk_rows=chunk_rows
     )
     path = tmp_path / f"{name}.idx3"
-    meta = engine.name if isinstance(engine, MultiprocWalkEngine) else engine
-    save_index(index, path, graph=graph, engine=meta, seed=seed)
+    save_index(index, path, graph=graph, engine=engine, seed=seed)
     return path
 
 
 class TestByteParity:
-    @pytest.mark.parametrize("engine", ["numpy", "csr", "sharded"])
+    @pytest.mark.parametrize("engine", ["numpy", "csr"])
     def test_every_engine(self, tmp_path, engine):
         graph = power_law_graph(120, 700, seed=9)
         ref = _reference_archive(
@@ -68,21 +55,6 @@ class TestByteParity:
             if budget is not None:
                 assert report.num_runs > 1
                 assert report.spilled_bytes > 0
-
-    def test_multiproc_engine(self, tmp_path, multiproc_engine):
-        # Below min_parallel_rows the engine falls back to sequential
-        # chunks, which still exercises its iter_walk_records override.
-        graph = power_law_graph(100, 500, seed=4)
-        ref = _reference_archive(
-            tmp_path, graph, 5, 6, seed=7, chunk_rows=100,
-            engine=multiproc_engine,
-        )
-        out = tmp_path / "oo.idx3"
-        build_index_archive(
-            graph, 5, 6, out, seed=7,
-            engine=multiproc_engine, chunk_rows=100, memory_budget=2048,
-        )
-        assert out.read_bytes() == ref.read_bytes()
 
     def test_in_memory_build_with_budget_identical(self, tmp_path):
         graph = power_law_graph(100, 500, seed=6)

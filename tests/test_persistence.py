@@ -21,7 +21,7 @@ from repro.walks.persistence import (
 
 def _write_v2(path, index, graph=None, **overrides):
     """A version-2 ``.npz`` archive as earlier releases wrote by default
-    (``overrides`` replaces named members, e.g. a corrupted ``indptr``)."""
+    (``overrides`` replaces or adds named members)."""
     payload = {
         "version": np.int64(2),
         "header": np.asarray(
@@ -99,7 +99,7 @@ class TestRoundTrip:
 class TestFailureModes:
     def test_missing_file(self, tmp_path):
         with pytest.raises((GraphFormatError, FileNotFoundError)):
-            load_index(tmp_path / "nope.npz")
+            load_index(tmp_path / "nope.idx3")
 
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -116,29 +116,20 @@ class TestFailureModes:
     def test_wrong_version(self, tmp_path):
         graph = ring_graph(6)
         index = FlatWalkIndex.build(graph, 2, 2, seed=1)
-        path = tmp_path / "v99.npz"
-        np.savez(
-            path,
-            version=np.int64(99),
-            header=np.asarray([6, 2, 2], dtype=np.int64),
-            indptr=index.indptr,
-            state=index.state,
-            hop=index.hop,
-        )
-        with pytest.raises(GraphFormatError):
+        path = tmp_path / "v99.idx3"
+        header = v3_index_header(6, 2, 2, encoding="dense")
+        header["version"] = 99
+        _write_v3(str(path), header, {
+            "indptr": index.indptr, "state": index.state, "hop": index.hop,
+        })
+        with pytest.raises(GraphFormatError, match="version 99"):
             load_index(path)
 
     def test_inconsistent_arrays(self, tmp_path):
         graph = ring_graph(6)
         index = FlatWalkIndex.build(graph, 2, 2, seed=1)
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            version=np.int64(1),
-            header=np.asarray([6, 2, 2], dtype=np.int64),
-            indptr=index.indptr,
-            state=index.state[:-1],  # truncated
-            hop=index.hop,
+        path = _write_raw_v3(
+            tmp_path / "bad.idx3", index, state=index.state[:-1],  # truncated
         )
         with pytest.raises(GraphFormatError):
             load_index(path)
@@ -173,6 +164,8 @@ class TestSuffixNormalization:
         assert save_index(new, tmp_path / "foo") == tmp_path / "foo.idx3"
         assert load_index(tmp_path / "foo").same_entries(new)
         assert index_provenance(tmp_path / "foo")["version"] == 3
+        with pytest.raises(GraphFormatError, match="npz"):
+            load_index(tmp_path / "foo.npz")
 
     def test_dynamic_round_trip_without_suffix(self, tmp_path):
         from repro.dynamic import DynamicWalkIndex
@@ -360,10 +353,10 @@ class TestV3RoundTrip:
 
 
 class TestLegacyArchives:
-    """Archives written by earlier releases still load: the default v2
-    ``.npz``, and v3 archives carrying the since-removed coverage rows and
-    gain-backend provenance (the v3 reader ignores arrays it does not
-    name, and both readers ignore a stored ``gain_backend``)."""
+    """v3 archives written by earlier releases still load, including those
+    carrying the since-removed coverage rows and gain-backend provenance
+    (the reader ignores arrays it does not name and a stored
+    ``gain_backend``).  The v1/v2 ``.npz`` archives are refused loudly."""
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -418,28 +411,32 @@ class TestLegacyArchives:
         assert "gain_backend" not in prov
 
     def test_v2_with_gain_backend(self, built, tmp_path):
+        """A v2 ``.npz`` archive — here one carrying the since-removed
+        ``gain_backend`` provenance — is refused by the loader and the
+        provenance reader alike, naming the retired format and the
+        rebuild, also when reached through a suffixless path."""
         graph, index = built
         path = _write_v2(
             tmp_path / "legacy.npz", index, graph,
             meta_gain_backend=np.str_("bitset"),
         )
-        back = load_index(path, graph=graph)
-        assert back.state.flags.writeable  # npz members load into RAM
-        self._assert_serves_like(graph, index, back)
-        prov = index_provenance(path)
-        assert (prov["version"], prov["engine"], prov["seed"]) == (
-            2, "numpy", "22"
-        )
-        assert prov["graph_fingerprint"] == graph_fingerprint(graph)
-        assert "gain_backend" not in prov
+        for read in (load_index, index_provenance):
+            with pytest.raises(
+                GraphFormatError, match=r"v1/v2 \.npz"
+            ) as excinfo:
+                read(path)
+            assert str(path) in str(excinfo.value)
+            assert "repro index" in str(excinfo.value)
+        path.rename(tmp_path / "suffixless")
+        with pytest.raises(GraphFormatError, match="repro index"):
+            load_index(tmp_path / "suffixless", graph=graph)
 
 
 class TestFingerprintMismatchMessage:
     def test_names_both_fingerprints_and_path(self, tmp_path):
         """Regression: the stale-index error must name the archive path
         and both fingerprints (stored and actual, in hex) so operators
-        can tell *which* archive disagrees and by how much — from a v3
-        archive and from a legacy v2 ``.npz`` alike."""
+        can tell *which* archive disagrees and by how much."""
         graph = power_law_graph(50, 150, seed=31)
         index = FlatWalkIndex.build(graph, 3, 4, seed=32)
         # Same node and edge counts, different wiring: only the
@@ -447,16 +444,13 @@ class TestFingerprintMismatchMessage:
         edited = power_law_graph(50, 150, seed=33)
         if edited.num_edges != graph.num_edges:  # pragma: no cover
             pytest.skip("generator did not hit the edge count")
-        for path in (
-            save_index(index, tmp_path / "fp-v3", graph=graph),
-            _write_v2(tmp_path / "fp-v2.npz", index, graph),
-        ):
-            with pytest.raises(ParameterError) as excinfo:
-                load_index(path, graph=edited)
-            message = str(excinfo.value)
-            assert str(path) in message
-            assert f"{graph_fingerprint(edited):#010x}" in message
-            assert f"{graph_fingerprint(graph):#010x}" in message
+        path = save_index(index, tmp_path / "fp-v3", graph=graph)
+        with pytest.raises(ParameterError) as excinfo:
+            load_index(path, graph=edited)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"{graph_fingerprint(edited):#010x}" in message
+        assert f"{graph_fingerprint(graph):#010x}" in message
 
 
 class TestV3FailureModes:
@@ -540,13 +534,6 @@ class TestStructureChecks:
         graph, index = built
         self._refused(_write_raw_v3(
             tmp_path / "swap.idx3", index, graph,
-            indptr=self._swapped_indptr(index),
-        ), graph)
-
-    def test_v2_decreasing_indptr(self, built, tmp_path):
-        graph, index = built
-        self._refused(_write_v2(
-            tmp_path / "swap.npz", index, graph,
             indptr=self._swapped_indptr(index),
         ), graph)
 
@@ -660,7 +647,7 @@ class TestReadOnlyViews:
     extra_edges=st.integers(0, 40),
     length=st.integers(1, 5),
     reps=st.integers(1, 5),
-    engine=st.sampled_from(["numpy", "csr", "sharded"]),
+    engine=st.sampled_from(["numpy", "csr"]),
 )
 def test_v3_round_trip_property(
     tmp_path_factory, num_nodes, extra_edges, length, reps, engine

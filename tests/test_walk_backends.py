@@ -1,13 +1,8 @@
 """Tests for the pluggable walk-engine backends (repro.walks.backends).
 
-The central contract: **every** backend produces *bit-identical* walks
-and first-hits to the ``"numpy"`` reference under the same seed —
-``"csr"`` consumes the same stream hop for hop, and the parallel
-``"sharded"``/``"multiproc"`` backends slice that stream per shard
-(repro.walks.parallel), so their output is additionally independent of
-shard count, worker count, and scheduling.  The multiproc engine's
-resource lifecycle (shared-memory segments, pool teardown, crash paths)
-has its own suite in tests/test_multiproc.py.
+The central contract: the ``"csr"`` backend produces *bit-identical*
+walks and first-hits to the ``"numpy"`` reference under the same seed,
+because it consumes the same stream hop for hop.
 """
 
 import numpy as np
@@ -17,11 +12,10 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import power_law_graph, ring_graph, star_graph
 from repro.graphs.weighted import WeightedDiGraph
-from repro.walks.alias import weighted_batch_walks
+from repro.walks import backends
 from repro.walks.backends import (
     CSRWalkEngine,
     NumpyWalkEngine,
-    ShardedWalkEngine,
     WalkEngine,
     available_engines,
     get_engine,
@@ -68,9 +62,27 @@ def weighted_cases():
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
+    @pytest.fixture(autouse=True)
+    def _restore_registry(self):
+        """Engines registered by a test do not outlive it."""
+        factories = dict(backends._FACTORIES)
+        instances = dict(backends._INSTANCES)
+        yield
+        backends._FACTORIES.clear()
+        backends._FACTORIES.update(factories)
+        backends._INSTANCES.clear()
+        backends._INSTANCES.update(instances)
+
     def test_builtins_registered(self):
-        names = available_engines()
-        assert {"numpy", "csr", "sharded", "multiproc"} <= set(names)
+        assert available_engines() == ("csr", "numpy")
+
+    @pytest.mark.parametrize("name", ["sharded", "multiproc"])
+    def test_deleted_engines_rejected(self, name):
+        with pytest.raises(
+            ParameterError, match=f"unknown walk engine '{name}'; "
+            "available: csr, numpy$",
+        ):
+            get_engine(name)
 
     def test_default_is_numpy(self):
         assert get_engine(None).name == "numpy"
@@ -165,7 +177,7 @@ class TestCsrParity:
 
     def test_empty_batch(self):
         g = ring_graph(5)
-        for engine in ("numpy", "csr", "sharded", "multiproc"):
+        for engine in ("numpy", "csr"):
             walks = get_engine(engine).batch_walks(g, [], 4, seed=1)
             assert walks.shape == (0, 5)
 
@@ -189,11 +201,10 @@ class TestCsrParity:
 
     def test_invalid_args_match_numpy(self):
         g = ring_graph(6)
-        for engine in ("csr", "sharded", "multiproc"):
-            with pytest.raises(ParameterError):
-                get_engine(engine).batch_walks(g, [0, 99], 3, seed=1)
-            with pytest.raises(ParameterError):
-                get_engine(engine).batch_walks(g, [0], -1, seed=1)
+        with pytest.raises(ParameterError):
+            get_engine("csr").batch_walks(g, [0, 99], 3, seed=1)
+        with pytest.raises(ParameterError):
+            get_engine("csr").batch_walks(g, [0], -1, seed=1)
 
     def test_plan_reused_across_calls(self):
         engine = CSRWalkEngine()
@@ -212,137 +223,48 @@ class TestCsrParity:
 
 
 # ----------------------------------------------------------------------
-# Sharded backend
-# ----------------------------------------------------------------------
-class TestShardedEngine:
-    def test_deterministic_given_seed(self):
-        g = power_law_graph(100, 400, seed=1)
-        starts = np.arange(100).repeat(5)
-        a = get_engine("sharded").batch_walks(g, starts, 6, seed=21)
-        b = get_engine("sharded").batch_walks(g, starts, 6, seed=21)
-        assert np.array_equal(a, b)
-
-    def test_independent_of_worker_count(self):
-        g = power_law_graph(80, 320, seed=2)
-        starts = np.arange(80).repeat(4)
-        few = ShardedWalkEngine(num_shards=4, max_workers=1)
-        many = ShardedWalkEngine(num_shards=4, max_workers=8)
-        assert np.array_equal(
-            few.batch_walks(g, starts, 5, seed=3),
-            many.batch_walks(g, starts, 5, seed=3),
-        )
-
-    def test_matches_sequential_backends_bitwise(self):
-        # The stream-sliced shards reassemble to exactly the sequential
-        # engines' output — the four-backend bit-identity contract.
-        g = ring_graph(16)
-        starts = np.arange(16).repeat(2)
-        engine = ShardedWalkEngine(base="csr", num_shards=4)
-        walks = engine.batch_walks(g, starts, 5, seed=99)
-        assert np.array_equal(
-            walks, get_engine("numpy").batch_walks(g, starts, 5, seed=99)
-        )
-        assert np.array_equal(
-            walks, get_engine("csr").batch_walks(g, starts, 5, seed=99)
-        )
-
-    def test_independent_of_shard_count(self):
-        # Stream slicing makes the partitioning invisible: any num_shards
-        # (including 1) produces the same walks.
-        g = power_law_graph(60, 240, seed=4)
-        starts = np.arange(60).repeat(3)
-        reference = ShardedWalkEngine(num_shards=1).batch_walks(
-            g, starts, 6, seed=17
-        )
-        for shards in (2, 3, 8, 64):
-            walks = ShardedWalkEngine(num_shards=shards).batch_walks(
-                g, starts, 6, seed=17
-            )
-            assert np.array_equal(walks, reference), shards
-
-    def test_non_sliceable_generator_falls_back(self):
-        # A Philox-backed Generator cannot be sliced (its advance counts
-        # 256-bit blocks); the engine must fall back to one sequential
-        # call and still match the numpy backend on the same stream.
-        g = power_law_graph(40, 160, seed=6)
-        starts = np.arange(40).repeat(2)
-        rng_a = np.random.Generator(np.random.Philox(3))
-        rng_b = np.random.Generator(np.random.Philox(3))
-        a = get_engine("numpy").batch_walks(g, starts, 5, seed=rng_a)
-        b = ShardedWalkEngine(num_shards=4).batch_walks(g, starts, 5, seed=rng_b)
-        assert np.array_equal(a, b)
-
-    def test_starts_preserved_and_valid(self):
-        from repro.walks.engine import walk_is_valid
-
-        g = power_law_graph(50, 200, seed=3)
-        starts = np.arange(50)
-        walks = get_engine("sharded").batch_walks(g, starts, 6, seed=5)
-        assert np.array_equal(walks[:, 0], starts)
-        for row in walks:
-            assert walk_is_valid(g, row.tolist())
-
-    def test_weighted_and_first_hits(self):
-        label, w = weighted_cases()[0]
-        starts = np.tile(np.arange(w.num_nodes), 8)
-        walks = get_engine("sharded").weighted_batch_walks(w, starts, 4, seed=6)
-        assert walks.shape == (starts.size, 5)
-        mask = np.zeros(w.num_nodes, dtype=bool)
-        mask[1] = True
-        hits = get_engine("sharded").walk_first_hits(w, starts, 4, mask, seed=6)
-        assert hits.shape == (starts.size,)
-        assert ((hits >= -1) & (hits <= 4)).all()
-
-    def test_fewer_rows_than_shards(self):
-        g = ring_graph(6)
-        walks = ShardedWalkEngine(num_shards=16).batch_walks(g, [2], 3, seed=1)
-        assert walks.shape == (1, 4)
-        assert walks[0, 0] == 2
-
-    def test_invalid_shards(self):
-        with pytest.raises(ParameterError):
-            ShardedWalkEngine(num_shards=0)
-
-
-# ----------------------------------------------------------------------
 # Engine threading through the solver / estimator / simulator layers
 # ----------------------------------------------------------------------
 class TestEngineThreading:
     def test_flat_index_identical_across_backends(self):
         g = power_law_graph(80, 320, seed=4)
         a = FlatWalkIndex.build(g, 5, 10, seed=11, engine="numpy")
-        for engine in ("csr", "sharded", "multiproc"):
-            b = FlatWalkIndex.build(g, 5, 10, seed=11, engine=engine)
-            assert np.array_equal(a.indptr, b.indptr), engine
-            assert np.array_equal(a.state, b.state), engine
-            assert np.array_equal(a.hop, b.hop), engine
+        b = FlatWalkIndex.build(g, 5, 10, seed=11, engine="csr")
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.state, b.state)
+        assert np.array_equal(a.hop, b.hop)
 
     def test_walk_records_chunking_invisible_in_index(self):
-        # walk_records consumes the stream chunk-by-chunk, so a given
+        # iter_walk_records consumes the stream chunk-by-chunk, so a given
         # chunk_rows yields one well-defined index; the canonical entry
         # order makes the *record order* within it irrelevant.
         g = power_law_graph(50, 200, seed=5)
         a = FlatWalkIndex.build(g, 4, 6, seed=9, chunk_rows=64, engine="numpy")
-        b = FlatWalkIndex.build(g, 4, 6, seed=9, chunk_rows=64, engine="sharded")
+        b = FlatWalkIndex.build(g, 4, 6, seed=9, chunk_rows=64, engine="csr")
         assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.hop, b.hop)
 
-    def test_iter_walk_records_equals_walk_records(self):
+    def test_iter_walk_records_matches_chunked_extraction(self):
         # The chunk iterator is the seam the out-of-core builder consumes
-        # (DESIGN.md §15); concatenating it must reproduce walk_records
-        # exactly — same records, same order — for every backend.
+        # (DESIGN.md §15): chunk c holds the first-visit records of the
+        # c-th chunk_rows-row slice of one stream — same records, same
+        # order — for every backend.
+        from repro.walks.records import first_visit_records
+
         g = power_law_graph(60, 240, seed=15)
         starts = np.repeat(np.arange(60, dtype=np.int64), 4)
         states = np.arange(starts.size, dtype=np.int64)
-        for engine in ("numpy", "csr", "sharded", "multiproc"):
+        for engine in ("numpy", "csr"):
             eng = get_engine(engine)
-            whole = eng.walk_records(g, starts, 5, states, seed=41,
-                                     chunk_rows=64)
             chunks = list(eng.iter_walk_records(g, starts, 5, states,
                                                 seed=41, chunk_rows=64))
             assert len(chunks) == -(-starts.size // 64)
-            for part, ref in zip(zip(*chunks), whole):
-                np.testing.assert_array_equal(np.concatenate(part), ref)
+            rng = np.random.default_rng(41)
+            for lo, chunk in zip(range(0, starts.size, 64), chunks):
+                walks = batch_walks(g, starts[lo : lo + 64], 5, seed=rng)
+                want = first_visit_records(walks, states[lo : lo + 64])
+                for got, ref in zip(chunk, want):
+                    np.testing.assert_array_equal(got, ref)
 
     def test_iter_walk_records_validates_eagerly(self):
         # Bad arguments must raise at call time, not on first next().
@@ -390,27 +312,18 @@ class TestEngineThreading:
                                      engine="csr")
         assert a == b
 
-    def test_sharded_accepted_end_to_end(self):
-        g = power_law_graph(50, 200, seed=12)
-        result = approx_greedy_fast(
-            g, 3, 4, num_replicates=10, seed=31, engine="sharded"
-        )
-        assert len(result.selected) == 3
-        assert result.params["walk_engine"] == "sharded"
-
     def test_solver_parity_across_all_backends(self):
         # Bit-identical walks imply bit-identical selections and gains.
         g = power_law_graph(70, 280, seed=14)
         reference = approx_greedy_fast(
             g, 5, 4, num_replicates=20, seed=37, engine="numpy"
         )
-        for engine in ("csr", "sharded", "multiproc"):
-            result = approx_greedy_fast(
-                g, 5, 4, num_replicates=20, seed=37, engine=engine
-            )
-            assert result.selected == reference.selected, engine
-            assert result.gains == reference.gains, engine
-            assert result.params["walk_engine"] == engine
+        result = approx_greedy_fast(
+            g, 5, 4, num_replicates=20, seed=37, engine="csr"
+        )
+        assert result.selected == reference.selected
+        assert result.gains == reference.gains
+        assert result.params["walk_engine"] == "csr"
 
     def test_engine_instance_accepted(self):
         g = ring_graph(10)

@@ -14,7 +14,6 @@ from repro.walks.backends import NumpyWalkEngine
 from repro.walks.engine import batch_walks
 from repro.walks.index import (
     FlatWalkIndex,
-    IndexEntry,
     InvertedIndex,
     walker_major_starts,
 )
@@ -228,7 +227,7 @@ class TestCanonicalRecordKey:
     """
 
     def test_int32_inputs_do_not_wrap(self):
-        from repro.walks.parallel import canonical_record_key
+        from repro.walks.records import canonical_record_key
 
         num_states = 70_000  # fits int32, so the product would stay int32
         hits = np.array([40_000, 40_001], dtype=np.int32)

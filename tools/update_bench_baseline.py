@@ -35,7 +35,6 @@ BENCH_FILES = [
     "benchmarks/bench_dynamic_updates.py",
     "benchmarks/bench_serving.py",
     "benchmarks/bench_http_serving.py",
-    "benchmarks/bench_multiproc.py",
     "benchmarks/bench_oocore_build.py",
     "benchmarks/bench_observability.py",
 ]

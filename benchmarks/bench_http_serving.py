@@ -8,10 +8,11 @@ The acceptance benchmark for the asyncio HTTP front end
   ``select``/``metrics``/``min_targets`` reply, decoded from JSON,
   equals the direct solver call on the served index (hard assertions,
   never gated off); and
-* **micro-batching survives the transport** — a concurrent budget sweep
-  issued by HTTP clients still collapses into fewer kernel passes than
-  queries, because handlers bridge into the service through a thread
-  pool exactly like in-process client threads (structural assertion).
+* **the greedy prefix survives the transport** — a concurrent budget
+  sweep issued by HTTP clients still collapses into fewer kernel passes
+  than queries, because handlers bridge into the service through a
+  thread pool exactly like in-process client threads (structural
+  assertion).
 
 Key reference (all via ``bench_record`` for the ``--json`` report and
 ``tools/check_bench_regression.py``):
@@ -53,7 +54,6 @@ REPLICATES = 100
 SEED = 11
 KS = tuple(range(1, 33))
 CLIENTS = 16
-WINDOW_S = 0.010
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +68,14 @@ def index(graph):
     )
 
 
-def _serve(graph, index, window=WINDOW_S, **kwargs):
-    service = DominationService(
-        IndexSnapshot.capture(graph, index), batch_window=window
-    )
+def _serve(graph, index, **kwargs):
+    service = DominationService(IndexSnapshot.capture(graph, index))
     return service, start_http_server(service, **kwargs)
 
 
 def test_http_answer_parity(graph, index, bench_record):
     """Hard contract: wire replies == direct solver calls, bit for bit."""
-    _, handle = _serve(graph, index, window=0.0)
+    _, handle = _serve(graph, index)
     client = _HttpClient(handle.base_url)
     try:
         select_parity = True
@@ -126,13 +124,11 @@ def test_http_answer_parity(graph, index, bench_record):
 
 
 def test_http_closed_loop_latency(graph, index, bench_record):
-    """Closed-loop sweep over HTTP: latency/throughput + batching proof."""
+    """Closed-loop sweep over HTTP: latency/throughput + prefix proof."""
     queries = [WorkloadQuery(kind="select", k=k) for k in KS]
 
     # In-process reference run for the wire-tax context line.
-    inproc_service = DominationService(
-        IndexSnapshot.capture(graph, index), batch_window=WINDOW_S
-    )
+    inproc_service = DominationService(IndexSnapshot.capture(graph, index))
     inproc = run_load(inproc_service, queries, num_clients=CLIENTS)
 
     best = None
@@ -147,11 +143,11 @@ def test_http_closed_loop_latency(graph, index, bench_record):
             handle.stop()
         assert report.errors == 0
         assert report.rejections == 0
-        # Micro-batching must engage across HTTP clients too — the
-        # executor bridge delivers concurrent selects into one window.
+        # The prefix must be shared across HTTP clients too — the
+        # executor bridge delivers concurrent selects to one service.
         assert report.stats.kernel_passes < len(KS), (
             f"{report.stats.kernel_passes} kernel passes for {len(KS)} "
-            "HTTP select queries: micro-batching did not survive the wire"
+            "HTTP select queries: the greedy prefix did not survive the wire"
         )
         if best is None or report.elapsed_seconds < best.elapsed_seconds:
             best = report

@@ -8,13 +8,13 @@ one precomputed index.  The claims:
 * **bit-identical answers** — every served ``select``/``metrics``/
   ``min_targets`` reply equals the direct solver call on the same index
   (hard assertions, never gated off); and
-* **>= 2x batched concurrent throughput** over the naive loop that runs
+* **>= 2x concurrent select throughput** over the naive loop that runs
   one :func:`~repro.core.approx_fast.approx_greedy_fast` call per query
   (a timing assertion, demoted to report-only under
-  ``--no-timing-gate``).  The mechanism is request micro-batching:
-  budgets arriving within the window share one greedy pass (greedy
-  selections are prefixes of each other), so a 32-budget sweep costs a
-  few kernel passes instead of 32.
+  ``--no-timing-gate``).  The mechanism is the service's greedy
+  prefix: greedy selections are prefixes of each other, so every budget
+  is a slice of one held run per objective, extended by doubling, and a
+  32-budget sweep costs a few kernel passes instead of 32.
 
 Key reference (all via ``bench_record`` for the ``--json`` report and
 ``tools/check_bench_regression.py``):
@@ -47,8 +47,8 @@ from repro.serve import DominationService, IndexSnapshot, WorkloadQuery, run_loa
 from repro.walks.index import FlatWalkIndex
 
 #: The benchmark instance (paper-default R) and the gated workload: a
-#: closed-loop budget sweep, every k distinct so the result cache cannot
-#: shortcut the comparison — only batching can win.
+#: closed-loop budget sweep, every k distinct so no answer repeats — only
+#: the shared greedy prefix can win.
 NODES = 2_000
 EDGES = 12_000
 LENGTH = 6
@@ -56,7 +56,6 @@ REPLICATES = 100
 SEED = 11
 KS = tuple(range(1, 33))
 CLIENTS = 16
-WINDOW_S = 0.010
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +70,13 @@ def index(graph):
     )
 
 
-def _fresh_service(graph, index, window=WINDOW_S):
-    return DominationService(
-        IndexSnapshot.capture(graph, index), batch_window=window
-    )
+def _fresh_service(graph, index):
+    return DominationService(IndexSnapshot.capture(graph, index))
 
 
 def test_served_answer_parity(graph, index, bench_record):
     """Hard contract: served replies == direct solver calls, bit for bit."""
-    service = _fresh_service(graph, index, window=0.0)
+    service = _fresh_service(graph, index)
     select_parity = True
     for k in (1, 5, 17, 32):
         served = service.select(k)
@@ -112,7 +109,7 @@ def test_served_answer_parity(graph, index, bench_record):
 
 
 def test_batched_throughput_gated(graph, index, bench_record, timing_gate):
-    """The standing claim: batched concurrent serving >= 2x the naive loop."""
+    """The standing claim: prefix serving >= 2x the naive loop."""
     naive_s, naive_results = best_of(2, lambda: [
         approx_greedy_fast(graph, k, LENGTH, index=index, objective="f2")
         for k in KS
@@ -131,7 +128,7 @@ def test_batched_throughput_gated(graph, index, bench_record, timing_gate):
             and service.select(k).gains == naive.gains
             for k, naive in zip(KS, naive_results)
         )
-        assert answers_parity, "concurrent batched answers diverged"
+        assert answers_parity, "concurrent prefix answers diverged"
         assert current.errors == 0
 
     stats = report.stats
@@ -150,11 +147,11 @@ def test_batched_throughput_gated(graph, index, bench_record, timing_gate):
         f"p50 {report.latency_p50_ms:.1f} ms / "
         f"p99 {report.latency_p99_ms:.1f} ms) -> {speedup:.1f}x"
     )
-    # Micro-batching must actually collapse the sweep — a pass-per-query
+    # The prefix must actually collapse the sweep — a pass-per-query
     # run would make the throughput claim vacuous even if it squeaked by.
     assert stats.kernel_passes < len(KS), (
         f"{stats.kernel_passes} kernel passes for {len(KS)} select "
-        "queries: micro-batching did not engage"
+        "queries: the greedy prefix was not shared"
     )
     if timing_gate:
         assert speedup >= 2.0, (

@@ -374,14 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="times each client stream replays the workload (default 1)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=2.0,
-        help="select micro-batch window in milliseconds (default 2.0; "
-        "0 batches only simultaneous arrivals)",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=256,
-        help="LRU result-cache capacity in entries (default 256; 0 "
-        "disables caching)",
+        help="LRU capacity for metrics, coverage and min-targets answers, "
+        "in entries (default 256; 0 disables caching)",
     )
     serve.add_argument(
         "-L", "--length", type=int, default=6,
@@ -798,13 +793,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     with open(args.workload) as handle:
         queries = parse_workload(handle.read())
-    options = {
-        "batch_window": args.batch_window / 1e3,
-        "cache_size": args.cache_size,
-    }
     if args.index is not None:
         service = DominationService.from_index_file(
-            args.index, graph, **options
+            args.index, graph, cache_size=args.cache_size
         )
     else:
         from repro.walks.index import FlatWalkIndex
@@ -814,7 +805,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             engine=args.engine,
         )
         service = DominationService(
-            IndexSnapshot.capture(graph, index), **options
+            IndexSnapshot.capture(graph, index), cache_size=args.cache_size
         )
     with service:
         snap = service.snapshot
@@ -822,8 +813,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {snap.num_nodes} nodes (L={snap.length}, "
             f"R={snap.index.num_replicates}, epoch {snap.epoch}): "
             f"{len(queries)} workload queries x {args.repeat}, "
-            f"{args.clients} closed-loop clients, "
-            f"batch window {args.batch_window:g} ms"
+            f"{args.clients} closed-loop clients"
         )
         if args.http:
             from repro.serve import start_http_server
@@ -864,8 +854,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"kernel passes: {stats.kernel_passes} "
-        f"({stats.batched_queries} select queries in "
-        f"{stats.select_batches} batches), "
+        f"({stats.batched_queries} select queries from "
+        f"{stats.select_batches} prefix solves), "
         f"cache hits: {stats.cache_hits}, errors: {report.errors}, "
         f"rejections: {report.rejections}"
     )

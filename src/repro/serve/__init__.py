@@ -12,9 +12,10 @@ precomputed walk index.  This package is that read path (DESIGN.md §10,
   :class:`~repro.dynamic.index.DynamicWalkIndex`.
 * :class:`~repro.serve.service.DominationService` — thread-safe typed
   queries (``select`` / ``metrics`` / ``coverage`` / ``min_targets``)
-  with request micro-batching, an epoch-keyed LRU result cache, and an
-  atomic swap-on-churn publish path; every answer bit-identical to the
-  direct solver call on the same snapshot.
+  with one greedy prefix per snapshot and objective that every
+  ``select`` slices, an epoch-keyed LRU result cache, and an atomic
+  swap-on-churn publish path; every answer bit-identical to the direct
+  solver call on the same snapshot.
 * :mod:`~repro.serve.schemas` — the typed JSON wire schemas
   (dataclass-validated requests with field-context errors, exact
   encode/decode round-trip).

@@ -15,15 +15,16 @@ Three properties the tests and ``benchmarks/bench_http_serving.py`` pin:
   ``run_in_executor``, and encode the service's answer unchanged —
   floats survive JSON bit-exactly, so every HTTP reply equals the
   direct :class:`~repro.serve.service.DominationService` call.  Because
-  queries execute on a thread pool, ``select`` micro-batching keeps
-  working across concurrent HTTP clients exactly as it does for
-  concurrent threads.
+  queries execute on a thread pool, concurrent HTTP clients share the
+  service's greedy prefix exactly as concurrent threads do.
 * **Bounded work, fast rejection.**  Admission control is a bounded
   in-flight budget (``max_inflight``) checked *before* the executor is
   touched — an admitted request is the only kind that queues — plus a
   connection cap (``max_connections``).  Past either bound the server
   answers ``503`` with ``Retry-After`` immediately instead of letting
-  queues grow without bound.
+  queues grow without bound.  Each request must arrive within
+  :data:`REQUEST_TIMEOUT_S`, so idle and trickling clients cannot hold
+  connection slots.
 * **Health vs. readiness.**  ``/healthz`` answers 200 whenever the
   process can parse a request.  ``/readyz`` flips to 200 only once the
   listening socket is bound *and* a snapshot is published, and flips
@@ -67,12 +68,18 @@ __all__ = [
     "start_http_server",
     "MAX_HEADER_BYTES",
     "MAX_BODY_BYTES",
+    "REQUEST_TIMEOUT_S",
 ]
 
 #: Header-block and body ceilings; past them the request is answered
 #: with 431/413 instead of being buffered.
 MAX_HEADER_BYTES = 16_384
 MAX_BODY_BYTES = 1_048_576
+
+#: Seconds a connection gets to deliver its next complete request, idle
+#: time included.  Past it a connection that sent part of a request is
+#: answered 408 and closed; one that sent nothing is closed silently.
+REQUEST_TIMEOUT_S = 30.0
 
 #: Default number of latency samples retained per endpoint for the
 #: /stats percentiles (a bounded window, so stats memory never grows
@@ -85,6 +92,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -237,7 +245,7 @@ class DominationHttpServer:
         Bound on concurrently *executing* queries.  Requests beyond it
         are answered ``503`` + ``Retry-After`` without touching the
         executor.  Also sizes the executor thread pool, so admitted
-        queries reach the service concurrently and can micro-batch.
+        queries reach the service concurrently.
     max_connections:
         Bound on open client connections; connection attempts beyond it
         receive an immediate ``503`` and are closed.
@@ -388,7 +396,7 @@ class DominationHttpServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._next_request(reader)
                 except _HttpError as exc:
                     writer.write(
                         self._render(
@@ -430,14 +438,39 @@ class DominationHttpServer:
             return connection == "keep-alive"
         return connection != "close"
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """One parsed request, or ``None`` on a cleanly closed connection."""
+    async def _next_request(self, reader: asyncio.StreamReader):
+        """The next request, read under one :data:`REQUEST_TIMEOUT_S`
+        deadline; ``None`` when the peer closed or stayed silent."""
+        started: list[bool] = []
         try:
-            line = await reader.readline()
+            return await asyncio.wait_for(
+                self._read_request(reader, started), REQUEST_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            if not started:
+                # Close without a reply: on a keep-alive connection the
+                # client would read it as the answer to its next request.
+                return None
+            raise _HttpError(
+                408, f"request not received within {REQUEST_TIMEOUT_S:g} s"
+            ) from None
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, started: "list[bool]"
+    ):
+        """One parsed request, or ``None`` on a cleanly closed connection.
+
+        Appends to ``started`` once the request's first byte arrives.
+        """
+        try:
+            first = await reader.readexactly(1)
+        except asyncio.IncompleteReadError:
+            return None
+        started.append(True)
+        try:
+            line = first if first == b"\n" else first + await reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
             raise _HttpError(431, "request line too long") from None
-        if not line:
-            return None
         text = line.decode("latin-1").strip()
         parts = text.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
@@ -667,9 +700,9 @@ class DominationHttpServer:
     _SERVICE_METRIC_HELP = {
         "serve_queries_total": "Queries accepted by the service.",
         "serve_cache_hits_total": "Result-cache hits.",
-        "serve_kernel_passes_total": "Shared greedy kernel passes.",
-        "serve_select_batches_total": "Select micro-batches executed.",
-        "serve_batched_queries_total": "Queries answered from a shared batch.",
+        "serve_kernel_passes_total": "Solver runs (select, metrics, min_targets).",
+        "serve_select_batches_total": "Greedy prefix solves for select.",
+        "serve_batched_queries_total": "Select queries answered from a held prefix.",
         "serve_publishes_total": "Snapshot publishes (epoch swaps).",
         "serve_epoch": "Currently published snapshot epoch.",
     }

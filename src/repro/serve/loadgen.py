@@ -12,7 +12,7 @@ blank lines ignored)::
 :func:`run_load` replays a workload through ``num_clients`` *closed-loop*
 clients — each issues one query, waits for the answer, then issues its
 next, the arrival model of the paper's online scenarios — and reports
-throughput, latency percentiles, and the service's batching/cache
+throughput, latency percentiles, and the service's prefix and cache
 counters.  Two transports share the harness: ``"inproc"`` calls the
 service directly on client threads, ``"http"`` drives the same queries
 through keep-alive connections to a
@@ -287,8 +287,9 @@ def run_load(
     The stream is the workload repeated ``repeat`` times, dealt
     round-robin to ``num_clients`` threads that all start on a barrier.
     Per-query latency is wall-clock from issue to answer on the client
-    thread — batching shows up as slightly higher latency (the window)
-    traded for much higher throughput.
+    thread — a ``select`` that extends the service's greedy prefix pays
+    for a solve of up to twice its budget, and the selects after it are
+    slices.
 
     ``transport="inproc"`` (the default) calls ``service`` directly;
     ``transport="http"`` issues the same queries over keep-alive

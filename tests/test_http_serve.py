@@ -56,7 +56,6 @@ def index(graph):
 
 
 def _service(graph, index, **kwargs):
-    kwargs.setdefault("batch_window", 0.0)
     return DominationService(IndexSnapshot.capture(graph, index), **kwargs)
 
 
@@ -322,7 +321,7 @@ class TestHealthAndReadiness:
     def test_readiness_never_flickers_during_epoch_swaps(self, graph):
         dgraph = DynamicGraph(graph)
         dyn = DynamicWalkIndex.build(graph, LENGTH, REPLICATES, seed=4)
-        service = DominationService.from_dynamic(dyn, batch_window=0.0)
+        service = DominationService.from_dynamic(dyn)
         handle = start_http_server(service)
         stop = threading.Event()
         not_ready: list = []
@@ -360,9 +359,7 @@ class TestConcurrentChurnOverHttp:
         placement = (3, 17, 42)
         dgraph = DynamicGraph(graph)
         dyn = DynamicWalkIndex.build(graph, LENGTH, REPLICATES, seed=5)
-        service = DominationService.from_dynamic(
-            dyn, batch_window=0.0, cache_size=0
-        )
+        service = DominationService.from_dynamic(dyn, cache_size=0)
         handle = start_http_server(service, max_inflight=16)
         snapshots = {0: service.snapshot}
         observed: list = []
@@ -457,9 +454,7 @@ class _GatedService(DominationService):
 
 class TestBackpressure:
     def test_saturated_server_returns_fast_503(self, graph, index):
-        service = _GatedService(
-            IndexSnapshot.capture(graph, index), batch_window=0.0
-        )
+        service = _GatedService(IndexSnapshot.capture(graph, index))
         handle = start_http_server(service, max_inflight=1, retry_after=2.0)
         results: list = []
 
@@ -508,9 +503,7 @@ class TestBackpressure:
         assert results and results[0][0] == 200
 
     def test_rejections_counted_by_http_loadgen(self, graph, index):
-        service = _GatedService(
-            IndexSnapshot.capture(graph, index), batch_window=0.0
-        )
+        service = _GatedService(IndexSnapshot.capture(graph, index))
         handle = start_http_server(service, max_inflight=1)
         try:
             # One gated slot, several clients: some queries answer, the
@@ -566,6 +559,98 @@ class TestBackpressure:
                 first.close()
         finally:
             handle.stop()
+
+
+def _read_until_eof(sock) -> bytes:
+    received = b""
+    while chunk := sock.recv(65536):
+        received += chunk
+    return received
+
+
+def _healthz_status(port: int) -> str:
+    """The status line of one ``GET /healthz`` on a fresh connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        try:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            received = _read_until_eof(sock)
+        except ConnectionResetError:
+            # A capped server closes without reading the request.
+            return "reset"
+        return received.decode().split("\r\n", 1)[0]
+
+
+class TestRequestDeadline:
+    """Idle and trickling clients lose their slot at REQUEST_TIMEOUT_S."""
+
+    PARTIAL = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"  # no blank line
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        import repro.serve.http as http_module
+
+        monkeypatch.setattr(http_module, "REQUEST_TIMEOUT_S", 0.3)
+
+    def test_stalled_sockets_do_not_starve_healthz(self, graph, index):
+        handle = start_http_server(_service(graph, index), max_connections=2)
+        port = handle.server.port
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=5
+            ), socket.create_connection(
+                ("127.0.0.1", port), timeout=5
+            ) as trickling:
+                trickling.sendall(self.PARTIAL)
+                # Both slots are held until the deadline frees them; with
+                # no deadline /healthz answers 503 for as long as they
+                # stay open.
+                status = _healthz_status(port)
+                give_up = time.monotonic() + 5.0
+                while "200" not in status and time.monotonic() < give_up:
+                    time.sleep(0.05)
+                    status = _healthz_status(port)
+                assert status == "HTTP/1.1 200 OK"
+        finally:
+            handle.stop()
+
+    def test_mid_headers_socket_gets_one_408_then_eof(self, server):
+        with socket.create_connection(
+            ("127.0.0.1", server.server.port), timeout=5
+        ) as sock:
+            sock.sendall(self.PARTIAL)
+            response = _read_until_eof(sock).decode()
+        assert response.startswith("HTTP/1.1 408 Request Timeout")
+        assert response.count("HTTP/1.1 ") == 1
+        assert "Connection: close" in response
+
+    def test_silent_socket_gets_eof_without_bytes(self, server):
+        with socket.create_connection(
+            ("127.0.0.1", server.server.port), timeout=5
+        ) as sock:
+            assert sock.recv(65536) == b""
+
+    def test_steady_keep_alive_client_is_never_cut_off(self, server):
+        answered = 0
+        with socket.create_connection(
+            ("127.0.0.1", server.server.port), timeout=5
+        ) as sock, sock.makefile("rb") as reader:
+            stop_at = time.monotonic() + 1.5
+            while time.monotonic() < stop_at:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status = reader.readline()
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                assert status.startswith(b"HTTP/1.1 200"), status
+                assert json.loads(reader.read(length))["status"] == "ok"
+                answered += 1
+                time.sleep(0.1)
+        assert answered >= 10
 
 
 class TestLifecycle:
@@ -750,9 +835,7 @@ class TestWireFuzz:
         graph = power_law_graph(30, 60, seed=9)
         index = FlatWalkIndex.build(graph, 3, 4, seed=9)
         handle = start_http_server(
-            DominationService(
-                IndexSnapshot.capture(graph, index), batch_window=0.0
-            )
+            DominationService(IndexSnapshot.capture(graph, index))
         )
         yield handle
         handle.stop()

@@ -280,9 +280,7 @@ class TestMetricsEndpoint:
 
         graph = power_law_graph(80, 240, seed=3)
         index = FlatWalkIndex.build(graph, 4, 10, seed=4)
-        service = DominationService(
-            IndexSnapshot.capture(graph, index), batch_window=0.0
-        )
+        service = DominationService(IndexSnapshot.capture(graph, index))
         with service:
             handle = start_http_server(service, stats_window=16)
             try:
@@ -392,9 +390,7 @@ class TestMetricsEndpoint:
 
         graph = power_law_graph(60, 180, seed=6)
         index = FlatWalkIndex.build(graph, 4, 8, seed=6)
-        service = DominationService(
-            IndexSnapshot.capture(graph, index), batch_window=0.0
-        )
+        service = DominationService(IndexSnapshot.capture(graph, index))
         with service:
             report = run_load(
                 service, [WorkloadQuery(kind="metrics", targets=(1,))],

@@ -70,3 +70,41 @@ def test_traced_solve_counts_celf_inside_engine_run(layers):
     items = trace.phase()["items"]
     assert items["greedy.celf_picks"] == 5
     assert items["greedy.celf_pops"] >= 5
+
+
+def test_service_counters_read_by_the_benchmark_exist():
+    # The traced served-mix run indexes GET /stats' "service" section by
+    # name; a renamed ServiceStats field would crash that run instead of
+    # failing here.
+    import dataclasses
+    import re
+
+    from repro.graphs.generators import power_law_graph
+    from repro.serve import (
+        DominationService,
+        IndexSnapshot,
+        ServiceStats,
+        start_http_server,
+    )
+    from repro.serve.loadgen import _HttpClient
+    from repro.walks.index import FlatWalkIndex
+
+    source = (PERFBENCH / "workloads.py").read_text()
+    keys = set(re.findall(r"""stats\["service"\]\["(\w+)"\]""", source))
+    assert keys
+    fields = {f.name for f in dataclasses.fields(ServiceStats)}
+    assert keys <= fields, sorted(keys - fields)
+    graph = power_law_graph(40, 120, seed=5)
+    index = FlatWalkIndex.build(graph, 3, 5, seed=5)
+    with DominationService(IndexSnapshot.capture(graph, index)) as service:
+        handle = start_http_server(service)
+        client = _HttpClient(handle.base_url)
+        try:
+            status, payload = client.request("GET", "/stats")
+        finally:
+            client.close()
+            handle.stop()
+    assert status == 200
+    assert keys <= set(payload["service"]), sorted(
+        keys - set(payload["service"])
+    )

@@ -1,5 +1,8 @@
-"""Serving-layer tests: parity, micro-batching, caching, epochs, swaps."""
+"""Serving-layer tests: parity, the greedy prefix, caching, epochs, swaps."""
 
+import math
+import random
+import sys
 import threading
 
 import pytest
@@ -31,7 +34,6 @@ def index(graph):
 
 
 def _service(graph, index, **kwargs):
-    kwargs.setdefault("batch_window", 0.0)
     return DominationService(IndexSnapshot.capture(graph, index), **kwargs)
 
 
@@ -101,9 +103,93 @@ class TestAnswerParity:
             service.select(3, objective="f3")
 
 
-class TestMicroBatching:
+class TestGreedyPrefix:
+    """Every select is a slice of one held greedy run per objective."""
+
+    def test_ascending_sweep_doubles_descending_sweep_solves_once(
+        self, graph, index
+    ):
+        service = _service(graph, index)
+        for k in range(1, 33):
+            served = service.select(k)
+            direct = approx_greedy_fast(
+                graph, k, 5, index=index, objective="f2"
+            )
+            assert served.selected == direct.selected
+            assert served.gains == direct.gains
+        stats = service.stats
+        # Budgets 1, 2, 4, 8, 16, 32: one solve per doubling.
+        assert stats.kernel_passes == stats.select_batches == 6
+        assert stats.batched_queries == 32
+        service = _service(graph, index)
+        for k in range(32, 0, -1):
+            served = service.select(k)
+            direct = approx_greedy_fast(
+                graph, k, 5, index=index, objective="f2"
+            )
+            assert served.selected == direct.selected
+            assert served.gains == direct.gains
+        stats = service.stats
+        assert stats.kernel_passes == stats.select_batches == 1
+
+    def test_threaded_stress_keeps_answers_and_the_doubling_bound(
+        self, graph, index
+    ):
+        """More threads than cores and a tiny switch interval: every
+        answer is a slice of the direct run, and a lost install would
+        show as more solves than doubling allows."""
+        service = _service(graph, index)
+        rng = random.Random(5)
+        k_max = 40
+        plans = [
+            [(rng.randint(1, k_max), rng.choice(("f1", "f2")))
+             for _ in range(30)]
+            for _ in range(8)
+        ]
+        answers: list = []
+        errors: list = []
+
+        def worker(plan):
+            try:
+                for k, objective in plan:
+                    answers.append(
+                        (k, objective, service.select(k, objective=objective))
+                    )
+            except Exception as exc:  # pragma: no cover - fail loudly
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(plan,), daemon=True)
+            for plan in plans
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(answers) == 8 * 30
+        stats = service.stats
+        bound = 2 * (math.ceil(math.log2(k_max)) + 1)
+        assert stats.kernel_passes == stats.select_batches <= bound
+        assert stats.batched_queries == 8 * 30
+        direct = {
+            objective: approx_greedy_fast(
+                graph, k_max, 5, index=index, objective=objective
+            )
+            for objective in ("f1", "f2")
+        }
+        for k, objective, served in answers:
+            assert served.selected == direct[objective].selected[:k]
+            assert served.gains == direct[objective].gains[:k]
+
     def test_concurrent_selects_share_one_pass(self, graph, index):
-        service = _service(graph, index, batch_window=0.05)
+        service = _service(graph, index)
         results: dict[int, object] = {}
         threads = [
             threading.Thread(
@@ -126,15 +212,14 @@ class TestMicroBatching:
             assert results[k].gains == direct.gains
             assert results[k].params["served"] is True
 
-    def test_batch_failure_raises_per_thread_copies(self, graph, index,
-                                                    monkeypatch):
-        """A failing shared pass surfaces to every waiter with the
-        original type preserved, each as its own instance (a single
-        shared exception re-raised from N threads races on its
-        traceback)."""
+    def test_failed_extension_raises_per_thread_copies(self, graph, index,
+                                                       monkeypatch):
+        """A failing solve surfaces to every waiter with the original
+        type preserved, each as its own instance (a single shared
+        exception re-raised from N threads races on its traceback)."""
         import repro.serve.service as service_module
 
-        service = _service(graph, index, batch_window=0.05)
+        service = _service(graph, index)
 
         def broken(*args, **kwargs):
             raise ParameterError("kernel exploded")
@@ -159,8 +244,30 @@ class TestMicroBatching:
         assert all("kernel exploded" in str(exc) for exc in caught)
         assert len({id(exc) for exc in caught}) == 3
 
-    def test_objectives_do_not_share_a_batch(self, graph, index):
-        service = _service(graph, index, batch_window=0.05)
+    def test_failed_extension_stores_nothing(self, graph, index,
+                                             monkeypatch):
+        import repro.serve.service as service_module
+
+        service = _service(graph, index)
+        service.select(3)
+
+        def broken(*args, **kwargs):
+            raise ParameterError("kernel exploded")
+
+        monkeypatch.setattr(service_module, "approx_greedy_fast", broken)
+        with pytest.raises(ParameterError, match="kernel exploded"):
+            service.select(10)
+        # The held run is untouched: shorter budgets still slice it.
+        assert service.select(2).params["prefix_k"] == 3
+        monkeypatch.undo()
+        served = service.select(10)
+        direct = approx_greedy_fast(graph, 10, 5, index=index, objective="f2")
+        assert served.selected == direct.selected
+        assert served.gains == direct.gains
+        assert service.stats.select_batches == 2
+
+    def test_objectives_hold_separate_prefixes(self, graph, index):
+        service = _service(graph, index)
         results = {}
 
         def query(objective):
@@ -179,14 +286,89 @@ class TestMicroBatching:
                 graph, 4, 5, index=index, objective=objective
             )
             assert results[objective].selected == direct.selected
+        assert service.stats.select_batches == 2
+        # Each objective slices its own run, with no further solve.
+        for objective in ("f1", "f2"):
+            served = service.select(3, objective=objective)
+            direct = approx_greedy_fast(
+                graph, 3, 5, index=index, objective=objective
+            )
+            assert served.selected == direct.selected
+            assert served.gains == direct.gains
+            assert served.algorithm == direct.algorithm
+        assert service.stats.select_batches == 2
+
+    def test_served_params(self, graph, index):
+        service = _service(graph, index)
+        service.select(9)
+        for k in (0, 3, 9, 10):
+            served = service.select(k)
+            direct = approx_greedy_fast(
+                graph, k, 5, index=index, objective="f2"
+            )
+            params = served.params
+            assert params["served"] is True
+            assert params["epoch"] == 0
+            assert params["k"] == k
+            assert params["prefix_k"] >= k
+            assert set(params) == set(direct.params) | {
+                "served", "epoch", "prefix_k",
+            }
+        assert service.select(10).params["prefix_k"] == 18
+
+    def test_stale_generation_extension_is_never_held(
+        self, graph, index, monkeypatch
+    ):
+        """A reader that resolved the old publish and extends after a
+        same-epoch republish answers from the old index, and its run is
+        never served to readers of the new one."""
+        import repro.serve.service as service_module
+
+        service = _service(graph, index)
+        service.select(4)
+        real = service_module.approx_greedy_fast
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "approx_greedy_fast", gated)
+        stale: list = []
+        reader = threading.Thread(
+            target=lambda: stale.append(service.select(12)), daemon=True
+        )
+        reader.start()
+        assert entered.wait(10)
+        rebuilt = FlatWalkIndex.build(graph, 5, 20, seed=99)
+        service.publish(IndexSnapshot.capture(graph, rebuilt))
+        assert service.epoch == 0  # same epoch, same fingerprint
+        assert service._prefixes == {}
+        release.set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        old = approx_greedy_fast(graph, 12, 5, index=index, objective="f2")
+        assert stale[0].selected == old.selected
+        assert stale[0].gains == old.gains
+        assert service._prefixes == {}
+        for k in (4, 12):
+            fresh = service.select(k)
+            direct = approx_greedy_fast(
+                graph, k, 5, index=rebuilt, objective="f2"
+            )
+            assert fresh.selected == direct.selected
+            assert fresh.gains == direct.gains
+        # Sanity: the two indexes genuinely disagree.
+        assert (fresh.selected, fresh.gains) != (old.selected, old.gains)
 
 
 class TestResultCache:
     def test_repeat_query_hits_cache(self, graph, index):
         service = _service(graph, index)
-        first = service.select(5)
+        first = service.metrics((1, 5, 9))
         passes = service.stats.kernel_passes
-        second = service.select(5)
+        second = service.metrics((1, 5, 9))
         assert second == first
         assert service.stats.kernel_passes == passes
         assert service.stats.cache_hits == 1
@@ -204,18 +386,18 @@ class TestResultCache:
 
     def test_cache_size_zero_disables(self, graph, index):
         service = _service(graph, index, cache_size=0)
-        service.select(5)
-        service.select(5)
+        service.metrics((1, 5, 9))
+        service.metrics((1, 5, 9))
         assert service.stats.cache_hits == 0
         assert service.stats.kernel_passes == 2
 
     def test_lru_eviction(self, graph, index):
         service = _service(graph, index, cache_size=2)
-        service.select(1)
-        service.select(2)
-        service.select(3)  # evicts k=1
+        service.metrics((1,))
+        service.metrics((2,))
+        service.metrics((3,))  # evicts (1,)
         passes = service.stats.kernel_passes
-        service.select(1)
+        service.metrics((1,))
         assert service.stats.kernel_passes == passes + 1
 
 
@@ -234,7 +416,6 @@ def _absent_edges(graph, count):
 class TestEpochsAndSwap:
     def _dynamic_service(self, graph, **kwargs):
         dyn = DynamicWalkIndex.build(graph, 5, 20, seed=4)
-        kwargs.setdefault("batch_window", 0.0)
         return DominationService.from_dynamic(dyn, **kwargs), dyn
 
     def test_sync_publishes_new_epoch_with_fresh_answers(self, graph):
@@ -256,7 +437,7 @@ class TestEpochsAndSwap:
 
     def test_publish_invalidates_stale_cache_entries(self, graph):
         service, _ = self._dynamic_service(graph)
-        service.select(6)
+        service.metrics((4, 5, 6))
         service.metrics((1, 2, 3))
         assert len(service._cache) == 2
         dgraph = DynamicGraph(graph)
@@ -267,7 +448,7 @@ class TestEpochsAndSwap:
         # The re-issued query recomputes rather than serving the stale
         # epoch-0 answer.
         hits = service.stats.cache_hits
-        service.select(6)
+        service.metrics((4, 5, 6))
         assert service.stats.cache_hits == hits
 
     def test_in_flight_stale_result_is_not_recached(self, graph):
@@ -277,7 +458,7 @@ class TestEpochsAndSwap:
         live entries."""
         service, _ = self._dynamic_service(graph)
         old = service.snapshot
-        stale = service.select(6)
+        stale = service.metrics((1, 2, 3))
         dgraph = DynamicGraph(graph)
         dgraph.apply_batch(_absent_edges(graph, 1), [])
         service.sync(dgraph)
@@ -285,7 +466,7 @@ class TestEpochsAndSwap:
         # Replay what an in-flight reader would do post-swap (cache keys
         # lead with the publish generation, 0 before the sync).
         service._cache_put(
-            (0, old.fingerprint, old.epoch, "select", 6, "f2"),
+            (0, old.fingerprint, old.epoch, "metrics", (1, 2, 3)),
             stale,
         )
         assert len(service._cache) == 0
@@ -310,7 +491,7 @@ class TestEpochsAndSwap:
     def test_concurrent_readers_during_churn_swaps(self, graph):
         """Readers under continuous churn: every answer belongs to a
         published epoch and matches the direct solve on that snapshot."""
-        service, _ = self._dynamic_service(graph, batch_window=0.001)
+        service, _ = self._dynamic_service(graph)
         snapshots = {0: service.snapshot}
         answers = []
         errors = []
@@ -414,8 +595,6 @@ class TestSubmitAndLifecycle:
         with pytest.raises(ParameterError):
             DominationService(snapshot, max_workers=0)
         with pytest.raises(ParameterError):
-            DominationService(snapshot, batch_window=-1.0)
-        with pytest.raises(ParameterError):
             DominationService(snapshot, cache_size=-1)
         with pytest.raises(ParameterError):
             IndexSnapshot.capture(power_law_graph(30, 60, seed=9), index)
@@ -425,9 +604,7 @@ class TestFromIndexFile:
     def test_round_trip_serves(self, graph, index, tmp_path):
         path = tmp_path / "served"  # suffixless on purpose
         save_index(index, path, graph=graph)
-        with DominationService.from_index_file(
-            path, graph, batch_window=0.0
-        ) as service:
+        with DominationService.from_index_file(path, graph) as service:
             direct = approx_greedy_fast(
                 graph, 5, 5, index=index, objective="f2"
             )
@@ -466,7 +643,7 @@ class TestLoadgen:
             parse_workload("frobnicate 1\n")
 
     def test_run_load_counts_and_parity(self, graph, index):
-        service = _service(graph, index, batch_window=0.002)
+        service = _service(graph, index)
         queries = parse_workload("select 4\nmetrics 1,2\ncoverage 3,4\n")
         report = run_load(service, queries, num_clients=2, repeat=3)
         assert report.num_queries == 9

@@ -47,6 +47,11 @@ __all__ = ["FastApproxEngine", "approx_greedy_fast"]
 
 _OBJECTIVES = ("f1", "f2")
 
+#: Entries per block of the closed-form f1 sweep: caps the ``int64``
+#: copy ``np.add.reduceat`` makes of its input at 8 MB, instead of
+#: eight bytes per index entry.
+_SWEEP_BLOCK = 1 << 20
+
 
 class FastApproxEngine:
     """Mutable Algorithm 6 state over a flat walk index.
@@ -107,6 +112,9 @@ class FastApproxEngine:
             # This is the first sweep of every fresh solve.
             self.num_gain_evaluations += n
             return self.num_replicates + np.diff(index.indptr)
+        if self.objective == "f1" and not self.selected:
+            self.num_gain_evaluations += n
+            return self._fresh_f1_gains()
         state = index.state
         if self.objective == "f1":
             contrib = self.d[state].astype(np.int64) - index.hop
@@ -128,6 +136,43 @@ class FastApproxEngine:
             ).sum(axis=0, dtype=np.int64)
         self.num_gain_evaluations += n
         return base + entry_sums
+
+    def _fresh_f1_gains(self) -> np.ndarray:
+        """The f1 sweep while every ``d`` is ``L``, in closed form.
+
+        Each entry contributes ``max(L - hop, 0) = L - min(hop, L)``, so
+        node ``u``'s gain is ``R L + L c(u) - sum(min(hop, L))`` over its
+        ``c(u)`` entries: one pass over the hops, no state gather.  The
+        clamp keeps this equal to the entry sweep for any stored hop
+        (a loaded archive's hops are structure-checked, not
+        range-checked).  ``reduceat`` ends each segment at the next
+        start, so it runs over the non-empty segments only: an empty
+        segment's start would cut its predecessor short, or lie past
+        the end of the array.  ``reduceat`` also casts its whole input
+        to the ``int64`` accumulator, so the hops go through in blocks
+        of about :data:`_SWEEP_BLOCK` entries, cut at segment starts.
+        """
+        index = self.index
+        length = index.length
+        indptr = index.indptr
+        counts = np.diff(indptr).astype(np.int64)
+        hop_sums = np.zeros(self.num_nodes, dtype=np.int64)
+        nodes = np.flatnonzero(counts)
+        starts = indptr[nodes]
+        total = int(indptr[-1])
+        cuts = np.searchsorted(starts, np.arange(0, total, _SWEEP_BLOCK))
+        cuts = np.unique(np.append(cuts, nodes.size))
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            lo = int(starts[a])
+            hi = int(starts[b]) if b < nodes.size else total
+            block = np.minimum(index.hop[lo:hi], length)
+            hop_sums[nodes[a:b]] = np.add.reduceat(
+                block, starts[a:b] - lo, dtype=np.int64
+            )
+        gains = counts * length
+        gains += self.num_replicates * length
+        gains -= hop_sums
+        return gains
 
     def gain_of(self, node: int) -> int:
         """Raw gain sum (``sigma_u * R``) of a single candidate."""

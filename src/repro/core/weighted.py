@@ -27,9 +27,11 @@ from repro.core.approx_fast import FastApproxEngine
 from repro.core.greedy import greedy_select
 from repro.core.result import SelectionResult
 from repro.walks.alias import AliasSampler, weighted_batch_walks
+from repro.walks.build import DenseEntryWriter, ExternalSortSink
 from repro.walks.index import (
     FlatWalkIndex,
     _validate_params,
+    _walker_major_states,
     walker_major_starts,
 )
 from repro.walks.records import first_visit_records
@@ -52,26 +54,34 @@ def build_weighted_index(
     seed: "int | np.random.Generator | None" = None,
     chunk_rows: int = 1 << 19,
 ) -> FlatWalkIndex:
-    """Algorithm 3 with weighted walks: R alias-sampled walks per node."""
+    """Algorithm 3 with weighted walks: R alias-sampled walks per node.
+
+    The records take the static builder's path: packed per chunk
+    (:func:`~repro.walks.records.first_visit_records`) into the external
+    sorter, assembled by :class:`~repro.walks.build.DenseEntryWriter`.
+    """
     n = graph.num_nodes
     _validate_params(n, length, num_replicates)
     rng = resolve_rng(seed)
     sampler = AliasSampler(graph)
     starts = walker_major_starts(n, num_replicates)
-    records = []
-    for lo in range(0, starts.size, chunk_rows):
-        rows = starts[lo : lo + chunk_rows]
-        walks = weighted_batch_walks(graph, rows, length, seed=rng, sampler=sampler)
-        row_ids = np.arange(lo, lo + rows.size, dtype=np.int64)
-        records.append(
-            first_visit_records(walks, (row_ids % num_replicates) * n + rows)
-        )
-    if records:
-        hits, states, hops = (np.concatenate(part) for part in zip(*records))
-    else:
-        hits = states = hops = np.empty(0, dtype=np.int64)
-    return FlatWalkIndex._from_records(
-        hits, states, hops, num_nodes=n, length=length,
+    states = _walker_major_states(n, num_replicates)
+
+    def chunks(packer):
+        for lo in range(0, starts.size, chunk_rows):
+            rows = starts[lo : lo + chunk_rows]
+            walks = weighted_batch_walks(
+                graph, rows, length, seed=rng, sampler=sampler
+            )
+            yield first_visit_records(
+                walks, states[lo : lo + chunk_rows], packer
+            )
+
+    with ExternalSortSink(n, num_replicates, length) as sink:
+        sink.consume_all(chunks(sink.packer))
+        indptr, state, hop = sink.finalize(DenseEntryWriter(n, num_replicates))
+    return FlatWalkIndex(
+        indptr=indptr, state=state, hop=hop, num_nodes=n, length=length,
         num_replicates=num_replicates,
     )
 

@@ -210,6 +210,9 @@ class DynamicWalkIndex:
         # with the live keys backing.
         self._scratch: dict = {}
         self._spare_keys: "np.ndarray | None" = None
+        self._packer = RecordPacker(
+            flat.num_nodes, flat.num_replicates, flat.length
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -244,9 +247,10 @@ class DynamicWalkIndex:
         uniforms = engine_uniforms(entropy, starts.size, length)
         walks = replay_walks(graph, starts, uniforms)
         states = _states_of_rows(np.arange(starts.size), n, num_replicates)
-        hits, state_vals, hops = _first_visit_records(walks, states)
+        packer = RecordPacker(n, num_replicates, length)
         flat, keys = _canonical_flat(
-            hits, state_vals, hops, n, length, num_replicates
+            *_first_visit_records(walks, states, packer), packer,
+            num_replicates,
         )
         return cls(
             graph=graph,
@@ -394,9 +398,9 @@ class DynamicWalkIndex:
                     dirty_states = _states_of_rows(
                         rows, self.num_nodes, replicates
                     )
-                    removed = _first_visit_records(
-                        self.walks[rows], dirty_states
-                    )[0].size
+                    removed = int(_first_visit_records(
+                        self.walks[rows], dirty_states, self._packer
+                    )[0].size)
                     before = self.flat.total_entries
                     self.walks[rows] = new_walks
                     self._rebuild_entries_from_walks()
@@ -441,10 +445,9 @@ class DynamicWalkIndex:
             np.arange(self.walks.shape[0]), self.num_nodes,
             self.num_replicates,
         )
-        hits, state_vals, hops = _first_visit_records(self.walks, states)
         self.flat, self._keys = _canonical_flat(
-            hits, state_vals, hops, self.num_nodes, self.length,
-            self.num_replicates,
+            *_first_visit_records(self.walks, states, self._packer),
+            self._packer, self.num_replicates,
         )
         self._spare_keys = None
 
@@ -495,19 +498,20 @@ class DynamicWalkIndex:
         n = self.num_nodes
         replicates = self.num_replicates
         num_states = self.num_states
+        packer = self._packer
         flat = self.flat
         keys = self.keys
         dirty_states = _states_of_rows(rows, n, replicates)
 
         # The entries to drop are exactly the first visits of the dirty
         # rows' *old* trajectories, so their positions come from binary
-        # search over the maintained keys — no full-length gather.
-        old_hits, old_states, _ = _first_visit_records(
-            self.walks[rows], dirty_states
+        # search over the maintained keys — no full-length gather.  The
+        # sorted packed records shifted past the hop bits are their keys.
+        old_keys, old_counts = _first_visit_records(
+            self.walks[rows], dirty_states, packer
         )
-        old_keys = np.sort(
-            canonical_record_key(old_hits, old_states, num_states)
-        )
+        old_keys.sort()
+        old_keys >>= packer.hop_bits
         removed_pos = np.searchsorted(keys, old_keys)
         if old_keys.size and (
             removed_pos[-1] >= keys.size
@@ -524,11 +528,10 @@ class DynamicWalkIndex:
         kept_state = flat.state[keep]
         kept_hop = flat.hop[keep]
 
-        hits, states, hops = _first_visit_records(new_walks, dirty_states)
-        packer = RecordPacker(n, replicates, self.length)
-        new_keys, new_hops = packer.sort_decode(
-            packer.pack(hits, states, hops)
+        fresh, new_counts = _first_visit_records(
+            new_walks, dirty_states, packer
         )
+        new_keys, new_hops = packer.sort_decode(fresh)
 
         positions = np.searchsorted(kept_keys, new_keys)
         total = kept_keys.size + new_keys.size
@@ -552,11 +555,7 @@ class DynamicWalkIndex:
         merged_hop = np.empty(total, dtype=np.int16)
         merged_hop[kept_mask] = kept_hop
         merged_hop[new_slots] = new_hops
-        counts = (
-            np.diff(flat.indptr)
-            - np.bincount(old_hits, minlength=n)
-            + np.bincount(hits, minlength=n)
-        )
+        counts = np.diff(flat.indptr) - old_counts + new_counts
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.flat = FlatWalkIndex(
@@ -572,7 +571,7 @@ class DynamicWalkIndex:
             retiring.base if retiring.base is not None else retiring
         )
         self._keys = merged_keys
-        return int(old_hits.size), int(hits.size)
+        return int(old_keys.size), int(new_keys.size)
 
     # ------------------------------------------------------------------
     def selection_metrics(self, targets) -> dict:
@@ -623,14 +622,12 @@ def _states_of_rows(
 
 
 def _canonical_flat(
-    hits: np.ndarray,
-    states: np.ndarray,
-    hops: np.ndarray,
-    num_nodes: int,
-    length: int,
+    packed: np.ndarray,
+    counts: np.ndarray,
+    packer: RecordPacker,
     num_replicates: int,
 ) -> tuple[FlatWalkIndex, np.ndarray]:
-    """Assemble records into canonical ``(hit, state)`` order.
+    """Assemble packed records into canonical ``(hit, state)`` order.
 
     The layout is independent of record generation order
     (:func:`~repro.walks.index.canonical_entries`) — the property that
@@ -638,14 +635,14 @@ def _canonical_flat(
     index and its sorted key array (maintained by the patches).
     """
     indptr, state, hop, keys = canonical_entries(
-        hits, states, hops, num_nodes, length, num_replicates
+        packed, counts, packer.num_nodes, packer.length, num_replicates
     )
     flat = FlatWalkIndex(
         indptr=indptr,
         state=state,
         hop=hop,
-        num_nodes=num_nodes,
-        length=length,
+        num_nodes=packer.num_nodes,
+        length=packer.length,
         num_replicates=num_replicates,
     )
     return flat, keys

@@ -46,7 +46,7 @@ from repro.graphs.adjacency import Graph
 from repro.graphs.weighted import WeightedDiGraph
 from repro.walks.alias import AliasSampler, weighted_batch_walks
 from repro.walks.engine import batch_first_hits, batch_walks
-from repro.walks.records import first_visit_records
+from repro.walks.records import RecordPacker, first_visit_records
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -149,25 +149,29 @@ class WalkEngine(ABC):
         starts: "Sequence[int] | np.ndarray",
         length: int,
         states: np.ndarray,
+        packer: RecordPacker,
         seed: "int | np.random.Generator | None" = None,
         chunk_rows: int = 1 << 19,
     ):
-        """Per-chunk first-visit ``(hit, state, hop)`` record arrays.
+        """Per-chunk first-visit ``(packed, counts)`` records.
 
         The index builders' entry point (Algorithm 3's extraction):
         ``states[b]`` is row ``b``'s flattened ``D`` index, carried into
-        the records.  Yields one record triple per ``chunk_rows``-row
-        chunk of the batch, so a consumer (the out-of-core builder,
-        :mod:`repro.walks.build`) can reduce each chunk before the next
-        one's walks exist — peak memory is one chunk's walks plus
-        whatever the consumer retains.  The chunking is part of the RNG
-        contract — chunk ``c`` consumes its ``len(chunk) * length``
-        uniforms before chunk ``c + 1`` begins — so every backend yields
-        the same per-chunk record *sets* for the same ``(seed,
-        chunk_rows)``; record order is a detail the canonical sort
-        removes.  Arguments are validated eagerly (before the first chunk
-        is computed); the caller's generator is only guaranteed to be
-        positioned past the whole batch once the iterator is exhausted.
+        the records, and ``packer`` is the caller's record format (the
+        sink's :attr:`~repro.walks.build.ExternalSortSink.packer`).
+        Yields one :func:`~repro.walks.records.first_visit_records` pair
+        per ``chunk_rows``-row chunk of the batch, so a consumer (the
+        out-of-core builder, :mod:`repro.walks.build`) can reduce each
+        chunk before the next one's walks exist — peak memory is one
+        chunk's walks plus whatever the consumer retains.  The chunking
+        is part of the RNG contract — chunk ``c`` consumes its
+        ``len(chunk) * length`` uniforms before chunk ``c + 1`` begins —
+        so every backend yields the same per-chunk record *sets* for the
+        same ``(seed, chunk_rows)``; record order is a detail the
+        canonical sort removes.  Arguments are validated eagerly (before
+        the first chunk is computed); the caller's generator is only
+        guaranteed to be positioned past the whole batch once the
+        iterator is exhausted.
         """
         starts = _check_walk_args(graph.num_nodes, starts, length)
         states = np.asarray(states, dtype=np.int64)
@@ -175,14 +179,25 @@ class WalkEngine(ABC):
             raise ParameterError("states must align with starts")
         if chunk_rows < 1:
             raise ParameterError("chunk_rows must be >= 1")
+        if length > packer.length:
+            raise ParameterError(
+                f"walk length L={length} exceeds the packer's "
+                f"L={packer.length}"
+            )
         rng = resolve_rng(seed)
-        return self._iter_records(graph, starts, length, states, rng, chunk_rows)
+        return self._iter_records(
+            graph, starts, length, states, packer, rng, chunk_rows
+        )
 
-    def _iter_records(self, graph, starts, length, states, rng, chunk_rows):
+    def _iter_records(
+        self, graph, starts, length, states, packer, rng, chunk_rows
+    ):
         for lo in range(0, starts.size, chunk_rows):
             rows = starts[lo : lo + chunk_rows]
             walks = self.batch_walks(graph, rows, length, seed=rng)
-            yield first_visit_records(walks, states[lo : lo + chunk_rows])
+            yield first_visit_records(
+                walks, states[lo : lo + chunk_rows], packer
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

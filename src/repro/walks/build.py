@@ -6,15 +6,15 @@ multiple of the final index, so the largest graph the package could
 than the largest it could *build*.  This module closes that gap by
 turning the build into a streaming pipeline:
 
-1. The walk engine yields per-chunk record arrays
-   (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`).
+1. The walk engine yields per-chunk packed records and per-node counts
+   (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`; one
+   ``int64`` per record, :class:`~repro.walks.records.RecordPacker`: the
+   canonical sort key shifted left past the hop bits).
 2. A :class:`RecordSink` consumes them.  The concrete
-   :class:`ExternalSortSink` packs each record into one ``int64``
-   (:class:`~repro.walks.records.RecordPacker`: the canonical sort key
-   shifted left past the hop bits, 8 bytes per record); when a
-   ``memory_budget`` is set and the buffer exceeds it, the buffer is
-   sorted in place and spilled as one *run* to a temp file next to the
-   target.
+   :class:`ExternalSortSink` appends the records to its buffer and adds
+   the counts; when a ``memory_budget`` is set and the buffer exceeds
+   it, the buffer is sorted in place and spilled as one *run* to a temp
+   file next to the target.
 3. At finalize the runs are k-way merged — vectorized: emit every
    buffered record up to the smallest "last buffered record" of any run
    with unread data, refill, repeat — into an *entry writer*.  Keys are
@@ -49,8 +49,8 @@ from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.index import (
     _validate_params,
+    _walk_records,
     entry_state_dtype,
-    walker_major_starts,
 )
 from repro.walks.records import RecordPacker
 from repro.walks.persistence import (
@@ -87,7 +87,8 @@ _MIN_MERGE_BLOCK = 4096
 class RecordSink(ABC):
     """Consumer seam for streamed first-visit record chunks.
 
-    ``consume`` is called once per chunk the walk engine yields;
+    ``consume`` is called once per ``(packed, counts)`` chunk the walk
+    engine yields (:meth:`consume_all` feeds a whole chunk stream);
     ``finalize`` drains whatever the sink retained into an entry writer
     and returns the writer's result.  The seam exists so the build loop
     (walks → records) is independent of what happens to the records —
@@ -96,10 +97,17 @@ class RecordSink(ABC):
     """
 
     @abstractmethod
-    def consume(
-        self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
-    ) -> None:
-        """Absorb one chunk of ``(hit, state, hop)`` record arrays."""
+    def consume(self, packed: np.ndarray, counts: np.ndarray) -> None:
+        """Absorb one chunk: packed records and their per-node counts."""
+
+    def consume_all(self, chunks) -> None:
+        """:meth:`consume` every ``(packed, counts)`` chunk of a stream.
+
+        A loop in the caller would keep the last chunk referenced
+        through ``finalize``'s sort; here it dies with this frame.
+        """
+        for packed, counts in chunks:
+            self.consume(packed, counts)
 
     @abstractmethod
     def finalize(self, writer: "EntryWriter"):
@@ -119,7 +127,7 @@ class EntryWriter(ABC):
     """Receiver of the merged, canonically ordered entry stream.
 
     ``begin`` is called once with the full per-node layout (counts are
-    known before the merge starts — the sink bincounts during consume),
+    known before the merge starts — the sink sums the chunk counts),
     then ``emit`` receives sorted ``(key, hop)`` batches (``int64`` keys
     ``hit * n R + state``, ``int16`` hops) covering the entries exactly
     once, in canonical order, and ``finalize`` assembles the result.
@@ -129,11 +137,7 @@ class EntryWriter(ABC):
 
     @abstractmethod
     def begin(
-        self,
-        indptr: np.ndarray,
-        counts: np.ndarray,
-        total: int,
-        max_hop: int,
+        self, indptr: np.ndarray, counts: np.ndarray, total: int
     ) -> None: ...
 
     @abstractmethod
@@ -151,9 +155,11 @@ class EntryWriter(ABC):
 class ExternalSortSink(RecordSink):
     """Bounded-memory record sorter: buffer, spill sorted runs, merge.
 
-    Every record is buffered as one packed ``int64``
-    (:class:`~repro.walks.records.RecordPacker` for walks of ``length``
-    hops; its range check runs before anything is allocated).  With
+    Every record arrives and is buffered as one packed ``int64`` in the
+    format of :attr:`packer` (a :class:`~repro.walks.records.RecordPacker`
+    for walks of ``length`` hops; its range check runs before anything
+    is allocated), which producers pass to
+    :func:`~repro.walks.records.first_visit_records`.  With
     ``memory_budget=None`` (the default) nothing ever spills and
     ``finalize`` sorts the whole buffer in place, decodes it once and
     emits it — no temp I/O (the degenerate one-run case).  With a
@@ -165,8 +171,9 @@ class ExternalSortSink(RecordSink):
     one more run — into the writer.  Run files are deleted on every exit
     path.
 
-    Per-node metadata (the bincounted ``counts`` that become ``indptr``)
-    stays in memory — the O(metadata) term of the build's footprint.
+    Per-node metadata (the summed chunk ``counts`` that become
+    ``indptr``) stays in memory — the O(metadata) term of the build's
+    footprint.
     """
 
     def __init__(
@@ -177,7 +184,7 @@ class ExternalSortSink(RecordSink):
         memory_budget: "int | None" = None,
         spill_dir: "str | Path | None" = None,
     ):
-        self._packer = RecordPacker(num_nodes, num_replicates, length)
+        self.packer = RecordPacker(num_nodes, num_replicates, length)
         if memory_budget is not None and memory_budget <= 0:
             raise ParameterError("memory_budget must be a positive byte count")
         self._num_nodes = int(num_nodes)
@@ -192,7 +199,6 @@ class ExternalSortSink(RecordSink):
         self._runs: "list[tuple[Path, int]]" = []
         self._readers: "list[_FileRun]" = []
         self.total_records = 0
-        self.max_hop = 0
         self.spilled_bytes = 0
 
     @property
@@ -201,15 +207,15 @@ class ExternalSortSink(RecordSink):
         return len(self._runs)
 
     # ------------------------------------------------------------------
-    def consume(self, hits, states, hops) -> None:
-        if hits.size == 0:
+    def consume(self, packed, counts) -> None:
+        """Buffer ``packed`` (the sink owns it from here: it is sorted in
+        place) and add ``counts`` to the per-node totals."""
+        if packed.size == 0:
             return
-        max_hop = self._packer.check_hops(hops)
-        self._counts += np.bincount(hits, minlength=self._num_nodes)
-        self._parts.append(self._packer.pack(hits, states, hops))
-        self._buffered += int(hits.size)
-        self.total_records += int(hits.size)
-        self.max_hop = max(self.max_hop, max_hop)
+        self._counts += counts
+        self._parts.append(packed)
+        self._buffered += int(packed.size)
+        self.total_records += int(packed.size)
         if (
             self._budget is not None
             and self._buffered * _RECORD_BYTES > self._budget
@@ -262,14 +268,12 @@ class ExternalSortSink(RecordSink):
         try:
             indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
             np.cumsum(self._counts, out=indptr[1:])
-            writer.begin(
-                indptr, self._counts, self.total_records, self.max_hop
-            )
+            writer.begin(indptr, self._counts, self.total_records)
             if not self._runs:
                 # Single-run fast path: the whole record set is in memory;
                 # one sort, one decode, one emit, zero temp I/O.
                 if self._buffered:
-                    writer.emit(*self._packer.decode(self._sorted_buffer()))
+                    writer.emit(*self.packer.decode(self._sorted_buffer()))
             else:
                 runs: list = [
                     self._open_run(path, total) for path, total in self._runs
@@ -284,7 +288,7 @@ class ExternalSortSink(RecordSink):
                     )
                 with obs.span("index.build.merge", runs=len(runs)):
                     for packed in _merge_sorted_runs(runs, block):
-                        writer.emit(*self._packer.decode(packed))
+                        writer.emit(*self.packer.decode(packed))
             result = writer.finalize()
         except BaseException:
             writer.abort()
@@ -411,7 +415,7 @@ class DenseEntryWriter(EntryWriter):
         self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
-    def begin(self, indptr, counts, total, max_hop) -> None:
+    def begin(self, indptr, counts, total) -> None:
         self._indptr = indptr
         self._state = np.empty(total, dtype=self._state_dtype)
         self._hop = np.empty(total, dtype=np.int16)
@@ -487,7 +491,7 @@ class _MmapArchiveWriter(EntryWriter):
     def abort(self) -> None:
         self._cleanup()
 
-    def begin(self, indptr, counts, total, max_hop) -> None:
+    def begin(self, indptr, counts, total) -> None:
         self._indptr = indptr
         self._total = total
         self._state_f = self._stage("state")
@@ -566,18 +570,14 @@ def build_index_archive(
         "index.build", engine=walk_engine.name, num_nodes=n,
         length=length, num_replicates=num_replicates,
     ):
-        starts = walker_major_starts(n, num_replicates)
-        row_ids = np.arange(starts.size, dtype=np.int64)
-        states = (row_ids % num_replicates) * n + starts
         with ExternalSortSink(
             n, num_replicates, length, memory_budget=memory_budget,
             spill_dir=out.parent if spill_dir is None else spill_dir,
         ) as sink:
-            for chunk in walk_engine.iter_walk_records(
-                graph, starts, length, states, seed=rng,
-                chunk_rows=chunk_rows,
-            ):
-                sink.consume(*chunk)
+            sink.consume_all(_walk_records(
+                walk_engine, graph, length, num_replicates, sink.packer,
+                rng, chunk_rows,
+            ))
             num_runs = sink.spill_runs + (1 if sink._buffered else 0)
             header = v3_index_header(
                 n, length, num_replicates, encoding="dense",

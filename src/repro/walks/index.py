@@ -37,7 +37,11 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import random_walk
-from repro.walks.records import MAX_WALK_LENGTH, RecordPacker
+from repro.walks.records import (
+    MAX_WALK_LENGTH,
+    RecordPacker,
+    first_visit_records,
+)
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -66,6 +70,46 @@ def walker_major_starts(num_nodes: int, num_replicates: int) -> np.ndarray:
     ``[0,0,...,0, 1,1,...,1, ...]``.
     """
     return np.repeat(np.arange(num_nodes, dtype=np.int64), num_replicates)
+
+
+def _walker_major_states(num_nodes: int, num_replicates: int) -> np.ndarray:
+    """Flattened ``D`` state of each row of the canonical batch.
+
+    Row ``b`` is replicate ``b % R`` of walker ``b // R`` (the layout of
+    :func:`walker_major_starts`), so its state is ``(b % R) * n + b // R``.
+    """
+    rows = np.arange(num_nodes * num_replicates, dtype=np.int64)
+    states = rows % num_replicates
+    states *= num_nodes
+    states += rows // num_replicates
+    return states
+
+
+def _walk_records(
+    walk_engine: WalkEngine,
+    graph: Graph,
+    length: int,
+    num_replicates: int,
+    packer: RecordPacker,
+    seed: np.random.Generator,
+    chunk_rows: int,
+):
+    """The canonical batch's ``(packed, counts)`` chunks, walked by
+    ``walk_engine``.
+
+    The per-row start and state arrays live only in the returned
+    iterator, so they are released once it is exhausted — before the
+    caller's sort, which is the build's memory peak.
+    """
+    return walk_engine.iter_walk_records(
+        graph,
+        walker_major_starts(graph.num_nodes, num_replicates),
+        length,
+        _walker_major_states(graph.num_nodes, num_replicates),
+        packer,
+        seed=seed,
+        chunk_rows=chunk_rows,
+    )
 
 
 def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
@@ -98,14 +142,13 @@ def entry_state_dtype(num_nodes: int, num_replicates: int) -> np.dtype:
 
 
 def canonical_entries(
-    hits: np.ndarray,
-    states: np.ndarray,
-    hops: np.ndarray,
+    packed: np.ndarray,
+    counts: np.ndarray,
     num_nodes: int,
     length: int,
     num_replicates: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble records into canonical ``(indptr, state, hop, keys)``.
+    """Assemble packed records into canonical ``(indptr, state, hop, keys)``.
 
     Canonical order is ``(hit, state)``.  States are unique within a hit
     node (first-visit dedup), so the key is a strict total order: the
@@ -114,17 +157,18 @@ def canonical_entries(
     byte-identical arrays, which is what lets the
     differential harness compare engines strictly.  (``chunk_rows``
     itself still matters: it shapes the stream consumption and hence the
-    walks.)  The records are
-    packed one ``int64`` each (:class:`~repro.walks.records.RecordPacker`,
-    which also range-checks ``(n, R, L)``), value-sorted in place and
-    decoded; ``keys`` are the sorted ``hit * n R + state`` keys, which
-    the dynamic index maintains across patches.
+    walks.)  ``packed`` holds one :class:`~repro.walks.records.RecordPacker`
+    ``int64`` per record (the packer also range-checks ``(n, R, L)``) and
+    ``counts`` the per-node record counts, as
+    :func:`~repro.walks.records.first_visit_records` returns them; the
+    records are value-sorted in place and decoded, so ``packed`` becomes
+    ``keys``: the sorted ``hit * n R + state`` keys, which the dynamic
+    index maintains across patches.
     """
     packer = RecordPacker(num_nodes, num_replicates, length)
-    packer.check_hops(hops)
-    keys, hop = packer.sort_decode(packer.pack(hits, states, hops))
+    keys, hop = packer.sort_decode(packed)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(hits, minlength=num_nodes), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     state = np.empty(keys.size, dtype=entry_state_dtype(num_nodes, num_replicates))
     np.remainder(keys, packer.num_states, out=state, casting="unsafe")
     return indptr, state, hop, keys
@@ -332,18 +376,14 @@ class FlatWalkIndex:
             "index.build", engine=walk_engine.name, num_nodes=n,
             length=length, num_replicates=num_replicates,
         ):
-            starts = walker_major_starts(n, num_replicates)
-            row_ids = np.arange(starts.size, dtype=np.int64)
-            states = (row_ids % num_replicates) * n + starts  # == rep * n + walker
             with ExternalSortSink(
                 n, num_replicates, length, memory_budget=memory_budget,
                 spill_dir=spill_dir,
             ) as sink:
-                for chunk in walk_engine.iter_walk_records(
-                    graph, starts, length, states, seed=rng,
-                    chunk_rows=chunk_rows,
-                ):
-                    sink.consume(*chunk)
+                sink.consume_all(_walk_records(
+                    walk_engine, graph, length, num_replicates, sink.packer,
+                    rng, chunk_rows,
+                ))
                 indptr, state_arr, hop_arr = sink.finalize(
                     DenseEntryWriter(n, num_replicates)
                 )
@@ -377,8 +417,53 @@ class FlatWalkIndex:
         num_nodes: int,
         num_replicates: int,
     ) -> "FlatWalkIndex":
-        """Build from explicit walker-major walks (test/injection path)."""
-        return InvertedIndex.from_walks(walks, num_nodes, num_replicates).to_flat()
+        """Build from explicit walker-major walks (test/injection path).
+
+        ``walks[w * R + i]`` must be replicate ``i`` of walker ``w``, with
+        equal lengths and every node in ``[0, n)`` — the layout
+        :meth:`InvertedIndex.from_walks` accepts.  The walks then take the
+        production path of :meth:`build`: packed first-visit records
+        through the external sorter, so tests that compare this index
+        with the paper's :class:`InvertedIndex` on shared walks check
+        the production extraction.
+        """
+        # Lazy: build.py imports this module at top level.
+        from repro.walks.build import DenseEntryWriter, ExternalSortSink
+
+        if isinstance(walks, np.ndarray) and walks.ndim == 2:
+            matrix = walks
+        else:
+            rows = [list(map(int, walk)) for walk in walks]
+            if len({len(row) for row in rows}) > 1:
+                raise ParameterError("all walks must have the same length")
+            width = len(rows[0]) if rows else 1
+            matrix = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        starts = walker_major_starts(num_nodes, num_replicates)
+        if matrix.shape[0] != starts.size:
+            raise ParameterError(
+                f"expected {starts.size} walks, got {matrix.shape[0]}"
+            )
+        length = matrix.shape[1] - 1
+        _validate_params(num_nodes, length, num_replicates)
+        wrong = np.flatnonzero(matrix[:, 0] != starts)
+        if wrong.size:
+            b = int(wrong[0])
+            raise ParameterError(
+                f"walk {b} starts at {matrix[b, 0]}, "
+                f"expected {b // num_replicates}"
+            )
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= num_nodes):
+            raise ParameterError("walk nodes out of range")
+        states = _walker_major_states(num_nodes, num_replicates)
+        with ExternalSortSink(num_nodes, num_replicates, length) as sink:
+            sink.consume(*first_visit_records(matrix, states, sink.packer))
+            indptr, state, hop = sink.finalize(
+                DenseEntryWriter(num_nodes, num_replicates)
+            )
+        return cls(
+            indptr=indptr, state=state, hop=hop, num_nodes=num_nodes,
+            length=length, num_replicates=num_replicates,
+        )
 
     @classmethod
     def _from_records(
@@ -391,8 +476,11 @@ class FlatWalkIndex:
         num_replicates: int,
     ) -> "FlatWalkIndex":
         _validate_params(num_nodes, length, num_replicates)
+        packer = RecordPacker(num_nodes, num_replicates, length)
         indptr, state, hop, _ = canonical_entries(
-            hits, states, hops, num_nodes, length, num_replicates
+            packer.pack(hits, states, hops),
+            np.bincount(hits, minlength=num_nodes),
+            num_nodes, length, num_replicates,
         )
         return cls(
             indptr=indptr,

@@ -1,13 +1,17 @@
 """The first-visit record format every index builder shares.
 
 Algorithm 3 reduces a batch of walks to *first-visit records*: one
-``(hit, state, hop)`` triple per position whose node differs from every
-earlier position of its walk.  This module owns that format end to end —
-the extraction (:func:`first_visit_records`), the canonical sort key
-(:func:`canonical_record_key`), the hop-width cap (:data:`MAX_WALK_LENGTH`)
-and the one-``int64`` packed record the canonical sort runs on
-(:class:`RecordPacker`) — so the static, out-of-core, weighted and
-dynamic builders can never disagree on it.
+record per position whose node differs from every earlier position of
+its walk, naming the node hit, the walk's flattened ``D`` state and the
+hop.  Each record travels as one packed ``int64`` (:class:`RecordPacker`:
+``hit · (nR << b) + (state << b) | hop``) from the moment it is
+extracted: :func:`first_visit_records` emits the packed records of a
+block of walks plus their per-node counts, which is exactly what the
+canonical sort consumes, so no builder ever holds a ``(hit, state,
+hop)`` triple.  This module owns that format end to end — the
+extraction, the canonical sort key (:func:`canonical_record_key`), the
+hop-width cap (:data:`MAX_WALK_LENGTH`) and the packer — so the static,
+out-of-core, weighted and dynamic builders can never disagree on it.
 """
 
 from __future__ import annotations
@@ -25,40 +29,66 @@ __all__ = [
 
 
 def first_visit_records(
-    walks: np.ndarray, states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-visit ``(hit, state, hop)`` records of a block of walks.
+    walks: np.ndarray, states: np.ndarray, packer: "RecordPacker"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed first-visit records of a block of walks, and per-node counts.
 
     The Algorithm-3 extraction shared by the walk engines'
     :meth:`~repro.walks.backends.WalkEngine.iter_walk_records` (the static
-    and out-of-core builders), the weighted builder and the dynamic
-    builder (:mod:`repro.dynamic.index`): a position is a record iff its
-    node differs from every earlier position of the walk.
-    ``states`` carries the per-row flattened ``D`` index.
+    and out-of-core builders), ``FlatWalkIndex.from_walks``, the weighted
+    builder and the dynamic builder (:mod:`repro.dynamic.index`): a
+    position is a record iff its node differs from every earlier position
+    of the walk.  ``walks`` is ``(B, L+1)`` and ``states[b]`` is row
+    ``b``'s flattened ``D`` index.  Returns ``(packed, counts)``:
+    ``packed`` holds one :class:`RecordPacker` ``int64`` per record, in
+    no particular order (the canonical sort orders them), and
+    ``counts[v]`` is how many of them hit node ``v``.
+
+    The hop columns are read contiguously (a csr walk matrix is already a
+    transposed view of hop rows; a row-major one takes one transposed
+    copy) and compared in the walks' own dtype; only the gathered hits
+    are widened, inside the ``int64`` multiply.  Hops come from the loop
+    index, so the one range check is that the walks have at most
+    ``packer.length`` hops (:class:`~repro.errors.ParameterError`
+    otherwise).
     """
-    batch = walks.shape[0]
     length = walks.shape[1] - 1
-    hit_parts: list[np.ndarray] = []
-    state_parts: list[np.ndarray] = []
-    hop_parts: list[np.ndarray] = []
+    if length > packer.length:
+        raise ParameterError(
+            f"walks have {length} hops, more than the packer's "
+            f"L={packer.length}"
+        )
+    columns = np.ascontiguousarray(walks.T)
+    batch = columns.shape[1]
+    # Pass 1: one first-visit mask per hop, so the output is sized once.
+    fresh = np.empty((length, batch), dtype=bool)
+    differs = np.empty(batch, dtype=bool)
     for hop in range(1, length + 1):
-        col = walks[:, hop].astype(np.int64)
-        fresh = np.ones(batch, dtype=bool)
-        for prev in range(hop):
-            np.logical_and(fresh, col != walks[:, prev], out=fresh)
-        if not fresh.any():
+        mask = fresh[hop - 1]
+        np.not_equal(columns[hop], columns[0], out=mask)
+        for prev in range(1, hop):
+            np.not_equal(columns[hop], columns[prev], out=differs)
+            mask &= differs
+    sizes = np.count_nonzero(fresh, axis=1)
+    # Pass 2: pack each hop's records straight into their output slice.
+    packed = np.empty(int(sizes.sum()), dtype=np.int64)
+    counts = np.zeros(packer.num_nodes, dtype=np.int64)
+    shifted_states = np.left_shift(states, packer.hop_bits, dtype=np.int64)
+    stride = np.int64(packer.num_states << packer.hop_bits)
+    lo = 0
+    for hop in range(1, length + 1):
+        hi = lo + int(sizes[hop - 1])
+        if hi == lo:
             continue
-        hit_parts.append(col[fresh])
-        state_parts.append(states[fresh])
-        hop_parts.append(np.full(int(fresh.sum()), hop, dtype=np.int64))
-    if not hit_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return (
-        np.concatenate(hit_parts),
-        np.concatenate(state_parts),
-        np.concatenate(hop_parts),
-    )
+        mask = fresh[hop - 1]
+        hits = columns[hop][mask]
+        counts += np.bincount(hits, minlength=packer.num_nodes)
+        out = packed[lo:hi]
+        np.multiply(hits, stride, out=out, dtype=np.int64)
+        out += shifted_states[mask]
+        out |= hop
+        lo = hi
+    return packed, counts
 
 
 def canonical_record_key(
@@ -100,6 +130,9 @@ class RecordPacker:
     sorter's buffer, spill runs and merge; ``FlatWalkIndex._from_records``;
     the dynamic index) shares this one format.  A mask reads the hop
     back, a shift the key, and ``key % num_states`` the state.
+    :func:`first_visit_records` packs as it extracts; :meth:`pack` packs
+    record triples that come from elsewhere (the paper-oracle
+    conversion, tests).
 
     The constructor is the range check: the largest packed record,
     ``(n * n R << b) - 1``, must fit ``int64`` and ``L`` must fit the
@@ -122,34 +155,35 @@ class RecordPacker:
                 f"L={length} do not pack into int64 (needs "
                 f"n * n * R * 2**{bits} <= 2**63)"
             )
+        self.num_nodes = int(num_nodes)
         self.num_states = num_states
         self.length = int(length)
         self.hop_bits = bits
 
-    def check_hops(self, hops: np.ndarray) -> int:
-        """Raise unless every hop lies in ``[0, L]``; return the largest.
+    def check_hops(self, hops: np.ndarray) -> None:
+        """Raise unless every hop lies in ``[0, L]``.
 
         A hop past ``L`` would spill into the key bits and a negative
         one would set them all, silently reordering records.
         """
         if hops.size == 0:
-            return 0
+            return
         low, high = int(hops.min()), int(hops.max())
         if low < 0 or high > self.length:
             raise ParameterError(
                 f"record hops must lie in [0, L={self.length}] "
                 f"(got {low}..{high})"
             )
-        return high
 
     def pack(
         self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
     ) -> np.ndarray:
         """A fresh ``int64`` array of packed records.
 
-        ``hops`` must lie in ``[0, L]`` (:meth:`check_hops`) and
-        ``states`` in ``[0, n R)``.
+        ``hops`` must lie in ``[0, L]`` (:meth:`check_hops` raises
+        otherwise) and ``states`` in ``[0, n R)``.
         """
+        self.check_hops(hops)
         packed = canonical_record_key(hits, states, self.num_states)
         packed <<= self.hop_bits
         packed |= hops

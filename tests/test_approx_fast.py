@@ -12,6 +12,7 @@ from repro.errors import ParameterError
 from repro.graphs.generators import paper_example_graph, power_law_graph
 from repro.walks.engine import batch_walks
 from repro.walks.index import FlatWalkIndex, InvertedIndex, walker_major_starts
+from repro.core import approx_fast
 from repro.core.approx_fast import FastApproxEngine, approx_greedy_fast
 from repro.core.approx_greedy import (
     approx_gain,
@@ -28,6 +29,58 @@ def shared_indices(graph, replicates, length, seed):
     ref = InvertedIndex.from_walks(walks, graph.num_nodes, replicates)
     flat = FlatWalkIndex.from_walks(walks, graph.num_nodes, replicates)
     return ref, flat
+
+
+def _empty_ends_index(graph):
+    """Nodes 0 and 5 only start their own walks, so they hold no entries."""
+    walks = [
+        [0, 1, 2, 1], [1, 2, 3, 4], [2, 3, 2, 1],
+        [3, 4, 3, 2], [4, 3, 4, 1], [5, 4, 3, 2],
+    ]
+    flat = FlatWalkIndex.from_walks(walks, 6, 1)
+    counts = np.diff(flat.indptr)
+    assert counts[0] == counts[-1] == 0
+    return flat
+
+
+def _hop_past_length_index(graph):
+    """Hand-built, with one hop (4) above L=2 and an empty node between
+    two full ones: ``load_index`` checks structure, not hop values."""
+    return FlatWalkIndex(
+        indptr=np.array([0, 1, 3, 3, 4, 4], dtype=np.int64),
+        state=np.array([1, 0, 3, 2], dtype=np.int32),
+        hop=np.array([1, 2, 4, 1], dtype=np.int16),
+        num_nodes=5, length=2, num_replicates=1,
+    )
+
+
+#: Edge-case index builders for the gain-agreement test, by case name.
+EDGE_INDEXES = {
+    "empty_ends": _empty_ends_index,
+    "length_zero": lambda graph: FlatWalkIndex.build(graph, 0, 4, seed=8),
+    "hop_past_length": _hop_past_length_index,
+}
+
+
+def _assert_gains_agree(flat, monkeypatch):
+    """``gain_of`` equals ``gains_all`` on every node of an f1 engine.
+
+    The fresh sweep is the closed form (checked at the default block
+    size and at blocks of 3 entries, which hold one segment or several
+    and give a segment longer than a block its own); the sweep after
+    ``select(3)`` walks the entries.  Returns the fresh sweep.
+    """
+    nodes = range(flat.num_nodes)
+    engine = FastApproxEngine(flat, "f1")
+    fresh = engine.gains_all()
+    assert fresh.dtype == np.int64
+    assert fresh.tolist() == [engine.gain_of(u) for u in nodes]
+    monkeypatch.setattr(approx_fast, "_SWEEP_BLOCK", 3)
+    assert engine.gains_all().tolist() == fresh.tolist()
+    engine.select(3)
+    sweep = engine.gains_all()
+    assert sweep.tolist() == [engine.gain_of(u) for u in nodes]
+    return fresh
 
 
 class TestExample31:
@@ -85,13 +138,18 @@ class TestAgreesWithReference:
                 approx_gain(ref_idx, distances, u, objective), abs=1e-9
             )
 
-    def test_gain_of_matches_gains_all(self, small_power_law):
+    def test_gain_of_matches_gains_all(self, small_power_law, monkeypatch):
         flat = FlatWalkIndex.build(small_power_law, 5, 4, seed=8)
-        engine = FastApproxEngine(flat, "f1")
-        engine.select(3)
-        sweep = engine.gains_all()
-        for u in (0, 1, 10, 20):
-            assert engine.gain_of(u) == sweep[u]
+        _assert_gains_agree(flat, monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_INDEXES))
+    def test_gain_of_matches_gains_all_on_edge_indexes(
+        self, small_power_law, case, monkeypatch
+    ):
+        flat = EDGE_INDEXES[case](small_power_law)
+        fresh = _assert_gains_agree(flat, monkeypatch)
+        if case == "length_zero":
+            assert flat.total_entries == 0 and not fresh.any()
 
 
 class TestSharedWalks:

@@ -24,7 +24,11 @@ from repro.walks.build import (
     build_index_archive,
 )
 from repro.walks.index import FlatWalkIndex
-from repro.walks.records import MAX_WALK_LENGTH, RecordPacker
+from repro.walks.records import (
+    MAX_WALK_LENGTH,
+    RecordPacker,
+    first_visit_records,
+)
 from repro.walks.persistence import load_index, save_index
 
 
@@ -172,15 +176,27 @@ class TestEdgeCases:
         reader.close()
 
 
+def _chunk(sink, hits, states, hops):
+    """One ``consume`` chunk from record triples: ``RecordPacker.pack``
+    plus ``np.bincount``, the pair ``first_visit_records`` returns."""
+    packer = sink.packer
+    return (
+        packer.pack(hits, states, hops),
+        np.bincount(hits, minlength=packer.num_nodes),
+    )
+
+
 class TestSinkSeam:
     def test_sink_counts_and_dense_writer_roundtrip(self):
         sink = ExternalSortSink(5, 2, 4)
-        sink.consume(
-            np.array([3, 1, 3]), np.array([9, 0, 2]), np.array([2, 1, 1])
-        )
-        sink.consume(np.array([0]), np.array([7]), np.array([4]))
+        sink.consume(*_chunk(
+            sink, np.array([3, 1, 3]), np.array([9, 0, 2]),
+            np.array([2, 1, 1]),
+        ))
+        sink.consume(*_chunk(
+            sink, np.array([0]), np.array([7]), np.array([4])
+        ))
         assert sink.total_records == 4
-        assert sink.max_hop == 4
         indptr, state, hop = sink.finalize(DenseEntryWriter(5, 2))
         np.testing.assert_array_equal(indptr, [0, 1, 2, 2, 4, 4])
         np.testing.assert_array_equal(state, [7, 0, 2, 9])
@@ -203,7 +219,7 @@ class TestSinkSeam:
         rng = np.random.default_rng(0)
         hits = rng.integers(0, 50, size=40)
         states = np.arange(40)
-        sink.consume(hits, states, np.ones(40, dtype=np.int64))
+        sink.consume(*_chunk(sink, hits, states, np.ones(40, dtype=np.int64)))
         assert sink.spill_runs >= 1
         assert any(p.name.startswith(".rwidx-run-") for p in spills.iterdir())
         sink.close()
@@ -244,7 +260,7 @@ def _assemble(path, hits, states, hops, num_nodes, reps, length, spill_dir):
     )
     for lo in range(0, hits.size, step):
         sl = slice(lo, lo + step)
-        sink.consume(hits[sl], states[sl], hops[sl])
+        sink.consume(*_chunk(sink, hits[sl], states[sl], hops[sl]))
     if path == "spill" and hits.size > 5:
         assert sink.spill_runs >= 2
     return sink.finalize(DenseEntryWriter(num_nodes, reps))
@@ -303,8 +319,8 @@ class TestPackedRecords:
         sink = ExternalSortSink(100, 2, 3, memory_budget=79,
                                 spill_dir=tmp_path)
         for lo in range(0, 100, 10):
-            sink.consume(hits[lo:lo + 10], states[lo:lo + 10],
-                         hops[lo:lo + 10])
+            sink.consume(*_chunk(sink, hits[lo:lo + 10], states[lo:lo + 10],
+                                 hops[lo:lo + 10]))
         assert sink.spill_runs == 10
         assert sink.spilled_bytes == 8 * 100
         assert sum(p.stat().st_size for p in tmp_path.iterdir()) == 800
@@ -347,12 +363,22 @@ class TestPackedRecords:
         RecordPacker(10**6, 100, MAX_WALK_LENGTH)
 
     def test_hop_outside_length_raises(self):
-        sink = ExternalSortSink(5, 2, 3)
+        packer = RecordPacker(5, 2, 3)
         for bad in (4, -1):
             with pytest.raises(ParameterError, match="L=3"):
-                sink.consume(np.array([1]), np.array([0]), np.array([bad]))
-        assert sink.total_records == 0
-        sink.close()
+                packer.pack(np.array([1]), np.array([0]), np.array([bad]))
+
+    def test_walks_longer_than_packer_raise(self):
+        # Extraction takes hops from its loop index, so the packer's L
+        # bounds the walks themselves.
+        packer = RecordPacker(5, 2, 3)
+        walks = np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0]], dtype=np.int32)
+        with pytest.raises(ParameterError, match="L=3"):
+            first_visit_records(walks, np.array([0, 1]), packer)
+        packed, counts = first_visit_records(
+            walks[:, :4], np.array([0, 1]), packer
+        )
+        assert packed.size == counts.sum() == 6
 
 
 class TestCli:

@@ -72,6 +72,33 @@ def test_traced_solve_counts_celf_inside_engine_run(layers):
     assert items["greedy.celf_pops"] >= 5
 
 
+def test_record_counters_agree_across_layers(layers):
+    # The traced run counts records from the first array that
+    # first_visit_records returns and from the first array consume
+    # takes; a reshaped return or argument list would still resolve by
+    # name, so the counts themselves are checked here, over several
+    # chunks.
+    from repro.graphs.generators import power_law_graph
+    from repro.walks.index import FlatWalkIndex
+
+    graph = power_law_graph(200, 800, seed=23)
+    trace = layers.LayerTrace()
+    trace.install()
+    try:
+        index = FlatWalkIndex.build(graph, 5, 4, seed=3, chunk_rows=300)
+    finally:
+        trace.uninstall()
+    phase = trace.phase()
+    assert phase["spans"]["first_visit_records"]["calls"] >= 2
+    items = phase["items"]
+    assert (
+        items["first_visit.records"]
+        == items["sort.records"]
+        == items["storage.entries"]
+        == index.total_entries
+    )
+
+
 def test_service_counters_read_by_the_benchmark_exist():
     # The traced served-mix run indexes GET /stats' "service" section by
     # name; a renamed ServiceStats field would crash that run instead of

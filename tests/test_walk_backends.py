@@ -249,33 +249,40 @@ class TestEngineThreading:
         # (DESIGN.md §15): chunk c holds the first-visit records of the
         # c-th chunk_rows-row slice of one stream — same records, same
         # order — for every backend.
-        from repro.walks.records import first_visit_records
+        from repro.walks.records import RecordPacker, first_visit_records
 
         g = power_law_graph(60, 240, seed=15)
         starts = np.repeat(np.arange(60, dtype=np.int64), 4)
         states = np.arange(starts.size, dtype=np.int64)
+        packer = RecordPacker(60, 4, 5)
         for engine in ("numpy", "csr"):
             eng = get_engine(engine)
-            chunks = list(eng.iter_walk_records(g, starts, 5, states,
+            chunks = list(eng.iter_walk_records(g, starts, 5, states, packer,
                                                 seed=41, chunk_rows=64))
             assert len(chunks) == -(-starts.size // 64)
             rng = np.random.default_rng(41)
             for lo, chunk in zip(range(0, starts.size, 64), chunks):
                 walks = batch_walks(g, starts[lo : lo + 64], 5, seed=rng)
-                want = first_visit_records(walks, states[lo : lo + 64])
+                want = first_visit_records(walks, states[lo : lo + 64], packer)
                 for got, ref in zip(chunk, want):
                     np.testing.assert_array_equal(got, ref)
 
     def test_iter_walk_records_validates_eagerly(self):
         # Bad arguments must raise at call time, not on first next().
+        from repro.walks.records import RecordPacker
+
         g = ring_graph(8)
         eng = get_engine("numpy")
         starts = np.zeros(4, dtype=np.int64)
+        packer = RecordPacker(8, 1, 3)
         with pytest.raises(ParameterError):
-            eng.iter_walk_records(g, starts, 3, np.zeros(3), seed=1)
+            eng.iter_walk_records(g, starts, 3, np.zeros(3), packer, seed=1)
         with pytest.raises(ParameterError):
-            eng.iter_walk_records(g, starts, 3, np.zeros(4), seed=1,
+            eng.iter_walk_records(g, starts, 3, np.zeros(4), packer, seed=1,
                                   chunk_rows=0)
+        with pytest.raises(ParameterError, match="L=2"):
+            eng.iter_walk_records(g, starts, 3, np.zeros(4),
+                                  RecordPacker(8, 1, 2), seed=1)
 
     def test_approx_greedy_fast_engine_parity(self):
         g = power_law_graph(70, 280, seed=6)

@@ -175,12 +175,11 @@ class TestWalkLengthCap:
 
     class _FarHopEngine(NumpyWalkEngine):
         # One record at hop L, without walking L hops.
-        def iter_walk_records(self, graph, starts, length, states, seed=None,
-                              chunk_rows=1 << 19):
+        def iter_walk_records(self, graph, starts, length, states, packer,
+                              seed=None, chunk_rows=1 << 19):
             yield (
-                np.array([1], dtype=np.int64),
-                np.array([0], dtype=np.int64),
-                np.array([length], dtype=np.int64),
+                packer.pack(np.array([1]), np.array([0]), np.array([length])),
+                np.bincount([1], minlength=graph.num_nodes),
             )
 
     def test_build_rejects_length_past_int16(self):

@@ -33,8 +33,9 @@ Sampling-based subcommands (``select`` with a walk-based method,
 ``metrics --sampled``, ``simulate``, ``index``, ``dynamic``, ``serve``)
 accept ``--engine`` to pick the walk backend (see
 :mod:`repro.walks.backends`):
-``numpy`` (default, the reference kernels) or ``csr`` (faster).  Both
-are bit-identical under one seed, so the flag changes wall-clock only.
+``csr`` (default, the faster kernels) or ``numpy`` (the reference).
+Both are bit-identical under one seed, so the flag changes wall-clock
+only.
 
 A typical index-reuse workflow — pay the walk materialization once, sweep
 budgets afterwards::
@@ -429,8 +430,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=available_engines(), default=DEFAULT_ENGINE,
         help="walk-engine backend for sampling-based work (default: "
-        f"{DEFAULT_ENGINE}; 'csr' is faster; both backends produce "
-        "bit-identical results under one seed)",
+        f"{DEFAULT_ENGINE}, the faster one; 'numpy' is the reference; "
+        "both backends produce bit-identical results under one seed)",
     )
 
 

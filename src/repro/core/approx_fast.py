@@ -245,9 +245,12 @@ def approx_greedy_fast(
     the paper's full sweep, which produce the same selection and differ only
     in work.  Supply a prebuilt ``index`` to reuse walks across runs.
     ``engine`` picks the walk backend used to materialize the index
-    (:mod:`repro.walks.backends`; ignored when ``index`` is supplied); the
-    ``"numpy"`` and ``"csr"`` backends yield identical selections under
-    the same seed.
+    (:mod:`repro.walks.backends`; ignored when ``index`` is supplied): the
+    default ``"csr"`` or the reference ``"numpy"``, which yield identical
+    selections under the same seed.  Without an ``index`` the call is a
+    cold select: :meth:`FlatWalkIndex.build` walks, extracts records into
+    one buffer, sorts it in place and decodes it into the entry columns,
+    under the ``index.build.*`` spans, before the greedy run.
     """
     if not 0 <= k <= graph.num_nodes:
         raise ParameterError(f"k={k} must lie in [0, n={graph.num_nodes}]")

@@ -31,8 +31,7 @@ from repro.walks.build import DenseEntryWriter, ExternalSortSink
 from repro.walks.index import (
     FlatWalkIndex,
     _validate_params,
-    _walker_major_states,
-    walker_major_starts,
+    _walker_major_rows,
 )
 from repro.walks.records import first_visit_records
 from repro.walks.rng import resolve_rng
@@ -57,28 +56,30 @@ def build_weighted_index(
     """Algorithm 3 with weighted walks: R alias-sampled walks per node.
 
     The records take the static builder's path: packed per chunk
-    (:func:`~repro.walks.records.first_visit_records`) into the external
-    sorter, assembled by :class:`~repro.walks.build.DenseEntryWriter`.
+    (:func:`~repro.walks.records.first_visit_records`) straight into the
+    external sorter's record buffer, assembled by
+    :class:`~repro.walks.build.DenseEntryWriter`.
     """
     n = graph.num_nodes
     _validate_params(n, length, num_replicates)
     rng = resolve_rng(seed)
     sampler = AliasSampler(graph)
-    starts = walker_major_starts(n, num_replicates)
-    states = _walker_major_states(n, num_replicates)
+    total = n * num_replicates
 
-    def chunks(packer):
-        for lo in range(0, starts.size, chunk_rows):
-            rows = starts[lo : lo + chunk_rows]
+    def chunks(sink):
+        for lo in range(0, total, chunk_rows):
+            starts, states = _walker_major_rows(
+                n, num_replicates, lo, min(lo + chunk_rows, total)
+            )
             walks = weighted_batch_walks(
-                graph, rows, length, seed=rng, sampler=sampler
+                graph, starts, length, seed=rng, sampler=sampler
             )
             yield first_visit_records(
-                walks, states[lo : lo + chunk_rows], packer
+                walks, states, sink.packer, out=sink.vacant()
             )
 
     with ExternalSortSink(n, num_replicates, length) as sink:
-        sink.consume_all(chunks(sink.packer))
+        sink.consume_all(chunks(sink))
         indptr, state, hop = sink.finalize(DenseEntryWriter(n, num_replicates))
     return FlatWalkIndex(
         indptr=indptr, state=state, hop=hop, num_nodes=n, length=length,

@@ -92,18 +92,21 @@ class GraphBuilder:
             return Graph(indptr, np.empty(0, dtype=np.int32))
 
         edges = np.concatenate(self._chunks, axis=0)
-        # Canonicalize to u < v, then deduplicate.
-        lo = edges.min(axis=1)
-        hi = edges.max(axis=1)
-        canon = np.unique(lo * np.int64(num_nodes) + hi)
-        lo = canon // num_nodes
-        hi = canon % num_nodes
-        # Symmetrize into CSR.
-        src = np.concatenate((lo, hi))
-        dst = np.concatenate((hi, lo))
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
+        # Canonicalize to ``u n + v`` keys with u < v, then deduplicate
+        # with one sort and an adjacent-difference mask.
+        width = np.int64(num_nodes)
+        keys = edges.min(axis=1) * width + edges.max(axis=1)
+        keys.sort()
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        lo, hi = np.divmod(keys, width)
+        # Symmetrize into CSR: one sort of both directions' keys orders
+        # the arcs by row, then by column.
+        arcs = np.concatenate((keys, hi * width + lo))
+        arcs.sort()
+        src, dst = np.divmod(arcs, width)
         counts = np.bincount(src, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -54,46 +54,48 @@ def barabasi_albert_graph(
         raise ParameterError("attach must be >= 1")
     if num_nodes <= attach:
         raise ParameterError("num_nodes must exceed attach")
-    rng = resolve_rng(seed)
+    src, dst = _ba_edges(num_nodes, attach, resolve_rng(seed))
+    return _graph_of(np.array((src, dst), dtype=np.int64).T, num_nodes)
 
+
+def _ba_edges(
+    num_nodes: int, attach: int, rng: np.random.Generator
+) -> "tuple[list[int], list[int]]":
+    """The Barabási–Albert edges ``(src, dst)`` as Python lists.
+
+    The pool, the target sets and the edges stay Python objects: each
+    new node reads a few pool entries and grows the pool by ``2 attach``,
+    and list and set operations on Python ints cost less than numpy
+    calls on arrays that small.  The draws and each target set's
+    insertion order (hence its iteration order) fix the output.
+    """
     # Seed clique on attach+1 nodes.
-    core = np.arange(attach + 1)
     src0, dst0 = np.triu_indices(attach + 1, k=1)
-    edges_src = [core[src0]]
-    edges_dst = [core[dst0]]
+    src, dst = src0.tolist(), dst0.tolist()
     # Flat endpoint list: each edge contributes both endpoints, so sampling a
-    # uniform element is sampling a node with probability deg/2m.  The final
-    # size is known upfront, so the pool is preallocated and filled in place
-    # (growing it with np.concatenate per node is quadratic in num_nodes).
-    clique_endpoints = attach * (attach + 1)
-    pool_total = clique_endpoints + 2 * attach * (num_nodes - attach - 1)
-    pool = np.empty(pool_total, dtype=np.int64)
-    pool[: clique_endpoints // 2] = core[src0]
-    pool[clique_endpoints // 2 : clique_endpoints] = core[dst0]
-    pool_len = clique_endpoints
+    # uniform element is sampling a node with probability deg/2m.
+    pool = src + dst
     for new in range(attach + 1, num_nodes):
         targets: set[int] = set()
         # Draw until `attach` distinct targets; duplicates are rare for
         # attach << current size, so the loop converges fast.
         while len(targets) < attach:
             need = attach - len(targets)
-            draw = pool[rng.integers(0, pool_len, size=need * 2 + 1)]
-            for t in draw:
-                targets.add(int(t))
+            draw = rng.integers(0, len(pool), size=need * 2 + 1).tolist()
+            for i in draw:
+                targets.add(pool[i])
                 if len(targets) == attach:
                     break
-        tgt = np.fromiter(targets, dtype=np.int64, count=attach)
-        new_col = np.full(attach, new, dtype=np.int64)
-        pool[pool_len : pool_len + attach] = tgt
-        pool[pool_len + attach : pool_len + 2 * attach] = new_col
-        pool_len += 2 * attach
-        edges_src.append(new_col)
-        edges_dst.append(tgt)
+        pool.extend(targets)
+        pool.extend([new] * attach)
+        src.extend([new] * attach)
+        dst.extend(targets)
+    return src, dst
 
+
+def _graph_of(edges: np.ndarray, num_nodes: int) -> Graph:
     builder = GraphBuilder()
-    builder.add_edges(
-        np.column_stack((np.concatenate(edges_src), np.concatenate(edges_dst)))
-    )
+    builder.add_edges(edges)
     builder.touch_node(num_nodes - 1)
     return builder.build()
 
@@ -122,36 +124,35 @@ def power_law_graph(
     attach = max(1, num_edges // num_nodes)
     if num_nodes <= attach:
         attach = num_nodes - 1
-    graph = barabasi_albert_graph(num_nodes, attach, seed=rng)
-    if graph.num_edges > num_edges:
+    src, dst = _ba_edges(num_nodes, attach, rng)
+    # Each BA edge once, as its ``u n + v`` key (u < v), in (u, v) order.
+    ends = np.array((src, dst), dtype=np.int64)
+    keys = ends.min(axis=0) * np.int64(num_nodes) + ends.max(axis=0)
+    keys.sort()
+    if keys.size > num_edges:
         # Drop random surplus edges (keeping the degree tail intact).
-        edges = graph.edge_array()
-        keep = rng.choice(edges.shape[0], size=num_edges, replace=False)
-        builder = GraphBuilder()
-        builder.add_edges(edges[keep])
-        builder.touch_node(num_nodes - 1)
-        return builder.build()
+        keys = keys[rng.choice(keys.size, size=num_edges, replace=False)]
+        return _graph_of(np.stack(np.divmod(keys, num_nodes), axis=1), num_nodes)
 
-    existing = set(map(tuple, graph.edge_array().tolist()))
-    builder = GraphBuilder()
-    builder.add_edges(graph.edge_array())
-    builder.touch_node(num_nodes - 1)
-    missing = num_edges - graph.num_edges
+    existing = set(keys.tolist())
+    extra: list[int] = []
+    missing = num_edges - keys.size
     while missing > 0:
-        cand_u = rng.integers(0, num_nodes, size=missing * 2 + 8)
-        cand_v = rng.integers(0, num_nodes, size=missing * 2 + 8)
+        cand_u = rng.integers(0, num_nodes, size=missing * 2 + 8).tolist()
+        cand_v = rng.integers(0, num_nodes, size=missing * 2 + 8).tolist()
         for u, v in zip(cand_u, cand_v):
             if u == v:
                 continue
-            key = (int(min(u, v)), int(max(u, v)))
+            key = u * num_nodes + v if u < v else v * num_nodes + u
             if key in existing:
                 continue
             existing.add(key)
-            builder.add_edge(*key)
+            extra.append(key)
             missing -= 1
             if missing == 0:
                 break
-    return builder.build()
+    keys = np.concatenate((keys, np.array(extra, dtype=np.int64)))
+    return _graph_of(np.stack(np.divmod(keys, num_nodes), axis=1), num_nodes)
 
 
 def erdos_renyi_graph(

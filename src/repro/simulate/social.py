@@ -122,7 +122,7 @@ def simulate_social_browsing(
     seed:
         Randomness control, package-wide convention.
     engine:
-        Walk backend (:mod:`repro.walks.backends`); default ``"numpy"``.
+        Walk backend (:mod:`repro.walks.backends`); default ``"csr"``.
     """
     if num_sessions < 1:
         raise ParameterError("num_sessions must be >= 1")

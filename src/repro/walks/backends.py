@@ -14,33 +14,34 @@ mid-index, or mid-serving-epoch without changing a single answer.
 Differential tests (``tests/test_differential.py``) enforce this across
 index builds, solvers, dynamic replay, and serving.
 
+``"csr"``
+    The default: a tighter CSR formulation.  The adjacency is augmented
+    once per graph (dangling nodes get a self-loop, realizing the
+    DESIGN.md §5 convention without per-hop masking), and each hop is
+    three ``np.take`` gathers per cache-sized block of walkers into
+    buffers allocated once per call — no boolean indexing, no copies,
+    no bounds-check passes.
+    Weighted graphs reuse a cached :class:`~repro.walks.alias.AliasSampler`
+    (alias tables are built once per graph, not once per call).
 ``"numpy"``
     The original gather-loop kernels, :func:`repro.walks.engine.batch_walks`
-    and :func:`repro.walks.alias.weighted_batch_walks`, unchanged.  This is
-    the default and the reference implementation.
-``"csr"``
-    A tighter CSR formulation: the adjacency is augmented once per graph
-    (dangling nodes get a self-loop, realizing the DESIGN.md §5 convention
-    without per-hop masking), and each hop is three allocation-free
-    ``np.take`` gathers into preallocated scratch buffers — no boolean
-    indexing, no copies, no bounds-check passes.  Weighted graphs reuse a
-    cached :class:`~repro.walks.alias.AliasSampler` (alias tables are
-    built once per graph, not once per call).
+    and :func:`repro.walks.alias.weighted_batch_walks`, unchanged: the
+    paper-faithful reference that the parity tests compare csr against.
 
 Resolution rules (:func:`get_engine`): ``None`` means the package default
-(``"numpy"``), a string is looked up in the registry, and a ready
+(``"csr"``), a string is looked up in the registry, and a ready
 :class:`WalkEngine` instance passes through unchanged, so every API that
 takes ``engine=`` accepts all three forms.
 """
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.graphs.weighted import WeightedDiGraph
@@ -59,7 +60,7 @@ __all__ = [
     "register_engine",
 ]
 
-DEFAULT_ENGINE = "numpy"
+DEFAULT_ENGINE = "csr"
 
 
 def _check_walk_args(
@@ -152,6 +153,7 @@ class WalkEngine(ABC):
         packer: RecordPacker,
         seed: "int | np.random.Generator | None" = None,
         chunk_rows: int = 1 << 19,
+        into: "Callable[[], np.ndarray] | None" = None,
     ):
         """Per-chunk first-visit ``(packed, counts)`` records.
 
@@ -168,10 +170,16 @@ class WalkEngine(ABC):
         ``len(chunk) * length`` uniforms before chunk ``c + 1`` begins —
         so every backend yields the same per-chunk record *sets* for the
         same ``(seed, chunk_rows)``; record order is a detail the
-        canonical sort removes.  Arguments are validated eagerly (before
-        the first chunk is computed); the caller's generator is only
-        guaranteed to be positioned past the whole batch once the
-        iterator is exhausted.
+        canonical sort removes.  ``into``, when given, is called before
+        each chunk's extraction and returns the ``int64`` array to pack
+        that chunk's records into (the sink's
+        :meth:`~repro.walks.build.ExternalSortSink.vacant` space), so
+        they are written once, straight into the sink's buffer.  Each
+        chunk's walks and extraction run under the ``index.build.walks``
+        and ``index.build.first_visit`` spans.  Arguments are validated
+        eagerly (before the first chunk is computed); the caller's
+        generator is only guaranteed to be positioned past the whole
+        batch once the iterator is exhausted.
         """
         starts = _check_walk_args(graph.num_nodes, starts, length)
         states = np.asarray(states, dtype=np.int64)
@@ -186,17 +194,26 @@ class WalkEngine(ABC):
             )
         rng = resolve_rng(seed)
         return self._iter_records(
-            graph, starts, length, states, packer, rng, chunk_rows
+            graph, starts, length, states, packer, rng, chunk_rows, into
         )
 
     def _iter_records(
-        self, graph, starts, length, states, packer, rng, chunk_rows
+        self, graph, starts, length, states, packer, rng, chunk_rows, into
     ):
         for lo in range(0, starts.size, chunk_rows):
-            rows = starts[lo : lo + chunk_rows]
-            walks = self.batch_walks(graph, rows, length, seed=rng)
-            yield first_visit_records(
-                walks, states[lo : lo + chunk_rows], packer
+            yield self._chunk_records(
+                graph, starts[lo : lo + chunk_rows], length,
+                states[lo : lo + chunk_rows], packer, rng, into,
+            )
+
+    def _chunk_records(self, graph, starts, length, states, packer, rng, into):
+        # A helper, so that no frame of the generator keeps a chunk's
+        # walks or records alive while the next chunk is walked.
+        with obs.span("index.build.walks", rows=starts.size):
+            walks = self.batch_walks(graph, starts, length, seed=rng)
+        with obs.span("index.build.first_visit"):
+            return first_visit_records(
+                walks, states, packer, out=None if into is None else into()
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -204,7 +221,7 @@ class WalkEngine(ABC):
 
 
 class NumpyWalkEngine(WalkEngine):
-    """The original per-hop gather loop — default, reference backend."""
+    """The original per-hop gather loop — the reference backend."""
 
     name = "numpy"
 
@@ -294,8 +311,48 @@ class _PlanCache:
         return plan
 
 
+#: Rows per block of the csr hop loop.  Each hop draws its uniforms for
+#: the whole batch (the RNG contract) and then moves the walkers block
+#: by block, so the four block buffers (1 MiB) stay in cache and a call
+#: allocates one batch-sized array beyond its output.
+_HOP_BLOCK = 1 << 15
+
+
+def _hop_buffers(batch: int) -> "tuple[np.ndarray, ...]":
+    """The ``(current, deg, off, pos)`` block buffers of :func:`_advance`."""
+    size = min(batch, _HOP_BLOCK)
+    return (
+        np.empty(size, dtype=np.int64),  # take() needs intp indices
+        np.empty(size, dtype=np.float64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+    )
+
+
+def _advance(plan: _CSRPlan, prev: np.ndarray, u: np.ndarray,
+             out: np.ndarray, buffers: "tuple[np.ndarray, ...]") -> None:
+    """One hop of every walker: ``out[i]`` is the neighbor of ``prev[i]``
+    at offset ``floor(u[i] * deg(prev[i]))`` of its adjacency row.
+
+    Every step is an allocation-free kernel into the block ``buffers``
+    (:func:`_hop_buffers`); ``mode="clip"`` skips numpy's bounds-check
+    pass, because positions are valid by construction.
+    """
+    block = buffers[0].size
+    for lo in range(0, prev.size, block):
+        hi = min(lo + block, prev.size)
+        current, deg, off, pos = (b[: hi - lo] for b in buffers)
+        np.copyto(current, prev[lo:hi])
+        np.take(plan.degrees_f64, current, out=deg, mode="clip")
+        np.multiply(u[lo:hi], deg, out=deg)
+        np.copyto(off, deg, casting="unsafe")  # trunc == floor: u >= 0
+        np.take(plan.indptr, current, out=pos, mode="clip")
+        pos += off
+        np.take(plan.indices, pos, out=out[lo:hi], mode="clip")
+
+
 class CSRWalkEngine(WalkEngine):
-    """Vectorized CSR backend: block uniforms, three gathers per hop.
+    """Vectorized CSR backend — the default: three gathers per hop.
 
     Bit-identical to :class:`NumpyWalkEngine` under the same seed (the
     parity tests in ``tests/test_walk_backends.py`` assert it), roughly
@@ -308,10 +365,6 @@ class CSRWalkEngine(WalkEngine):
     def __init__(self, cache_size: int = 8):
         self._plans = _PlanCache(cache_size)
         self._weighted_plans = _PlanCache(cache_size)
-        # Hop-loop scratch, reused across calls of the same batch size so
-        # steady-state walking performs zero allocations.  Thread-local
-        # because serving threads share the registry's one csr instance.
-        self._scratch = threading.local()
 
     # ------------------------------------------------------------------
     def _plan(self, graph: Graph) -> _CSRPlan:
@@ -319,20 +372,6 @@ class CSRWalkEngine(WalkEngine):
 
     def _weighted_plan(self, graph: WeightedDiGraph) -> _WeightedPlan:
         return self._weighted_plans.get(graph, _WeightedPlan)
-
-    def _buffers(self, batch: int) -> "tuple[np.ndarray, ...]":
-        """Per-thread ``(u, deg, off, pos, current)`` scratch buffers."""
-        cached = getattr(self._scratch, "buffers", None)
-        if cached is None or cached[0].size != batch:
-            cached = (
-                np.empty(batch, dtype=np.float64),
-                np.empty(batch, dtype=np.float64),
-                np.empty(batch, dtype=np.int64),
-                np.empty(batch, dtype=np.int64),
-                np.empty(batch, dtype=np.int64),
-            )
-            self._scratch.buffers = cached
-        return cached
 
     # ------------------------------------------------------------------
     def batch_walks(self, graph, starts, length, seed=None):
@@ -343,24 +382,16 @@ class CSRWalkEngine(WalkEngine):
         walks[0] = starts
         if length and batch:
             plan = self._plan(graph)
-            indptr, indices, degf = plan.indptr, plan.indices, plan.degrees_f64
-            # Per-hop scratch buffers are allocated once; every hop is a
-            # fixed sequence of allocation-free kernels.  ``mode="clip"``
-            # skips numpy's bounds-check pass — positions are valid by
-            # construction.  The per-hop ``rng.random`` calls consume the
-            # PCG64 stream exactly like the numpy backend's, which is what
-            # makes the two backends bit-identical under one seed.
-            u, deg, off, pos, current = self._buffers(batch)
-            np.copyto(current, starts)  # int64: take() needs intp indices
+            # The buffers live for this call only, so no walk-sized heap
+            # outlives the walks.  The per-hop ``rng.random`` calls
+            # consume the PCG64 stream exactly like the numpy backend's,
+            # which is what makes the two backends bit-identical under
+            # one seed.
+            u = np.empty(batch, dtype=np.float64)
+            buffers = _hop_buffers(batch)
             for t in range(1, length + 1):
                 rng.random(out=u)
-                np.take(degf, current, out=deg, mode="clip")
-                np.multiply(u, deg, out=u)
-                np.copyto(off, u, casting="unsafe")  # trunc == floor: u >= 0
-                np.take(indptr, current, out=pos, mode="clip")
-                pos += off
-                np.take(indices, pos, out=walks[t], mode="clip")
-                np.copyto(current, walks[t])
+                _advance(plan, walks[t - 1], u, walks[t], buffers)
         # (B, L+1) transposed view: column-major hop access, which is how
         # every consumer reads walks, stays contiguous.
         return walks.T
@@ -407,19 +438,14 @@ class CSRWalkEngine(WalkEngine):
         first = np.where(target_mask[starts], 0, -1).astype(np.int64)
         if length and batch:
             plan = self._plan(graph)
-            indptr, indices, degf = plan.indptr, plan.indices, plan.degrees_f64
-            u, deg, off, pos, current = self._buffers(batch)
+            u = np.empty(batch, dtype=np.float64)
+            buffers = _hop_buffers(batch)
+            current = starts.astype(np.int32)
             nxt = np.empty(batch, dtype=np.int32)
-            np.copyto(current, starts)
             for t in range(1, length + 1):
                 rng.random(out=u)
-                np.take(degf, current, out=deg, mode="clip")
-                np.multiply(u, deg, out=u)
-                np.copyto(off, u, casting="unsafe")
-                np.take(indptr, current, out=pos, mode="clip")
-                pos += off
-                np.take(indices, pos, out=nxt, mode="clip")
-                np.copyto(current, nxt)
+                _advance(plan, current, u, nxt, buffers)
+                current, nxt = nxt, current
                 newly = (first < 0) & target_mask[current]
                 first[newly] = t
         return first
@@ -459,7 +485,7 @@ def available_engines() -> tuple[str, ...]:
 def get_engine(engine: "str | WalkEngine | None" = None) -> WalkEngine:
     """Resolve an ``engine=`` argument to a :class:`WalkEngine` instance.
 
-    ``None`` -> the default backend (``"numpy"``); a string -> the shared
+    ``None`` -> the default backend (``"csr"``); a string -> the shared
     instance registered under that name; an instance -> itself.
     """
     if engine is None:

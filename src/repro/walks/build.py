@@ -9,27 +9,36 @@ turning the build into a streaming pipeline:
 1. The walk engine yields per-chunk packed records and per-node counts
    (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`; one
    ``int64`` per record, :class:`~repro.walks.records.RecordPacker`: the
-   canonical sort key shifted left past the hop bits).
+   canonical sort key shifted left past the hop bits), packing each
+   chunk straight into the free space of the sink's one record buffer.
 2. A :class:`RecordSink` consumes them.  The concrete
-   :class:`ExternalSortSink` appends the records to its buffer and adds
-   the counts; when a ``memory_budget`` is set and the buffer exceeds
-   it, the buffer is sorted in place and spilled as one *run* to a temp
+   :class:`ExternalSortSink` advances its fill count (or copies in a
+   chunk packed elsewhere) and adds the counts.  Without a budget the
+   buffer holds every record a build can produce; with a
+   ``memory_budget`` it is budget-sized, and a chunk that does not fit
+   first spills the buffer, sorted in place, as one *run* to a temp
    file next to the target.
-3. At finalize the runs are k-way merged — vectorized: emit every
-   buffered record up to the smallest "last buffered record" of any run
-   with unread data, refill, repeat — into an *entry writer*.  Keys are
-   globally unique, so the merged stream equals the in-memory sort
-   exactly, and the in-memory path is the degenerate one-run case of the
-   same pipeline (no temp I/O at all).
+3. At finalize the filled prefix is sorted in place.  Without runs it
+   goes to an *entry writer* as it is; otherwise the runs and the
+   prefix are k-way merged into it — vectorized: emit every buffered
+   record up to the smallest "last buffered record" of any run with
+   unread data, refill, repeat.  Keys are globally unique, so the merged
+   stream equals the in-memory sort exactly, and the in-memory path is
+   the degenerate one-run case of the same pipeline (no copy of the
+   records and no temp I/O at all).
 
-Two writers close the loop: :class:`DenseEntryWriter` materializes the
-flat arrays (what ``FlatWalkIndex.build`` uses, any budget), and the
-archive writer appends the state and hop columns to staged sibling files
-as the merge emits them, then assembles the v3 container through the
-same atomic header/layout writer ``save_index`` uses.  The result is
-**byte-identical** to saving the in-memory build, for every engine and
-any budget, while peak memory is O(budget + chunk walks + per-node
-metadata) instead of O(entries).
+Two writers close the loop, each decoding the sorted packed records
+block by block straight into its state and hop columns:
+:class:`DenseEntryWriter` materializes the flat arrays (what
+``FlatWalkIndex.build`` uses), and the archive writer appends the columns
+to staged sibling files as the merge emits them, then assembles the v3
+container through the same atomic header/layout writer ``save_index``
+uses.  The result is **byte-identical** to saving the in-memory build,
+for every engine and any budget, while peak memory is O(budget + chunk
+walks + per-node metadata) instead of O(entries).  Each stage runs under
+a span of its own: ``index.build.walks`` and ``index.build.first_visit``
+per chunk, ``index.build.spill`` per run, ``index.build.sort`` and
+``index.build.emit`` (with ``index.build.merge`` inside it) once.
 """
 
 from __future__ import annotations
@@ -108,6 +117,8 @@ class RecordSink(ABC):
         """
         for packed, counts in chunks:
             self.consume(packed, counts)
+            # Unbound before the next chunk is walked, not after.
+            del packed, counts
 
     @abstractmethod
     def finalize(self, writer: "EntryWriter"):
@@ -124,24 +135,25 @@ class RecordSink(ABC):
 
 
 class EntryWriter(ABC):
-    """Receiver of the merged, canonically ordered entry stream.
+    """Receiver of the merged, canonically ordered record stream.
 
     ``begin`` is called once with the full per-node layout (counts are
-    known before the merge starts — the sink sums the chunk counts),
-    then ``emit`` receives sorted ``(key, hop)`` batches (``int64`` keys
-    ``hit * n R + state``, ``int16`` hops) covering the entries exactly
+    known before the merge starts — the sink sums the chunk counts) and
+    the sink's :class:`~repro.walks.records.RecordPacker`, then ``emit``
+    receives sorted packed-record batches covering the entries exactly
     once, in canonical order, and ``finalize`` assembles the result.
-    ``abort`` must release staged temp files after a failed merge; it is
-    never called after a successful ``finalize``.
+    Each writer decodes the records itself, block by block, straight
+    into its state and hop columns
+    (:meth:`~repro.walks.records.RecordPacker.decode_into`).  ``abort``
+    must release staged temp files after a failed merge; it is never
+    called after a successful ``finalize``.
     """
 
     @abstractmethod
-    def begin(
-        self, indptr: np.ndarray, counts: np.ndarray, total: int
-    ) -> None: ...
+    def begin(self, indptr: np.ndarray, packer: RecordPacker) -> None: ...
 
     @abstractmethod
-    def emit(self, keys: np.ndarray, hops: np.ndarray) -> None: ...
+    def emit(self, packed: np.ndarray) -> None: ...
 
     @abstractmethod
     def finalize(self): ...
@@ -149,27 +161,47 @@ class EntryWriter(ABC):
     def abort(self) -> None: ...
 
 
+#: Records decoded per block: the two ``int64`` scratch rows stay at
+#: 512 KiB each, however many records one ``emit`` call carries.
+_DECODE_BLOCK = 1 << 16
+
+
+def _decode_scratch(total: int) -> np.ndarray:
+    """The ``(2, block)`` scratch of :meth:`RecordPacker.decode_into`."""
+    return np.empty((2, min(total, _DECODE_BLOCK)), dtype=np.int64)
+
+
 # ----------------------------------------------------------------------
 # The external sorter
 # ----------------------------------------------------------------------
 class ExternalSortSink(RecordSink):
-    """Bounded-memory record sorter: buffer, spill sorted runs, merge.
+    """Bounded-memory record sorter: one record buffer, sorted runs, merge.
 
     Every record arrives and is buffered as one packed ``int64`` in the
     format of :attr:`packer` (a :class:`~repro.walks.records.RecordPacker`
     for walks of ``length`` hops; its range check runs before anything
-    is allocated), which producers pass to
-    :func:`~repro.walks.records.first_visit_records`.  With
-    ``memory_budget=None`` (the default) nothing ever spills and
-    ``finalize`` sorts the whole buffer in place, decodes it once and
-    emits it — no temp I/O (the degenerate one-run case).  With a
-    budget, the buffer is capped at ``budget`` bytes at 8 bytes per
-    record; overflow sorts and spills the buffer as a run file of packed
-    records in ``spill_dir`` (the archive's directory on the archive
-    path, the system temp dir otherwise), and ``finalize`` streams the
-    k-way merge of all runs — plus the unsorted tail, sorted in place as
+    is allocated).  The sink owns one record buffer, allocated on first
+    use.  Producers pack each chunk straight into its :meth:`vacant`
+    space (:func:`~repro.walks.records.first_visit_records`'s ``out``),
+    and ``consume`` of that slice only advances the fill count; any
+    other array is copied in.
+
+    With ``memory_budget=None`` (the default) the buffer holds
+    :attr:`capacity` records — the most a build can produce, since a
+    walk has at most one first visit per hop and per node other than
+    its start — so nothing ever spills: pages never written never become
+    resident, and ``finalize`` sorts the filled prefix in place and
+    emits it — no copy and no temp I/O (the degenerate one-run case).
+    With a budget, the buffer holds ``budget // 8`` records; a chunk
+    that does not fit the vacant space first spills the buffer (sorted
+    in place) as a run file of packed records in ``spill_dir`` (the
+    archive's directory on the archive path, the system temp dir
+    otherwise), and a chunk larger than the whole buffer is sorted and
+    spilled straight from its own array.  ``finalize`` then streams the
+    k-way merge of all runs — plus the buffered tail, sorted in place as
     one more run — into the writer.  Run files are deleted on every exit
-    path.
+    path.  More than :attr:`capacity` records raise
+    :class:`~repro.errors.ParameterError`.
 
     Per-node metadata (the summed chunk ``counts`` that become
     ``indptr``) stays in memory — the O(metadata) term of the build's
@@ -193,9 +225,17 @@ class ExternalSortSink(RecordSink):
             Path(spill_dir) if spill_dir is not None
             else Path(tempfile.gettempdir())
         )
+        #: The most records a build of ``n R`` walks of ``L`` hops holds.
+        self.capacity = self.packer.num_states * min(
+            self.packer.length, max(self._num_nodes - 1, 0)
+        )
+        self._buffer_size = (
+            self.capacity if self._budget is None
+            else min(self.capacity, self._budget // _RECORD_BYTES)
+        )
+        self._buffer: "np.ndarray | None" = None
+        self._filled = 0
         self._counts = np.zeros(self._num_nodes, dtype=np.int64)
-        self._parts: list[np.ndarray] = []
-        self._buffered = 0
         self._runs: "list[tuple[Path, int]]" = []
         self._readers: "list[_FileRun]" = []
         self.total_records = 0
@@ -206,41 +246,75 @@ class ExternalSortSink(RecordSink):
         """Runs spilled to disk so far (0 on the in-memory fast path)."""
         return len(self._runs)
 
-    # ------------------------------------------------------------------
-    def consume(self, packed, counts) -> None:
-        """Buffer ``packed`` (the sink owns it from here: it is sorted in
-        place) and add ``counts`` to the per-node totals."""
-        if packed.size == 0:
-            return
-        self._counts += counts
-        self._parts.append(packed)
-        self._buffered += int(packed.size)
-        self.total_records += int(packed.size)
-        if (
-            self._budget is not None
-            and self._buffered * _RECORD_BYTES > self._budget
-        ):
-            self._spill()
+    @property
+    def buffered(self) -> int:
+        """Records held in the buffer, not yet spilled."""
+        return self._filled
 
-    def _sorted_buffer(self) -> np.ndarray:
-        """The buffered packed records, sorted in place, as one array."""
-        parts = self._parts
-        packed = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self._parts = []
-        self._buffered = 0
-        # Keys are globally unique (states are unique within a hit block),
-        # so the sorted values — hence every downstream byte — are
-        # independent of the sort algorithm and of how records were
-        # partitioned into chunks or runs.
-        packed.sort()
-        return packed
+    # ------------------------------------------------------------------
+    def _records(self) -> np.ndarray:
+        if self._buffer is None:
+            self._buffer = np.empty(self._buffer_size, dtype=np.int64)
+        return self._buffer
+
+    def vacant(self) -> np.ndarray:
+        """The buffer's unfilled tail, for a producer to pack into."""
+        return self._records()[self._filled :]
+
+    def _is_vacant_prefix(self, packed: np.ndarray) -> bool:
+        """Whether ``packed`` was packed in place, at the fill point."""
+        buffer = self._buffer
+        return (
+            buffer is not None
+            and packed.base is buffer
+            and packed.__array_interface__["data"][0]
+            == buffer.__array_interface__["data"][0]
+            + self._filled * _RECORD_BYTES
+        )
+
+    def consume(self, packed, counts) -> None:
+        """Take ``packed`` into the buffer (the sink owns it from here: an
+        array too large for the buffer is sorted in place and spilled)
+        and add ``counts`` to the per-node totals."""
+        size = int(packed.size)
+        if size == 0:
+            return
+        if self.total_records + size > self.capacity:
+            raise ParameterError(
+                f"more than n R min(L, n - 1) = {self.capacity} records: "
+                "a walk has at most one first visit per hop and per node "
+                "other than its start"
+            )
+        self._counts += counts
+        self.total_records += size
+        if self._is_vacant_prefix(packed):
+            self._filled += size
+            return
+        buffer = self._records()
+        if size > buffer.size - self._filled:
+            self._spill()
+            if size > buffer.size:
+                self._write_run(packed)
+                return
+        buffer[self._filled : self._filled + size] = packed
+        self._filled += size
 
     def _spill(self) -> None:
-        records = self._buffered
+        """Sort the buffered records in place and spill them as one run."""
+        if self._filled:
+            self._write_run(self._buffer[: self._filled])
+            self._filled = 0
+
+    def _write_run(self, packed: np.ndarray) -> None:
+        records = int(packed.size)
         with obs.span(
             "index.build.spill", run=len(self._runs) + 1, records=records
         ):
-            packed = self._sorted_buffer()
+            # Keys are globally unique (states are unique within a hit
+            # block), so the sorted values — hence every downstream byte
+            # — are independent of the sort algorithm and of how records
+            # were partitioned into chunks or runs.
+            packed.sort()
             fd, name = tempfile.mkstemp(
                 dir=self._spill_dir, prefix=".rwidx-run-", suffix=".tmp"
             )
@@ -268,27 +342,22 @@ class ExternalSortSink(RecordSink):
         try:
             indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
             np.cumsum(self._counts, out=indptr[1:])
-            writer.begin(indptr, self._counts, self.total_records)
-            if not self._runs:
-                # Single-run fast path: the whole record set is in memory;
-                # one sort, one decode, one emit, zero temp I/O.
-                if self._buffered:
-                    writer.emit(*self.packer.decode(self._sorted_buffer()))
-            else:
-                runs: list = [
-                    self._open_run(path, total) for path, total in self._runs
-                ]
-                if self._buffered:
-                    runs.append(_ArrayRun(self._sorted_buffer()))
-                block = _MIN_MERGE_BLOCK
-                if self._budget is not None:
-                    block = max(
-                        _MIN_MERGE_BLOCK,
-                        self._budget // (_RECORD_BYTES * len(runs)),
-                    )
-                with obs.span("index.build.merge", runs=len(runs)):
-                    for packed in _merge_sorted_runs(runs, block):
-                        writer.emit(*self.packer.decode(packed))
+            writer.begin(indptr, self.packer)
+            tail = self._buffer[: self._filled] if self._filled else None
+            with obs.span("index.build.sort", records=self._filled):
+                if tail is not None:
+                    tail.sort()
+            with obs.span("index.build.emit", runs=len(self._runs)):
+                if not self._runs:
+                    # Single-run fast path: the whole record set is in
+                    # the buffer; one sort, one emit, zero temp I/O.
+                    if tail is not None:
+                        writer.emit(tail)
+                else:
+                    self._merge_into(writer, tail)
+            # The records are all emitted: release the buffer before the
+            # writer assembles its result.
+            tail = self._buffer = None
             result = writer.finalize()
         except BaseException:
             writer.abort()
@@ -296,6 +365,19 @@ class ExternalSortSink(RecordSink):
         finally:
             self.close()
         return result
+
+    def _merge_into(self, writer: EntryWriter, tail) -> None:
+        runs: list = [self._open_run(path, total) for path, total in self._runs]
+        if tail is not None:
+            runs.append(_ArrayRun(tail))
+        # Half the budget for the runs' read blocks, half for the merged
+        # batch that each round emits (at most what the blocks held).
+        block = max(
+            _MIN_MERGE_BLOCK, self._budget // (2 * _RECORD_BYTES * len(runs))
+        )
+        with obs.span("index.build.merge", runs=len(runs)):
+            for packed in _merge_sorted_runs(runs, block):
+                writer.emit(packed)
 
     def _open_run(self, path: Path, total: int) -> "_FileRun":
         reader = _FileRun(path, total)
@@ -312,8 +394,8 @@ class ExternalSortSink(RecordSink):
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         self._runs.clear()
-        self._parts = []
-        self._buffered = 0
+        self._buffer = None
+        self._filled = 0
 
 
 class _FileRun:
@@ -372,9 +454,7 @@ def _merge_sorted_runs(runs: list, block_records: int) -> "Iterator[np.ndarray]"
     and refills drained buffers.  No per-record Python loop, and each
     emitted batch is bounded by the total buffered footprint (~the sort
     budget).  When every run is fully buffered the boundary vanishes and
-    the remainder flushes in one batch.  Every batch is a fresh array
-    (``np.concatenate`` always copies), so the caller may decode it in
-    place without touching a run's buffer.
+    the remainder flushes in one batch.
     """
     buffers = []
     for run in runs:
@@ -412,28 +492,25 @@ class DenseEntryWriter(EntryWriter):
     """Materialize the flat entry arrays — ``FlatWalkIndex.build``'s sink."""
 
     def __init__(self, num_nodes: int, num_replicates: int):
-        self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
-    def begin(self, indptr, counts, total) -> None:
+    def begin(self, indptr, packer) -> None:
         self._indptr = indptr
+        self._packer = packer
+        total = int(indptr[-1])
         self._state = np.empty(total, dtype=self._state_dtype)
         self._hop = np.empty(total, dtype=np.int16)
+        self._scratch = _decode_scratch(total)
         self._pos = 0
 
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
-            return
-        lo = self._pos
-        self._pos = lo + keys.size
-        # The state is the key's remainder, narrowed straight into the
-        # int32/int64 column (values fit by range); the hit is implied
-        # by the position, so no quotient is computed.
-        np.remainder(
-            keys, self._num_states, out=self._state[lo : self._pos],
-            casting="unsafe",
-        )
-        self._hop[lo : self._pos] = hops
+    def emit(self, packed) -> None:
+        for lo in range(0, packed.size, _DECODE_BLOCK):
+            block = packed[lo : lo + _DECODE_BLOCK]
+            at, self._pos = self._pos, self._pos + block.size
+            self._packer.decode_into(
+                block, self._state[at : self._pos],
+                self._hop[at : self._pos], self._scratch,
+            )
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._indptr, self._state, self._hop
@@ -442,11 +519,12 @@ class DenseEntryWriter(EntryWriter):
 class _MmapArchiveWriter(EntryWriter):
     """Stream the entry columns into a v3 archive (``encoding="dense"``).
 
-    Entries arrive in canonical order, so the state and hop columns are
-    appended to staged sibling temp files as-is and concatenate to
-    exactly the arrays ``save_index`` would write; O(n) metadata stays
-    in memory.  ``finalize`` builds the exact header ``save_index``
-    would and hands the staged files to the shared v3 serializer as
+    Entries arrive in canonical order, so each block's decoded state and
+    hop columns are appended (``tofile``) to staged sibling temp files
+    as-is and concatenate to exactly the arrays ``save_index`` would
+    write; O(n) metadata and one decode block stay in memory.
+    ``finalize`` builds the exact header ``save_index`` would and hands
+    the staged files to the shared v3 serializer as
     :class:`FileArraySource`\\ s — one streamed copy into an atomic temp,
     then ``os.replace``, so a crash anywhere leaves any prior archive
     untouched and ``abort``/cleanup removes every staged temp.
@@ -458,7 +536,6 @@ class _MmapArchiveWriter(EntryWriter):
         self._out = out
         self._header = header
         self._staged: "dict[str, tuple[object, Path]]" = {}
-        self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
     def _stage(self, label: str):
@@ -491,20 +568,26 @@ class _MmapArchiveWriter(EntryWriter):
     def abort(self) -> None:
         self._cleanup()
 
-    def begin(self, indptr, counts, total) -> None:
+    def begin(self, indptr, packer) -> None:
         self._indptr = indptr
-        self._total = total
+        self._packer = packer
+        self._total = int(indptr[-1])
+        self._scratch = _decode_scratch(self._total)
+        block = self._scratch.shape[1]
+        self._state = np.empty(block, dtype=self._state_dtype)
+        self._hop = np.empty(block, dtype=np.int16)
         self._state_f = self._stage("state")
         self._hop_f = self._stage("hop")
 
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
-            return
-        states = keys % self._num_states
-        self._state_f.write(states.astype(self._state_dtype).tobytes())
-        self._hop_f.write(
-            np.ascontiguousarray(hops, dtype=np.int16).tobytes()
-        )
+    def emit(self, packed) -> None:
+        for lo in range(0, packed.size, _DECODE_BLOCK):
+            block = packed[lo : lo + _DECODE_BLOCK]
+            size = block.size
+            self._packer.decode_into(
+                block, self._state[:size], self._hop[:size], self._scratch
+            )
+            self._state[:size].tofile(self._state_f)
+            self._hop[:size].tofile(self._hop_f)
 
     def finalize(self) -> Path:
         self._header["state_dtype"] = self._state_dtype.str
@@ -575,10 +658,10 @@ def build_index_archive(
             spill_dir=out.parent if spill_dir is None else spill_dir,
         ) as sink:
             sink.consume_all(_walk_records(
-                walk_engine, graph, length, num_replicates, sink.packer,
-                rng, chunk_rows,
+                walk_engine, graph, length, num_replicates, sink, rng,
+                chunk_rows,
             ))
-            num_runs = sink.spill_runs + (1 if sink._buffered else 0)
+            num_runs = sink.spill_runs + (1 if sink.buffered else 0)
             header = v3_index_header(
                 n, length, num_replicates, encoding="dense",
                 engine=engine_meta, seed=seed, graph=graph,

@@ -11,10 +11,11 @@ module provides
 * first-hit helpers implementing the truncated hitting variable
   ``T^L_uS = min(min{t : Z_t ∈ S}, L)`` of Eq. (3).
 
-These kernels are also the ``"numpy"`` backend — the default and the
-reference semantics — of the pluggable walk-engine registry in
-:mod:`repro.walks.backends` (DESIGN.md §3), which alternative execution
-strategies must match bit-for-bit under a shared seed.
+These kernels are also the ``"numpy"`` backend — the reference
+semantics — of the pluggable walk-engine registry in
+:mod:`repro.walks.backends` (DESIGN.md §3), which the default ``"csr"``
+engine and any other execution strategy must match bit-for-bit under a
+shared seed.
 
 Dangling nodes (degree 0) cannot move; their walks stay in place, which
 realizes the package-wide convention ``h^L_uS = L`` and ``p^L_uS = 0`` for a

@@ -20,10 +20,10 @@ argmax and no metric; we follow Eq. 6 so the estimator is consistent with
 the exact :class:`repro.core.objectives.F1Objective`.
 
 Everything below runs on a pluggable walk backend (``engine=``, see
-:mod:`repro.walks.backends`; the default is the numpy gather loop of
-:func:`repro.walks.engine.batch_walks`) and is chunked so that the paper's
-metric-evaluation setting (R = 500 on the larger datasets) stays within
-memory.
+:mod:`repro.walks.backends`; the default is the csr engine, bit-identical
+to the numpy gather loop of :func:`repro.walks.engine.batch_walks`) and is
+chunked so that the paper's metric-evaluation setting (R = 500 on the
+larger datasets) stays within memory.
 """
 
 from __future__ import annotations

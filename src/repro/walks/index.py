@@ -72,17 +72,28 @@ def walker_major_starts(num_nodes: int, num_replicates: int) -> np.ndarray:
     return np.repeat(np.arange(num_nodes, dtype=np.int64), num_replicates)
 
 
-def _walker_major_states(num_nodes: int, num_replicates: int) -> np.ndarray:
-    """Flattened ``D`` state of each row of the canonical batch.
+def _walker_major_rows(
+    num_nodes: int, num_replicates: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start node and flattened ``D`` state of rows ``[lo, hi)`` of the
+    canonical batch.
 
     Row ``b`` is replicate ``b % R`` of walker ``b // R`` (the layout of
     :func:`walker_major_starts`), so its state is ``(b % R) * n + b // R``.
     """
-    rows = np.arange(num_nodes * num_replicates, dtype=np.int64)
-    states = rows % num_replicates
+    rows = np.arange(lo, hi, dtype=np.int64)
+    starts = rows // num_replicates
+    states = rows - starts * num_replicates
     states *= num_nodes
-    states += rows // num_replicates
-    return states
+    states += starts
+    return starts, states
+
+
+def _walker_major_states(num_nodes: int, num_replicates: int) -> np.ndarray:
+    """Flattened ``D`` state of each row of the whole canonical batch."""
+    return _walker_major_rows(
+        num_nodes, num_replicates, 0, num_nodes * num_replicates
+    )[1]
 
 
 def _walk_records(
@@ -90,26 +101,31 @@ def _walk_records(
     graph: Graph,
     length: int,
     num_replicates: int,
-    packer: RecordPacker,
+    sink,
     seed: np.random.Generator,
     chunk_rows: int,
 ):
     """The canonical batch's ``(packed, counts)`` chunks, walked by
-    ``walk_engine``.
+    ``walk_engine`` and packed into ``sink``'s vacant buffer space.
 
-    The per-row start and state arrays live only in the returned
-    iterator, so they are released once it is exhausted — before the
-    caller's sort, which is the build's memory peak.
+    Each chunk's start and state rows are made when it is walked, so no
+    batch-sized row array exists (two of 16 MB at n=20k, R=100).  The
+    chunks draw from ``seed`` in order, as one
+    :meth:`~repro.walks.backends.WalkEngine.iter_walk_records` call over
+    the whole batch would.
     """
-    return walk_engine.iter_walk_records(
-        graph,
-        walker_major_starts(graph.num_nodes, num_replicates),
-        length,
-        _walker_major_states(graph.num_nodes, num_replicates),
-        packer,
-        seed=seed,
-        chunk_rows=chunk_rows,
-    )
+    if chunk_rows < 1:
+        raise ParameterError("chunk_rows must be >= 1")
+    n = graph.num_nodes
+    total = n * num_replicates
+    for lo in range(0, total, chunk_rows):
+        starts, states = _walker_major_rows(
+            n, num_replicates, lo, min(lo + chunk_rows, total)
+        )
+        yield from walk_engine.iter_walk_records(
+            graph, starts, length, states, sink.packer, seed=seed,
+            chunk_rows=chunk_rows, into=sink.vacant,
+        )
 
 
 def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
@@ -338,8 +354,6 @@ class FlatWalkIndex:
         seed: "int | np.random.Generator | None" = None,
         chunk_rows: int = 1 << 19,
         engine: "str | WalkEngine | None" = None,
-        memory_budget: "int | None" = None,
-        spill_dir: "str | Path | None" = None,
     ) -> "FlatWalkIndex":
         """Vectorized Algorithm 3.
 
@@ -352,17 +366,18 @@ class FlatWalkIndex:
         same ``(seed, chunk_rows)``; entries land in canonical
         ``(hit, state)`` order regardless of the order records arrive in.
 
-        The record stream feeds the external-sort pipeline of
-        :mod:`repro.walks.build` (DESIGN.md §15), one packed ``int64`` per
-        record.  By default (``memory_budget=None``) every record stays
-        buffered and the sort is one in-place value sort of the whole
-        buffer; with a budget, sorted runs spill to ``spill_dir``
-        (default: the system temp dir) at 8 bytes per record and are
-        merged back — the result is identical either way, the budget only
-        caps the sort's footprint.  (The
-        *final* entry arrays are still materialized here; to cap the
-        whole build, write an archive with
-        :func:`repro.walks.build.build_index_archive` instead.)
+        The walks come from the default csr engine unless ``engine``
+        names another (:mod:`repro.walks.backends`).  The record stream
+        feeds the in-memory case of the external-sort pipeline of
+        :mod:`repro.walks.build` (DESIGN.md §15): each chunk's records are
+        packed, one ``int64`` each, straight into the sink's one record
+        buffer, the filled prefix is value-sorted in place, and the entry
+        writer decodes it block by block into the ``state`` and ``hop``
+        columns.  Each stage runs under its ``index.build.*`` span.  To
+        cap the build's memory, write an archive with
+        :func:`repro.walks.build.build_index_archive` and a
+        ``memory_budget`` instead: it writes the bytes ``save_index``
+        writes for this index.
         """
         rng = resolve_rng(seed)
         walk_engine = get_engine(engine)
@@ -376,13 +391,10 @@ class FlatWalkIndex:
             "index.build", engine=walk_engine.name, num_nodes=n,
             length=length, num_replicates=num_replicates,
         ):
-            with ExternalSortSink(
-                n, num_replicates, length, memory_budget=memory_budget,
-                spill_dir=spill_dir,
-            ) as sink:
+            with ExternalSortSink(n, num_replicates, length) as sink:
                 sink.consume_all(_walk_records(
-                    walk_engine, graph, length, num_replicates, sink.packer,
-                    rng, chunk_rows,
+                    walk_engine, graph, length, num_replicates, sink, rng,
+                    chunk_rows,
                 ))
                 indptr, state_arr, hop_arr = sink.finalize(
                     DenseEntryWriter(n, num_replicates)
@@ -456,7 +468,9 @@ class FlatWalkIndex:
             raise ParameterError("walk nodes out of range")
         states = _walker_major_states(num_nodes, num_replicates)
         with ExternalSortSink(num_nodes, num_replicates, length) as sink:
-            sink.consume(*first_visit_records(matrix, states, sink.packer))
+            sink.consume(*first_visit_records(
+                matrix, states, sink.packer, out=sink.vacant()
+            ))
             indptr, state, hop = sink.finalize(
                 DenseEntryWriter(num_nodes, num_replicates)
             )

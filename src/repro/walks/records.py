@@ -29,7 +29,10 @@ __all__ = [
 
 
 def first_visit_records(
-    walks: np.ndarray, states: np.ndarray, packer: "RecordPacker"
+    walks: np.ndarray,
+    states: np.ndarray,
+    packer: "RecordPacker",
+    out: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Packed first-visit records of a block of walks, and per-node counts.
 
@@ -42,7 +45,10 @@ def first_visit_records(
     ``b``'s flattened ``D`` index.  Returns ``(packed, counts)``:
     ``packed`` holds one :class:`RecordPacker` ``int64`` per record, in
     no particular order (the canonical sort orders them), and
-    ``counts[v]`` is how many of them hit node ``v``.
+    ``counts[v]`` is how many of them hit node ``v``.  When the records
+    fit the ``int64`` array ``out`` (a record sink's vacant buffer space,
+    :meth:`~repro.walks.build.ExternalSortSink.vacant`), ``packed`` is
+    its leading slice; otherwise it is a fresh array.
 
     The hop columns are read contiguously (a csr walk matrix is already a
     transposed view of hop rows; a row-major one takes one transposed
@@ -71,7 +77,11 @@ def first_visit_records(
             mask &= differs
     sizes = np.count_nonzero(fresh, axis=1)
     # Pass 2: pack each hop's records straight into their output slice.
-    packed = np.empty(int(sizes.sum()), dtype=np.int64)
+    total = int(sizes.sum())
+    if out is not None and out.size >= total:
+        packed = out[:total]
+    else:
+        packed = np.empty(total, dtype=np.int64)
     counts = np.zeros(packer.num_nodes, dtype=np.int64)
     shifted_states = np.left_shift(states, packer.hop_bits, dtype=np.int64)
     stride = np.int64(packer.num_states << packer.hop_bits)
@@ -129,7 +139,8 @@ class RecordPacker:
     plus one gather per column — and every assembler (the external
     sorter's buffer, spill runs and merge; ``FlatWalkIndex._from_records``;
     the dynamic index) shares this one format.  A mask reads the hop
-    back, a shift the key, and ``key % num_states`` the state.
+    back, a shift the key, and ``key % num_states`` the state
+    (:meth:`decode`, :meth:`decode_into`).
     :func:`first_visit_records` packs as it extracts; :meth:`pack` packs
     record triples that come from elsewhere (the paper-oracle
     conversion, tests).
@@ -197,6 +208,35 @@ class RecordPacker:
         )
         packed >>= self.hop_bits
         return packed, hops
+
+    def decode_into(
+        self,
+        packed: np.ndarray,
+        state: np.ndarray,
+        hop: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """Write each record's state and hop into ``state`` and ``hop``.
+
+        The index writers' decode, one block at a time: the hop is the
+        low bits, narrowed into the ``int16`` column, and the state the
+        key's remainder by ``n R``, narrowed into the ``int32``/``int64``
+        column (values fit by range); the hit is implied by the
+        position.  The remainder is taken as ``key - (key // n R) * n R``
+        because numpy divides by a scalar through a precomputed multiply,
+        which it does not do for ``%``: the three passes run faster than
+        the one ``%``.  ``state`` and ``hop`` have ``packed``'s length;
+        ``scratch`` is ``int64`` with two rows at least that long.
+        """
+        size = packed.size
+        keys, quotients = scratch[0, :size], scratch[1, :size]
+        np.bitwise_and(
+            packed, (1 << self.hop_bits) - 1, out=hop, casting="unsafe"
+        )
+        np.right_shift(packed, self.hop_bits, out=keys)
+        np.floor_divide(keys, self.num_states, out=quotients)
+        quotients *= self.num_states
+        np.subtract(keys, quotients, out=state, casting="unsafe")
 
     def sort_decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sort ``packed`` in place, then :meth:`decode` it."""

@@ -214,3 +214,135 @@ class TestPaperExample:
         g = paper_example_graph()
         for walk in example_walks:
             assert walk_is_valid(g, walk), walk
+
+
+# ----------------------------------------------------------------------
+# The Barabási–Albert and power-law generators against their array-based
+# formulation (kept here as the oracle): same draws, same graphs.
+# ----------------------------------------------------------------------
+def _reference_csr(edges, num_nodes):
+    """CSR of a canonical simple graph: hash ``np.unique`` + ``lexsort``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    if edges.size == 0:
+        return indptr, np.empty(0, dtype=np.int32)
+    lo = edges.min(axis=1)
+    hi = edges.max(axis=1)
+    canon = np.unique(lo * np.int64(num_nodes) + hi)
+    lo, hi = canon // num_nodes, canon % num_nodes
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    order = np.lexsort((dst, src))
+    np.cumsum(np.bincount(src[order], minlength=num_nodes), out=indptr[1:])
+    return indptr, dst[order].astype(np.int32)
+
+
+def _reference_ba_edges(num_nodes, attach, rng):
+    core = np.arange(attach + 1)
+    src0, dst0 = np.triu_indices(attach + 1, k=1)
+    edges_src = [core[src0]]
+    edges_dst = [core[dst0]]
+    clique_endpoints = attach * (attach + 1)
+    pool_total = clique_endpoints + 2 * attach * (num_nodes - attach - 1)
+    pool = np.empty(pool_total, dtype=np.int64)
+    pool[: clique_endpoints // 2] = core[src0]
+    pool[clique_endpoints // 2 : clique_endpoints] = core[dst0]
+    pool_len = clique_endpoints
+    for new in range(attach + 1, num_nodes):
+        targets = set()
+        while len(targets) < attach:
+            need = attach - len(targets)
+            draw = pool[rng.integers(0, pool_len, size=need * 2 + 1)]
+            for t in draw:
+                targets.add(int(t))
+                if len(targets) == attach:
+                    break
+        tgt = np.fromiter(targets, dtype=np.int64, count=attach)
+        new_col = np.full(attach, new, dtype=np.int64)
+        pool[pool_len : pool_len + attach] = tgt
+        pool[pool_len + attach : pool_len + 2 * attach] = new_col
+        pool_len += 2 * attach
+        edges_src.append(new_col)
+        edges_dst.append(tgt)
+    return np.column_stack(
+        (np.concatenate(edges_src), np.concatenate(edges_dst))
+    )
+
+
+def _edge_array(indptr, indices):
+    src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    mask = src < indices
+    return np.column_stack((src[mask], indices[mask]))
+
+
+def _reference_power_law(num_nodes, num_edges, rng):
+    attach = max(1, num_edges // num_nodes)
+    if num_nodes <= attach:
+        attach = num_nodes - 1
+    indptr, indices = _reference_csr(
+        _reference_ba_edges(num_nodes, attach, rng), num_nodes
+    )
+    edges = _edge_array(indptr, indices)
+    if edges.shape[0] > num_edges:
+        keep = rng.choice(edges.shape[0], size=num_edges, replace=False)
+        return _reference_csr(edges[keep], num_nodes)
+    existing = set(map(tuple, edges.tolist()))
+    extra = []
+    missing = num_edges - edges.shape[0]
+    while missing > 0:
+        cand_u = rng.integers(0, num_nodes, size=missing * 2 + 8)
+        cand_v = rng.integers(0, num_nodes, size=missing * 2 + 8)
+        for u, v in zip(cand_u, cand_v):
+            if u == v:
+                continue
+            key = (int(min(u, v)), int(max(u, v)))
+            if key in existing:
+                continue
+            existing.add(key)
+            extra.append(key)
+            missing -= 1
+            if missing == 0:
+                break
+    return _reference_csr(
+        np.concatenate((edges, np.array(extra, dtype=np.int64).reshape(-1, 2))),
+        num_nodes,
+    )
+
+
+#: (n, m, seed): top-up cases, exact-count cases and, where m < n - 1,
+#: the branch that drops surplus Barabási–Albert edges.
+POWER_LAW_CASES = [
+    (2, 1, 0), (3, 1, 1), (3, 3, 2), (5, 4, 3), (6, 15, 4), (10, 3, 5),
+    (10, 9, 6), (12, 40, 7), (20, 190, 8), (30, 20, 9), (40, 120, 10),
+    (50, 49, 11), (64, 1000, 12), (100, 50, 13), (100, 500, 14),
+    (150, 149, 15), (200, 1000, 16), (333, 2500, 17), (500, 400, 18),
+    (1000, 9956, 19), (1200, 5000, 20), (2000, 12000, 21),
+]
+
+
+@pytest.mark.parametrize("num_nodes,num_edges,seed", POWER_LAW_CASES)
+def test_power_law_matches_reference_draws(num_nodes, num_edges, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    graph = power_law_graph(num_nodes, num_edges, seed=rng)
+    indptr, indices = _reference_power_law(num_nodes, num_edges, ref_rng)
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+    assert graph.num_edges == num_edges
+    # The shared generator is left where the reference left it.
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize(
+    "num_nodes,attach,seed",
+    [(2, 1, 0), (5, 4, 1), (30, 2, 2), (200, 5, 3), (1000, 3, 4), (60, 9, 5)],
+)
+def test_barabasi_albert_matches_reference_draws(num_nodes, attach, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    graph = barabasi_albert_graph(num_nodes, attach, seed=rng)
+    indptr, indices = _reference_csr(
+        _reference_ba_edges(num_nodes, attach, ref_rng), num_nodes
+    )
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)

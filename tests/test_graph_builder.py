@@ -123,3 +123,51 @@ class TestCsrShape:
         assert g.num_edges == nx_graph.number_of_edges()
         for u in range(30):
             assert sorted(g.neighbors(u).tolist()) == sorted(nx_graph.neighbors(u))
+
+
+def _unique_lexsort_csr(edges, num_nodes):
+    """The reference CSR: hash ``np.unique`` of the canonical keys, then
+    ``np.lexsort`` of both directions."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = edges.min(axis=1)
+    hi = edges.max(axis=1)
+    canon = np.unique(lo * np.int64(num_nodes) + hi)
+    lo, hi = canon // num_nodes, canon % num_nodes
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[order], minlength=num_nodes), out=indptr[1:])
+    return indptr, dst[order].astype(np.int32)
+
+
+class TestSortedBuild:
+    """``build`` deduplicates and orders with sorts; the reference hashes."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unique_lexsort_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(2, 60))
+        edges = rng.integers(0, num_nodes, size=(int(rng.integers(1, 400)), 2))
+        # Exact duplicates, reversed duplicates and self-loops.
+        picks = rng.integers(0, edges.shape[0], size=edges.shape[0] // 3 + 1)
+        loops = np.repeat(rng.integers(0, num_nodes, size=(5, 1)), 2, axis=1)
+        edges = np.concatenate((edges, edges[picks], edges[picks, ::-1], loops))
+        rng.shuffle(edges)
+        trailing = num_nodes + int(rng.integers(0, 4))  # isolated tail
+        b = GraphBuilder()
+        for part in np.array_split(edges, 3):
+            b.add_edges(part)
+        g = b.build(num_nodes=trailing)
+        indptr, indices = _unique_lexsort_csr(edges, trailing)
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, indices)
+        assert g.num_nodes == trailing
+
+    def test_single_edge_both_orientations(self):
+        b = GraphBuilder()
+        b.add_edges([(3, 1), (1, 3), (3, 1)])
+        g = b.build(num_nodes=6)
+        np.testing.assert_array_equal(g.indptr, [0, 0, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(g.indices, [3, 1])

@@ -202,6 +202,35 @@ class TestTracing:
         assert names == ["s6", "s7", "s8", "s9"]
 
 
+class TestBuildSpans:
+    def test_stage_spans_nest_under_index_build(self, tmp_path):
+        from collections import Counter
+
+        from repro.walks.build import build_index_archive
+        from repro.walks.index import FlatWalkIndex
+
+        obs.configure()
+        graph = power_law_graph(120, 600, seed=2)
+        # 600 rows in chunks of 200: three walk and extraction spans.
+        FlatWalkIndex.build(graph, 4, 5, seed=1, chunk_rows=200)
+        build_index_archive(
+            graph, 4, 5, tmp_path / "x.idx3", seed=1, chunk_rows=200,
+            memory_budget=2048,
+        )
+        events = obs.tracer().events()  # each span closes after its children
+        ends = [i for i, e in enumerate(events) if e["name"] == "index.build"]
+        assert len(ends) == 2
+        for lo, end in zip([0, ends[0] + 1], ends):
+            stages = Counter(e["name"] for e in events[lo:end])
+            assert stages["index.build.walks"] == 3
+            assert stages["index.build.first_visit"] == 3
+            assert stages["index.build.sort"] == 1
+            assert stages["index.build.emit"] == 1
+            assert all(e["depth"] > events[end]["depth"]
+                       for e in events[lo:end])
+        assert stages["index.build.spill"] >= 1  # the budgeted build
+
+
 # ----------------------------------------------------------------------
 # The process-wide switch.
 # ----------------------------------------------------------------------

@@ -23,7 +23,12 @@ from repro.walks.build import (
     ExternalSortSink,
     build_index_archive,
 )
-from repro.walks.index import FlatWalkIndex
+from repro.walks.backends import get_engine
+from repro.walks.index import (
+    FlatWalkIndex,
+    _walker_major_states,
+    walker_major_starts,
+)
 from repro.walks.records import (
     MAX_WALK_LENGTH,
     RecordPacker,
@@ -59,22 +64,6 @@ class TestByteParity:
             if budget is not None:
                 assert report.num_runs > 1
                 assert report.spilled_bytes > 0
-
-    def test_in_memory_build_with_budget_identical(self, tmp_path):
-        graph = power_law_graph(100, 500, seed=6)
-        plain = FlatWalkIndex.build(graph, 6, 8, seed=1, chunk_rows=128)
-        budgeted = FlatWalkIndex.build(
-            graph, 6, 8, seed=1, chunk_rows=128, memory_budget=1024,
-            spill_dir=tmp_path,
-        )
-        np.testing.assert_array_equal(budgeted.indptr, plain.indptr)
-        np.testing.assert_array_equal(
-            np.asarray(budgeted.state), np.asarray(plain.state)
-        )
-        np.testing.assert_array_equal(
-            np.asarray(budgeted.hop), np.asarray(plain.hop)
-        )
-        assert list(tmp_path.iterdir()) == []  # runs cleaned up
 
     def test_loaded_archive_serves_same_entries(self, tmp_path):
         graph = power_law_graph(80, 400, seed=8)
@@ -140,7 +129,7 @@ class TestEdgeCases:
 
         from repro.walks import build as build_mod
 
-        def boom(self, keys, hops):
+        def boom(self, packed):
             raise RuntimeError("disk on fire")
 
         monkeypatch.setattr(build_mod._MmapArchiveWriter, "emit", boom)
@@ -282,7 +271,9 @@ class TestPackedRecords:
         # runs longer than one merge read block, so the merge takes
         # several boundary rounds.
         rng = np.random.default_rng(length)
-        num_nodes, reps = 300, 2
+        # R=40: the sink holds at most n R min(L, n - 1) records, and
+        # 12,000 records at L=1 need R >= 40.
+        num_nodes, reps = 300, 40
         for size in ([0] if length == 0 else [0, 1, 57, 12_000]):
             hits, states, hops = _random_records(
                 rng, num_nodes, reps, length, size, dtype
@@ -379,6 +370,98 @@ class TestPackedRecords:
             walks[:, :4], np.array([0, 1]), packer
         )
         assert packed.size == counts.sum() == 6
+
+
+class TestRecordBuffer:
+    """The sink's one record buffer: filled in place, sorted in place."""
+
+    def test_capacity_is_one_record_per_hop_and_node(self):
+        assert ExternalSortSink(5, 2, 4).capacity == 5 * 2 * 4
+        # A walk on 3 nodes first-visits at most the 2 besides its start.
+        assert ExternalSortSink(3, 2, 10).capacity == 3 * 2 * 2
+        assert ExternalSortSink(4, 3, 0).capacity == 0
+
+    def test_consume_past_capacity_raises(self):
+        sink = ExternalSortSink(5, 2, 1)
+        hits = np.arange(10) % 5
+        sink.consume(*_chunk(sink, hits, np.arange(10), np.ones(10, int)))
+        assert sink.total_records == sink.capacity == 10
+        with pytest.raises(ParameterError, match="= 10 records"):
+            sink.consume(*_chunk(sink, np.array([0]), np.array([9]),
+                                 np.array([1])))
+        assert sink.total_records == 10
+        sink.close()
+
+    def test_in_memory_finalize_emits_the_producers_buffer(self):
+        graph = power_law_graph(30, 90, seed=4)
+        n, reps, length = 30, 3, 5
+        walks = get_engine("numpy").batch_walks(
+            graph, walker_major_starts(n, reps), length, seed=8
+        )
+        sink = ExternalSortSink(n, reps, length)
+        packed, counts = first_visit_records(
+            walks, _walker_major_states(n, reps), sink.packer,
+            out=sink.vacant(),
+        )
+        sink.consume(packed, counts)
+        assert sink.buffered == packed.size
+        emitted = []
+
+        class Spy(DenseEntryWriter):
+            def emit(self, records):
+                emitted.append(records)
+                super().emit(records)
+
+        indptr, state, hop = sink.finalize(Spy(n, reps))
+        (batch,) = emitted
+        assert batch.size == packed.size
+        assert np.shares_memory(batch, packed)
+        ref = FlatWalkIndex.from_walks(walks, n, reps)
+        np.testing.assert_array_equal(indptr, ref.indptr)
+        np.testing.assert_array_equal(state, ref.state)
+        np.testing.assert_array_equal(hop, ref.hop)
+
+    def test_other_arrays_are_copied_in(self):
+        sink = ExternalSortSink(5, 2, 4)
+        chunk, counts = _chunk(
+            sink, np.array([3, 1]), np.array([9, 0]), np.array([2, 1])
+        )
+        before = chunk.copy()
+        sink.consume(chunk, counts)
+        assert sink.buffered == 2
+        np.testing.assert_array_equal(chunk, before)  # not sorted in place
+        sink.close()
+
+    def test_chunk_larger_than_budget_buffer_spills_straight(self, tmp_path):
+        # 79 B holds 9 records; the 10-record chunk goes to disk from its
+        # own array, sorted in place, and the buffer stays empty.
+        rng = np.random.default_rng(3)
+        hits, states, hops = _random_records(rng, 100, 2, 3, 10, np.int64)
+        sink = ExternalSortSink(100, 2, 3, memory_budget=79,
+                                spill_dir=tmp_path)
+        chunk, counts = _chunk(sink, hits, states, hops)
+        sink.consume(chunk, counts)
+        assert sink.spill_runs == 1 and sink.buffered == 0
+        assert np.all(np.diff(chunk) > 0)
+        (run,) = tmp_path.iterdir()
+        np.testing.assert_array_equal(np.fromfile(run, dtype=np.int64), chunk)
+        sink.close()
+
+    def test_budget_buffer_spills_before_a_chunk_that_does_not_fit(
+        self, tmp_path
+    ):
+        sink = ExternalSortSink(100, 2, 3, memory_budget=8 * 8,
+                                spill_dir=tmp_path)
+        rng = np.random.default_rng(7)
+        hits, states, hops = _random_records(rng, 100, 2, 3, 12, np.int64)
+        sink.consume(*_chunk(sink, hits[:6], states[:6], hops[:6]))
+        assert sink.spill_runs == 0 and sink.buffered == 6
+        sink.consume(*_chunk(sink, hits[6:], states[6:], hops[6:]))
+        assert sink.spill_runs == 1 and sink.buffered == 6
+        indptr, state, hop = sink.finalize(DenseEntryWriter(100, 2))
+        want = _lexsort_reference(hits, states, hops, 100)
+        np.testing.assert_array_equal(state, want[1])
+        np.testing.assert_array_equal(hop, want[2])
 
 
 class TestCli:

@@ -84,9 +84,9 @@ class TestRegistry:
         ):
             get_engine(name)
 
-    def test_default_is_numpy(self):
-        assert get_engine(None).name == "numpy"
-        assert get_engine().name == "numpy"
+    def test_default_is_csr(self):
+        assert get_engine(None).name == "csr"
+        assert get_engine().name == "csr"
 
     def test_lookup_by_name_is_memoized(self):
         assert get_engine("csr") is get_engine("csr")
@@ -174,6 +174,25 @@ class TestCsrParity:
         a = get_engine("numpy").walk_first_hits(graph, starts, 5, mask, seed=3)
         b = get_engine("csr").walk_first_hits(graph, starts, 5, mask, seed=3)
         assert np.array_equal(a, b), label
+
+    def test_parity_across_hop_blocks(self):
+        # The csr hop loop moves walkers in blocks of _HOP_BLOCK rows; a
+        # batch past two block boundaries (one partial) must still match
+        # the numpy loop, walks and first hits alike.
+        from repro.walks.backends import _HOP_BLOCK
+
+        g = power_law_graph(300, 1200, seed=5)
+        rng = np.random.default_rng(1)
+        starts = rng.integers(0, g.num_nodes, size=2 * _HOP_BLOCK + 17)
+        a = get_engine("numpy").batch_walks(g, starts, 4, seed=8)
+        b = get_engine("csr").batch_walks(g, starts, 4, seed=8)
+        assert np.array_equal(a, b)
+        mask = np.zeros(g.num_nodes, dtype=bool)
+        mask[::7] = True
+        assert np.array_equal(
+            get_engine("csr").walk_first_hits(g, starts, 4, mask, seed=8),
+            batch_first_hits(a, mask),
+        )
 
     def test_empty_batch(self):
         g = ring_graph(5)

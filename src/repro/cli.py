@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--build-memory-budget", type=int, default=None, metavar="BYTES",
         help="cap the build's sort memory: walk records stream through "
         "an external sort (sorted runs spill next to --out at 8 bytes "
-        "per record) straight into the archive, byte-identical to the "
-        "in-memory build; default is the all-in-memory fast path",
+        "per record) straight into the archive; the archive bytes are "
+        "the same for any budget; default: no cap, one in-memory sort run",
     )
     _add_telemetry_flags(index)
 
@@ -635,33 +635,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     from repro.walks.build import build_index_archive
-    from repro.walks.index import FlatWalkIndex
-    from repro.walks.persistence import save_index
 
     graph = _load_graph(args)
-    if args.build_memory_budget is not None:
-        report = build_index_archive(
-            graph, args.length, args.replicates, args.out,
-            seed=args.seed, engine=args.engine, chunk_rows=args.chunk_rows,
-            memory_budget=args.build_memory_budget,
-        )
-        print(
-            f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
-            f"(L={args.length}, {report.total_entries} entries, "
-            f"{report.num_runs} sort runs, "
-            f"{report.spilled_bytes} bytes spilled) -> {report.path}"
-        )
-        return 0
-    index = FlatWalkIndex.build(
-        graph, args.length, args.replicates, seed=args.seed,
-        engine=args.engine, chunk_rows=args.chunk_rows,
-    )
-    written = save_index(
-        index, args.out, graph=graph, engine=args.engine, seed=args.seed,
+    report = build_index_archive(
+        graph, args.length, args.replicates, args.out,
+        seed=args.seed, engine=args.engine, chunk_rows=args.chunk_rows,
+        memory_budget=args.build_memory_budget,
     )
     print(
         f"indexed {graph.num_nodes} nodes x {args.replicates} walks "
-        f"(L={args.length}, {index.total_entries} entries) -> {written}"
+        f"(L={args.length}, {report.total_entries} entries, "
+        f"{report.num_runs} sort runs, "
+        f"{report.spilled_bytes} bytes spilled) -> {report.path}"
     )
     return 0
 

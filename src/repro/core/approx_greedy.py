@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.core.result import SelectionResult
-from repro.walks.index import InvertedIndex
+from repro.walks.index import InvertedIndex, check_index_fits
 
 __all__ = ["approx_gain", "update_distances", "approx_greedy", "initial_distances"]
 
@@ -130,8 +130,8 @@ def approx_greedy(
     started = time.perf_counter()
     if index is None:
         index = InvertedIndex.build(graph, length, num_replicates, seed=seed)
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     distances = initial_distances(index, objective)
     selected: list[int] = []
     gains: list[float] = []

@@ -30,7 +30,7 @@ from repro.core.approx_fast import FastApproxEngine
 from repro.core.greedy import greedy_select, run_greedy
 from repro.core.objectives import F1Objective, F2Objective
 from repro.core.result import SelectionResult
-from repro.walks.index import FlatWalkIndex
+from repro.walks.index import FlatWalkIndex, check_index_fits
 
 __all__ = ["CombinedObjective", "balanced_weights", "combined_greedy", "approx_combined"]
 
@@ -154,8 +154,8 @@ def approx_combined(
     started = time.perf_counter()
     if index is None:
         index = FlatWalkIndex.build(graph, length, num_replicates, seed=seed)
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     engine = _BlendedEngine(index, weight_f1, weight_f2)
     run_greedy(engine, k)
     elapsed = time.perf_counter() - started

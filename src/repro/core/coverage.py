@@ -27,7 +27,7 @@ from repro.core.approx_fast import FastApproxEngine
 from repro.core.greedy import _ObjectiveEngine, run_greedy
 from repro.core.objectives import F2Objective
 from repro.core.result import SelectionResult
-from repro.walks.index import FlatWalkIndex
+from repro.walks.index import FlatWalkIndex, check_index_fits
 
 __all__ = ["min_targets_for_coverage", "min_targets_for_coverage_exact"]
 
@@ -76,8 +76,8 @@ def min_targets_for_coverage(
     started = time.perf_counter()
     if index is None:
         index = FlatWalkIndex.build(graph, length, num_replicates, seed=seed)
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     engine = FastApproxEngine(index, objective="f2")
     threshold = alpha * graph.num_nodes
     limit = graph.num_nodes if max_size is None else min(max_size, graph.num_nodes)

@@ -43,7 +43,11 @@ from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
 from repro.walks.engine import batch_walks
-from repro.walks.index import _validate_params, walker_major_starts
+from repro.walks.index import (
+    _validate_params,
+    check_index_fits,
+    walker_major_starts,
+)
 from repro.walks.records import MAX_WALK_LENGTH
 from repro.walks.rng import resolve_rng
 
@@ -382,8 +386,8 @@ def edge_domination_greedy(
     started = time.perf_counter()
     if index is None:
         index = EdgeWalkIndex.build(graph, length, num_replicates, seed=seed)
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     engine = EdgeDominationEngine(index)
     engine.run(k, lazy=lazy)
     elapsed = time.perf_counter() - started

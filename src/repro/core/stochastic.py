@@ -32,7 +32,7 @@ from repro.core.objectives import SetObjective
 from repro.core.result import SelectionResult
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
-from repro.walks.index import FlatWalkIndex
+from repro.walks.index import FlatWalkIndex, check_index_fits
 from repro.walks.rng import resolve_rng
 
 __all__ = [
@@ -134,8 +134,8 @@ def stochastic_approx_greedy(
         index = FlatWalkIndex.build(
             graph, length, num_replicates, seed=rng, engine=walk_engine
         )
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     engine = FastApproxEngine(index, objective=objective)
     remaining = np.arange(graph.num_nodes, dtype=np.int64)
     for _ in range(k):

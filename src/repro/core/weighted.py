@@ -32,6 +32,7 @@ from repro.walks.index import (
     FlatWalkIndex,
     _validate_params,
     _walker_major_rows,
+    check_index_fits,
 )
 from repro.walks.records import first_visit_records
 from repro.walks.rng import resolve_rng
@@ -103,8 +104,8 @@ def weighted_approx_greedy(
     started = time.perf_counter()
     if index is None:
         index = build_weighted_index(graph, length, num_replicates, seed=seed)
-    elif index.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    else:
+        check_index_fits(index, graph, length)
     engine = FastApproxEngine(index, objective=objective)
     engine.run(k, lazy=lazy)
     elapsed = time.perf_counter() - started

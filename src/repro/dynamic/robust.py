@@ -45,6 +45,7 @@ from repro.core.greedy import run_greedy
 from repro.core.result import SelectionResult
 from repro.walks.backends import WalkEngine
 from repro.walks.engine import batch_first_hits
+from repro.walks.index import check_index_fits
 from repro.dynamic.index import DynamicWalkIndex, _states_of_rows
 
 __all__ = ["robust_greedy", "min_breaking_edges", "BreakingReport"]
@@ -180,8 +181,7 @@ def min_breaking_edges(
     dyn = index if index is not None else DynamicWalkIndex.build(
         graph, length, num_replicates, seed=seed, engine=engine
     )
-    if dyn.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    check_index_fits(dyn, graph, length)
     n = dyn.num_nodes
     mask = np.zeros(n, dtype=bool)
     target_list = [int(v) for v in targets]
@@ -315,8 +315,7 @@ def robust_greedy(
     dyn = index if index is not None else DynamicWalkIndex.build(
         graph, length, num_replicates, seed=seed, engine=engine
     )
-    if dyn.num_nodes != graph.num_nodes:
-        raise ParameterError("index was built for a different graph size")
+    check_index_fits(dyn, graph, length)
     engine = _RobustEngine(dyn, q)
     run_greedy(engine, k, lazy=False)
     return SelectionResult(

@@ -81,6 +81,11 @@ MAX_BODY_BYTES = 1_048_576
 #: answered 408 and closed; one that sent nothing is closed silently.
 REQUEST_TIMEOUT_S = 30.0
 
+#: Seconds :meth:`DominationHttpServer.stop` gives connection handlers to
+#: finish once their sockets are closed (an answer being computed runs
+#: on); handlers still running after it are cancelled.
+STOP_GRACE_S = 5.0
+
 #: Default number of latency samples retained per endpoint for the
 #: /stats percentiles (a bounded window, so stats memory never grows
 #: with uptime).  Override per server with ``stats_window=`` (the CLI's
@@ -286,6 +291,7 @@ class DominationHttpServer:
         self._port: "int | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._writers: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
         self._rejected_connections = 0
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight, thread_name_prefix="rwdom-http"
@@ -329,15 +335,29 @@ class DominationHttpServer:
         self._ready = False
 
     async def stop(self) -> None:
-        """Stop listening, close client connections, drain the executor."""
+        """Stop listening, close client connections, drain the executor.
+
+        The client sockets close before the server is awaited: from
+        Python 3.12 ``Server.wait_closed`` waits for every open
+        connection, so an idle keep-alive client would hold the stop
+        until its read deadline.  Each handler then sees EOF and ends;
+        one still running after :data:`STOP_GRACE_S` is cancelled, so no
+        handler task outlives the loop.
+        """
         self._ready = False
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for writer in list(self._writers):
             writer.close()
-        # Let the cancelled/EOF'd handlers unwind before reaping threads.
-        await asyncio.sleep(0)
+        if self._server is not None:
+            await self._server.wait_closed()
+        if self._handlers:
+            _, pending = await asyncio.wait(
+                list(self._handlers), timeout=STOP_GRACE_S
+            )
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
         self._executor.shutdown(wait=True)
 
     @property
@@ -369,6 +389,16 @@ class DominationHttpServer:
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._handlers.discard(task)
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         if len(self._writers) >= self.max_connections:

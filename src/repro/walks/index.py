@@ -49,6 +49,7 @@ __all__ = [
     "InvertedIndex",
     "FlatWalkIndex",
     "canonical_entries",
+    "check_index_fits",
     "entry_state_dtype",
     "walker_major_starts",
 ]
@@ -140,6 +141,21 @@ def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
         )
     if num_replicates < 1:
         raise ParameterError("number of replicates R must be >= 1")
+
+
+def check_index_fits(index, graph, length: int) -> None:
+    """Refuse a prebuilt index that was built for another graph size or L.
+
+    Every solver that accepts a prebuilt ``index`` (flat, inverted, edge
+    or dynamic) calls this, so a mismatched index raises instead of
+    answering a question about another instance.
+    """
+    if index.num_nodes != graph.num_nodes:
+        raise ParameterError("index was built for a different graph size")
+    if index.length != length:
+        raise ParameterError(
+            f"index was built for L={index.length}, not L={length}"
+        )
 
 
 def entry_state_dtype(num_nodes: int, num_replicates: int) -> np.dtype:

@@ -375,17 +375,36 @@ def _atomic_write_v3(
     path: Path, header: dict, arrays: "dict[str, np.ndarray]"
 ) -> None:
     """:func:`_write_v3` through a same-directory temp + rename (the
-    discipline and permission rules of :func:`_atomic_savez`)."""
-    tmp_name = _create_atomic_temp(path, path.suffix or ".idx3")
-    try:
-        _write_v3(tmp_name, header, arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
+    discipline and permission rules of :func:`_atomic_savez`).
+
+    Both static-archive writers, :func:`save_index` and the streamed
+    :func:`repro.walks.build.build_index_archive`, end here, so the
+    ``persistence.save`` span and the save counters live here too.
+    """
+    started = time.perf_counter()
+    with obs.span("persistence.save"):
+        tmp_name = _create_atomic_temp(path, path.suffix or ".idx3")
         try:
-            os.unlink(tmp_name)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
+            _write_v3(tmp_name, header, arrays)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
+            raise
+    if obs.enabled():
+        obs.inc("persistence_saves_total", help="Index archives written.")
+        obs.inc(
+            "persistence_bytes_written_total",
+            path.stat().st_size,
+            help="Bytes of index archive written.",
+        )
+        obs.observe(
+            "persistence_save_seconds",
+            time.perf_counter() - started,
+            help="Index archive write wall time.",
+        )
 
 
 def _read_v3_header(path: Path) -> tuple[dict, int, int]:
@@ -594,25 +613,6 @@ def save_index(
     directory, renamed into place, so a crash mid-write never destroys a
     previous good archive.  Returns the path actually written.
     """
-    started = time.perf_counter()
-    with obs.span("persistence.save"):
-        out = _save_index_impl(index, path, graph, engine, seed)
-    if obs.enabled():
-        obs.inc("persistence_saves_total", help="Index archives written.")
-        obs.inc(
-            "persistence_bytes_written_total",
-            out.stat().st_size,
-            help="Bytes of index archive written.",
-        )
-        obs.observe(
-            "persistence_save_seconds",
-            time.perf_counter() - started,
-            help="Index archive write wall time.",
-        )
-    return out
-
-
-def _save_index_impl(index, path, graph, engine, seed) -> Path:
     if graph is not None and graph.num_nodes != index.num_nodes:
         raise ParameterError(
             "provenance graph does not match the index node count"

@@ -10,6 +10,7 @@ exhaustive schema round-trip/fuzz properties are hypothesis suites in
 the slow lane.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -663,6 +664,41 @@ class TestLifecycle:
         handle.stop()  # idempotent
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=0.5)
+
+    def test_stop_closes_idle_keep_alive_clients(self, graph, index):
+        """A stop with an idle keep-alive client returns at once, the
+        client reads EOF, and no connection handler is left pending
+        (Python reports a pending task as destroyed when its loop goes;
+        from 3.12 ``Server.wait_closed`` waits for open connections)."""
+
+        async def live_tasks():
+            current = asyncio.current_task()
+            return {t for t in asyncio.all_tasks() if t is not current}
+
+        handle = start_http_server(_service(graph, index))
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", handle.server.port), timeout=5
+            ) as sock, sock.makefile("rb") as reader:
+                sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert reader.readline().startswith(b"HTTP/1.1 200")
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                json.loads(reader.read(length))
+                tasks = asyncio.run_coroutine_threadsafe(
+                    live_tasks(), handle._loop
+                ).result(timeout=5)
+                assert tasks  # the idle connection's handler
+                started = time.monotonic()
+                handle.stop()
+                assert time.monotonic() - started < 2.0
+                assert sock.recv(1) == b""
+        finally:
+            handle.stop()
+        assert all(task.done() for task in tasks)
 
     def test_constructor_validation(self, graph, index):
         from repro.serve import DominationHttpServer

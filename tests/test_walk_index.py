@@ -254,3 +254,75 @@ class TestCanonicalRecordKey:
         assert s.tolist() == [2] and h.tolist() == [2]
         s, h = flat.entries_for(60_000)
         assert s.tolist() == [4, 9] and h.tolist() == [3, 1]
+
+
+def _prebuilt_index_solves():
+    """Every solver that takes a prebuilt index, by name, as a
+    ``(build, solve)`` pair: ``build(graph, L)`` makes the index that
+    ``solve(graph, L, index)`` takes."""
+    from repro.core.approx_fast import approx_greedy_fast
+    from repro.core.approx_greedy import approx_greedy
+    from repro.core.combined import approx_combined
+    from repro.core.coverage import min_targets_for_coverage
+    from repro.core.edge_domination import EdgeWalkIndex, edge_domination_greedy
+    from repro.core.stochastic import stochastic_approx_greedy
+    from repro.core.weighted import build_weighted_index, weighted_approx_greedy
+    from repro.dynamic import DynamicWalkIndex, min_breaking_edges, robust_greedy
+    from repro.graphs.weighted import WeightedDiGraph
+
+    flat = lambda g, L: FlatWalkIndex.build(g, L, 4, seed=1)  # noqa: E731
+    dyn = lambda g, L: DynamicWalkIndex.build(g, L, 4, seed=1)  # noqa: E731
+    lift = WeightedDiGraph.from_undirected
+    return {
+        "approx_greedy_fast": (
+            flat, lambda g, L, i: approx_greedy_fast(g, 3, L, index=i)
+        ),
+        "approx_greedy": (
+            lambda g, L: InvertedIndex.build(g, L, 4, seed=1),
+            lambda g, L, i: approx_greedy(g, 3, L, index=i),
+        ),
+        "min_targets_for_coverage": (
+            flat, lambda g, L, i: min_targets_for_coverage(g, 0.2, L, index=i)
+        ),
+        "stochastic_approx_greedy": (
+            flat, lambda g, L, i: stochastic_approx_greedy(g, 3, L, index=i)
+        ),
+        "weighted_approx_greedy": (
+            lambda g, L: build_weighted_index(lift(g), L, 4, seed=1),
+            lambda g, L, i: weighted_approx_greedy(lift(g), 3, L, index=i),
+        ),
+        "approx_combined": (
+            flat, lambda g, L, i: approx_combined(g, 3, L, 0.5, 0.5, index=i)
+        ),
+        "edge_domination_greedy": (
+            lambda g, L: EdgeWalkIndex.build(g, L, 4, seed=1),
+            lambda g, L, i: edge_domination_greedy(g, 3, L, index=i),
+        ),
+        "robust_greedy": (
+            dyn, lambda g, L, i: robust_greedy(g, 3, L, index=i)
+        ),
+        "min_breaking_edges": (
+            dyn, lambda g, L, i: min_breaking_edges(g, [0, 1], L, index=i)
+        ),
+    }
+
+
+class TestPrebuiltIndexFits:
+    """A prebuilt index built for another graph size or L is refused by
+    every solver that accepts one, instead of answering at its own L."""
+
+    @pytest.mark.parametrize("solver", sorted(_prebuilt_index_solves()))
+    def test_other_length_refused(self, solver):
+        build, solve = _prebuilt_index_solves()[solver]
+        graph = power_law_graph(30, 90, seed=3)
+        index = build(graph, 5)
+        solve(graph, 5, index)
+        with pytest.raises(ParameterError, match="L=5, not L=3"):
+            solve(graph, 3, index)
+
+    @pytest.mark.parametrize("solver", sorted(_prebuilt_index_solves()))
+    def test_other_graph_size_refused(self, solver):
+        build, solve = _prebuilt_index_solves()[solver]
+        index = build(power_law_graph(30, 90, seed=3), 4)
+        with pytest.raises(ParameterError, match="different graph size"):
+            solve(power_law_graph(31, 93, seed=3), 4, index)

@@ -249,7 +249,7 @@ class DynamicWalkIndex:
         states = _states_of_rows(np.arange(starts.size), n, num_replicates)
         packer = RecordPacker(n, num_replicates, length)
         flat, keys = _canonical_flat(
-            *_first_visit_records(walks, states, packer), packer,
+            _first_visit_records(walks, states, packer)[0], packer,
             num_replicates,
         )
         return cls(
@@ -446,7 +446,7 @@ class DynamicWalkIndex:
             self.num_replicates,
         )
         self.flat, self._keys = _canonical_flat(
-            *_first_visit_records(self.walks, states, self._packer),
+            _first_visit_records(self.walks, states, self._packer)[0],
             self._packer, self.num_replicates,
         )
         self._spare_keys = None
@@ -462,24 +462,23 @@ class DynamicWalkIndex:
         Only a first visit *at hop L exactly* is a visit with no hops
         left, so the dirty set is the touched nodes' entry states with
         ``hop < L`` plus all rows of the touched walkers — ``O(entries of
-        touched nodes)`` instead of ``O(n R L)``.
+        touched nodes)`` instead of ``O(n R L)``.  The rows are marked in a
+        boolean mask over the walk rows and read back with
+        ``np.flatnonzero``: ascending and unique, like ``np.unique`` of
+        their concatenation, without its sort or hash pass.
         """
         n = self.num_nodes
         replicates = self.num_replicates
         length = self.length
         if length == 0 or touched.size == 0 or self.walks.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        parts = []
+        dirty = np.zeros(self.walks.shape[0], dtype=bool)
         for v in touched:
             states, hops = self.flat.entries_for(int(v))
             states = states[hops < length].astype(np.int64)
-            parts.append((states % n) * replicates + states // n)
-        walker_rows = (
-            touched[:, None] * replicates
-            + np.arange(replicates, dtype=np.int64)[None, :]
-        ).ravel()
-        parts.append(walker_rows)
-        return np.unique(np.concatenate(parts))
+            dirty[(states % n) * replicates + states // n] = True
+        dirty.reshape(n, replicates)[touched] = True
+        return np.flatnonzero(dirty)
 
     # ------------------------------------------------------------------
     def _patch_entries(
@@ -490,10 +489,13 @@ class DynamicWalkIndex:
         Drops every entry owned by a dirty state, extracts the fresh
         records, and merges them back with one ``searchsorted`` over the
         maintained canonical keys — ``O(E + C log E)`` for ``C`` changed
-        records, never a full re-sort.  The removed records' hit counts
-        come from the dirty rows' *old* trajectories (their first visits
-        are exactly the entries being dropped), so no full-length pass
-        beyond the keep/merge splice itself is needed.
+        records, never a full re-sort.  The removed records come from the
+        dirty rows' *old* trajectories (their first visits are exactly
+        the entries being dropped), and the new ``indptr`` is the old one
+        minus the removed records' offsets plus the fresh records', both
+        read off their sorted arrays
+        (:meth:`~repro.walks.records.RecordPacker.indptr`), so no
+        full-length pass beyond the keep/merge splice itself is needed.
         """
         n = self.num_nodes
         replicates = self.num_replicates
@@ -507,10 +509,11 @@ class DynamicWalkIndex:
         # rows' *old* trajectories, so their positions come from binary
         # search over the maintained keys — no full-length gather.  The
         # sorted packed records shifted past the hop bits are their keys.
-        old_keys, old_counts = _first_visit_records(
+        old_keys = _first_visit_records(
             self.walks[rows], dirty_states, packer
-        )
+        )[0]
         old_keys.sort()
+        old_indptr = packer.indptr(old_keys)
         old_keys >>= packer.hop_bits
         removed_pos = np.searchsorted(keys, old_keys)
         if old_keys.size and (
@@ -528,10 +531,8 @@ class DynamicWalkIndex:
         kept_state = flat.state[keep]
         kept_hop = flat.hop[keep]
 
-        fresh, new_counts = _first_visit_records(
-            new_walks, dirty_states, packer
-        )
-        new_keys, new_hops = packer.sort_decode(fresh)
+        fresh = _first_visit_records(new_walks, dirty_states, packer)[0]
+        new_indptr, new_keys, new_hops = packer.sort_decode(fresh)
 
         positions = np.searchsorted(kept_keys, new_keys)
         total = kept_keys.size + new_keys.size
@@ -555,9 +556,8 @@ class DynamicWalkIndex:
         merged_hop = np.empty(total, dtype=np.int16)
         merged_hop[kept_mask] = kept_hop
         merged_hop[new_slots] = new_hops
-        counts = np.diff(flat.indptr) - old_counts + new_counts
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = flat.indptr - old_indptr
+        indptr += new_indptr
         self.flat = FlatWalkIndex(
             indptr=indptr,
             state=merged_state,
@@ -623,7 +623,6 @@ def _states_of_rows(
 
 def _canonical_flat(
     packed: np.ndarray,
-    counts: np.ndarray,
     packer: RecordPacker,
     num_replicates: int,
 ) -> tuple[FlatWalkIndex, np.ndarray]:
@@ -635,7 +634,7 @@ def _canonical_flat(
     index and its sorted key array (maintained by the patches).
     """
     indptr, state, hop, keys = canonical_entries(
-        packed, counts, packer.num_nodes, packer.length, num_replicates
+        packed, packer.num_nodes, packer.length, num_replicates
     )
     flat = FlatWalkIndex(
         indptr=indptr,

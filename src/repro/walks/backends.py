@@ -155,14 +155,16 @@ class WalkEngine(ABC):
         chunk_rows: int = 1 << 19,
         into: "Callable[[], np.ndarray] | None" = None,
     ):
-        """Per-chunk first-visit ``(packed, counts)`` records.
+        """Per-chunk first-visit ``(packed, hop_counts)`` records.
 
         The index builders' entry point (Algorithm 3's extraction):
         ``states[b]`` is row ``b``'s flattened ``D`` index, carried into
         the records, and ``packer`` is the caller's record format (the
         sink's :attr:`~repro.walks.build.ExternalSortSink.packer`).
         Yields one :func:`~repro.walks.records.first_visit_records` pair
-        per ``chunk_rows``-row chunk of the batch, so a consumer (the
+        (packed records and per-hop counts; no per-node counts — the sink
+        reads those off its sorted records) per ``chunk_rows``-row chunk
+        of the batch, so a consumer (the
         out-of-core builder, :mod:`repro.walks.build`) can reduce each
         chunk before the next one's walks exist — peak memory is one
         chunk's walks plus whatever the consumer retains.  The chunking

@@ -6,19 +6,22 @@ multiple of the final index, so the largest graph the package could
 than the largest it could *build*.  This module closes that gap by
 turning the build into a streaming pipeline:
 
-1. The walk engine yields per-chunk packed records and per-node counts
+1. The walk engine yields per-chunk packed records
    (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`; one
    ``int64`` per record, :class:`~repro.walks.records.RecordPacker`: the
    canonical sort key shifted left past the hop bits), packing each
    chunk straight into the free space of the sink's one record buffer.
 2. A :class:`RecordSink` consumes them.  The concrete
    :class:`ExternalSortSink` advances its fill count (or copies in a
-   chunk packed elsewhere) and adds the counts.  Without a budget the
-   buffer holds every record a build can produce; with a
-   ``memory_budget`` it is budget-sized, and a chunk that does not fit
-   first spills the buffer, sorted in place, as one *run* to a temp
-   file next to the target.
-3. At finalize the filled prefix is sorted in place.  Without runs it
+   chunk packed elsewhere).  Without a budget the buffer holds every
+   record a build can produce; with a ``memory_budget`` it is
+   budget-sized, and a chunk that does not fit first spills the buffer,
+   sorted in place, as one *run* to a temp file next to the target.
+   Each sorted run adds its per-node offsets
+   (:meth:`~repro.walks.records.RecordPacker.indptr`, one binary search
+   per node) to the build's ``indptr``.
+3. At finalize the filled prefix is sorted in place and adds its
+   offsets too.  Without runs it
    goes to an *entry writer* as it is; otherwise the runs and the
    prefix are k-way merged into it — vectorized: emit every buffered
    record up to the smallest "last buffered record" of any run with
@@ -96,8 +99,9 @@ _MIN_MERGE_BLOCK = 4096
 class RecordSink(ABC):
     """Consumer seam for streamed first-visit record chunks.
 
-    ``consume`` is called once per ``(packed, counts)`` chunk the walk
-    engine yields (:meth:`consume_all` feeds a whole chunk stream);
+    ``consume`` is called once per chunk of packed records the walk
+    engine yields (:meth:`consume_all` feeds a whole stream of
+    :func:`~repro.walks.records.first_visit_records` pairs);
     ``finalize`` drains whatever the sink retained into an entry writer
     and returns the writer's result.  The seam exists so the build loop
     (walks → records) is independent of what happens to the records —
@@ -106,19 +110,20 @@ class RecordSink(ABC):
     """
 
     @abstractmethod
-    def consume(self, packed: np.ndarray, counts: np.ndarray) -> None:
-        """Absorb one chunk: packed records and their per-node counts."""
+    def consume(self, packed: np.ndarray) -> None:
+        """Absorb one chunk of packed records."""
 
     def consume_all(self, chunks) -> None:
-        """:meth:`consume` every ``(packed, counts)`` chunk of a stream.
+        """:meth:`consume` the packed records of every ``(packed,
+        hop_counts)`` chunk of a stream.
 
         A loop in the caller would keep the last chunk referenced
         through ``finalize``'s sort; here it dies with this frame.
         """
-        for packed, counts in chunks:
-            self.consume(packed, counts)
+        for packed, _ in chunks:
+            self.consume(packed)
             # Unbound before the next chunk is walked, not after.
-            del packed, counts
+            del packed
 
     @abstractmethod
     def finalize(self, writer: "EntryWriter"):
@@ -137,9 +142,9 @@ class RecordSink(ABC):
 class EntryWriter(ABC):
     """Receiver of the merged, canonically ordered record stream.
 
-    ``begin`` is called once with the full per-node layout (counts are
-    known before the merge starts — the sink sums the chunk counts) and
-    the sink's :class:`~repro.walks.records.RecordPacker`, then ``emit``
+    ``begin`` is called once with the full per-node layout (known once
+    every run is sorted — the sink adds up each sorted run's offsets)
+    and the sink's :class:`~repro.walks.records.RecordPacker`, then ``emit``
     receives sorted packed-record batches covering the entries exactly
     once, in canonical order, and ``finalize`` assembles the result.
     Each writer decodes the records itself, block by block, straight
@@ -203,9 +208,10 @@ class ExternalSortSink(RecordSink):
     path.  More than :attr:`capacity` records raise
     :class:`~repro.errors.ParameterError`.
 
-    Per-node metadata (the summed chunk ``counts`` that become
-    ``indptr``) stays in memory — the O(metadata) term of the build's
-    footprint.
+    Per-node metadata stays in memory — the O(metadata) term of the
+    build's footprint: each run, once sorted, adds its offsets
+    (:meth:`~repro.walks.records.RecordPacker.indptr`) to the build's
+    ``indptr``, so nothing upstream counts records per node.
     """
 
     def __init__(
@@ -235,7 +241,7 @@ class ExternalSortSink(RecordSink):
         )
         self._buffer: "np.ndarray | None" = None
         self._filled = 0
-        self._counts = np.zeros(self._num_nodes, dtype=np.int64)
+        self._indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
         self._runs: "list[tuple[Path, int]]" = []
         self._readers: "list[_FileRun]" = []
         self.total_records = 0
@@ -272,10 +278,9 @@ class ExternalSortSink(RecordSink):
             + self._filled * _RECORD_BYTES
         )
 
-    def consume(self, packed, counts) -> None:
+    def consume(self, packed) -> None:
         """Take ``packed`` into the buffer (the sink owns it from here: an
-        array too large for the buffer is sorted in place and spilled)
-        and add ``counts`` to the per-node totals."""
+        array too large for the buffer is sorted in place and spilled)."""
         size = int(packed.size)
         if size == 0:
             return
@@ -285,7 +290,6 @@ class ExternalSortSink(RecordSink):
                 "a walk has at most one first visit per hop and per node "
                 "other than its start"
             )
-        self._counts += counts
         self.total_records += size
         if self._is_vacant_prefix(packed):
             self._filled += size
@@ -315,6 +319,7 @@ class ExternalSortSink(RecordSink):
             # — are independent of the sort algorithm and of how records
             # were partitioned into chunks or runs.
             packed.sort()
+            self._indptr += self.packer.indptr(packed)
             fd, name = tempfile.mkstemp(
                 dir=self._spill_dir, prefix=".rwidx-run-", suffix=".tmp"
             )
@@ -340,13 +345,12 @@ class ExternalSortSink(RecordSink):
     # ------------------------------------------------------------------
     def finalize(self, writer: EntryWriter):
         try:
-            indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
-            np.cumsum(self._counts, out=indptr[1:])
-            writer.begin(indptr, self.packer)
             tail = self._buffer[: self._filled] if self._filled else None
             with obs.span("index.build.sort", records=self._filled):
                 if tail is not None:
                     tail.sort()
+                    self._indptr += self.packer.indptr(tail)
+            writer.begin(self._indptr, self.packer)
             with obs.span("index.build.emit", runs=len(self._runs)):
                 if not self._runs:
                     # Single-run fast path: the whole record set is in

@@ -106,7 +106,7 @@ def _walk_records(
     seed: np.random.Generator,
     chunk_rows: int,
 ):
-    """The canonical batch's ``(packed, counts)`` chunks, walked by
+    """The canonical batch's ``(packed, hop_counts)`` chunks, walked by
     ``walk_engine`` and packed into ``sink``'s vacant buffer space.
 
     Each chunk's start and state rows are made when it is walked, so no
@@ -175,7 +175,6 @@ def entry_state_dtype(num_nodes: int, num_replicates: int) -> np.dtype:
 
 def canonical_entries(
     packed: np.ndarray,
-    counts: np.ndarray,
     num_nodes: int,
     length: int,
     num_replicates: int,
@@ -190,17 +189,16 @@ def canonical_entries(
     differential harness compare engines strictly.  (``chunk_rows``
     itself still matters: it shapes the stream consumption and hence the
     walks.)  ``packed`` holds one :class:`~repro.walks.records.RecordPacker`
-    ``int64`` per record (the packer also range-checks ``(n, R, L)``) and
-    ``counts`` the per-node record counts, as
-    :func:`~repro.walks.records.first_visit_records` returns them; the
-    records are value-sorted in place and decoded, so ``packed`` becomes
-    ``keys``: the sorted ``hit * n R + state`` keys, which the dynamic
-    index maintains across patches.
+    ``int64`` per record (the packer also range-checks ``(n, R, L)``), as
+    :func:`~repro.walks.records.first_visit_records` returns them.  The
+    records are value-sorted in place, ``indptr`` is read off the sorted
+    records by binary search
+    (:meth:`~repro.walks.records.RecordPacker.indptr`), and they are
+    decoded, so ``packed`` becomes ``keys``: the sorted ``hit * n R +
+    state`` keys, which the dynamic index maintains across patches.
     """
     packer = RecordPacker(num_nodes, num_replicates, length)
-    keys, hop = packer.sort_decode(packed)
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr, keys, hop = packer.sort_decode(packed)
     state = np.empty(keys.size, dtype=entry_state_dtype(num_nodes, num_replicates))
     np.remainder(keys, packer.num_states, out=state, casting="unsafe")
     return indptr, state, hop, keys
@@ -484,9 +482,9 @@ class FlatWalkIndex:
             raise ParameterError("walk nodes out of range")
         states = _walker_major_states(num_nodes, num_replicates)
         with ExternalSortSink(num_nodes, num_replicates, length) as sink:
-            sink.consume(*first_visit_records(
+            sink.consume(first_visit_records(
                 matrix, states, sink.packer, out=sink.vacant()
-            ))
+            )[0])
             indptr, state, hop = sink.finalize(
                 DenseEntryWriter(num_nodes, num_replicates)
             )
@@ -508,9 +506,8 @@ class FlatWalkIndex:
         _validate_params(num_nodes, length, num_replicates)
         packer = RecordPacker(num_nodes, num_replicates, length)
         indptr, state, hop, _ = canonical_entries(
-            packer.pack(hits, states, hops),
-            np.bincount(hits, minlength=num_nodes),
-            num_nodes, length, num_replicates,
+            packer.pack(hits, states, hops), num_nodes, length,
+            num_replicates,
         )
         return cls(
             indptr=indptr,

@@ -6,12 +6,14 @@ its walk, naming the node hit, the walk's flattened ``D`` state and the
 hop.  Each record travels as one packed ``int64`` (:class:`RecordPacker`:
 ``hit · (nR << b) + (state << b) | hop``) from the moment it is
 extracted: :func:`first_visit_records` emits the packed records of a
-block of walks plus their per-node counts, which is exactly what the
-canonical sort consumes, so no builder ever holds a ``(hit, state,
-hop)`` triple.  This module owns that format end to end — the
-extraction, the canonical sort key (:func:`canonical_record_key`), the
-hop-width cap (:data:`MAX_WALK_LENGTH`) and the packer — so the static,
-out-of-core, weighted and dynamic builders can never disagree on it.
+block of walks, which is exactly what the canonical sort consumes, so
+no builder ever holds a ``(hit, state, hop)`` triple, and once sorted
+they give each node's offsets by binary search
+(:meth:`RecordPacker.indptr`), so nothing counts them per node.  This
+module owns that format end to end — the extraction, the canonical
+sort key (:func:`canonical_record_key`), the hop-width cap
+(:data:`MAX_WALK_LENGTH`) and the packer — so the static, out-of-core,
+weighted and dynamic builders can never disagree on it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,22 @@ __all__ = [
 ]
 
 
+#: Walk rows per extraction block: a block's hop columns, first-visit
+#: mask rows and packing scratch stay in cache.
+_EXTRACT_BLOCK = 1 << 16
+
+#: Walk positions per block of the per-node scan: its ``(rows, L)``
+#: compare buffers stay at 1 MiB of flags and 4 MiB of hops.
+_SCAN_POSITIONS = 1 << 20
+
+
 def first_visit_records(
     walks: np.ndarray,
     states: np.ndarray,
     packer: "RecordPacker",
     out: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Packed first-visit records of a block of walks, and per-node counts.
+    """Packed first-visit records of a block of walks, and per-hop counts.
 
     The Algorithm-3 extraction shared by the walk engines'
     :meth:`~repro.walks.backends.WalkEngine.iter_walk_records` (the static
@@ -42,19 +53,31 @@ def first_visit_records(
     builder and the dynamic builder (:mod:`repro.dynamic.index`): a
     position is a record iff its node differs from every earlier position
     of the walk.  ``walks`` is ``(B, L+1)`` and ``states[b]`` is row
-    ``b``'s flattened ``D`` index.  Returns ``(packed, counts)``:
+    ``b``'s flattened ``D`` index.  Returns ``(packed, hop_counts)``:
     ``packed`` holds one :class:`RecordPacker` ``int64`` per record, in
     no particular order (the canonical sort orders them), and
-    ``counts[v]`` is how many of them hit node ``v``.  When the records
-    fit the ``int64`` array ``out`` (a record sink's vacant buffer space,
+    ``hop_counts[h - 1]`` is how many of them are at hop ``h``.  Nothing
+    is counted per node: the assemblers read each node's offsets off the
+    sorted records (:meth:`RecordPacker.indptr`).  When the records fit
+    the ``int64`` array ``out`` (a record sink's vacant buffer space,
     :meth:`~repro.walks.build.ExternalSortSink.vacant`), ``packed`` is
-    its leading slice; otherwise it is a fresh array.
+    its leading slice; otherwise it is a fresh array of exactly their
+    number.
 
-    The hop columns are read contiguously (a csr walk matrix is already a
+    Two passes over blocks of ``2**16`` rows, so each block's hop
+    columns stay in cache.  The first fills an ``(L, B)`` first-visit
+    mask, which sizes the output exactly: by comparing each hop column
+    with every earlier one, or, when the graph has far fewer nodes than
+    the walks have hops (:func:`_scan_by_node`), by one scan per node
+    that marks each row's first hop on it.  The second packs each hop's
+    whole block column — ``hit · (nR << b) + (state << b) | hop`` — into
+    one block-sized ``int64`` scratch with contiguous arithmetic, and
+    ``np.compress`` copies its first visits into the output.  The hop
+    columns are read contiguously (a csr walk matrix is already a
     transposed view of hop rows; a row-major one takes one transposed
-    copy) and compared in the walks' own dtype; only the gathered hits
-    are widened, inside the ``int64`` multiply.  Hops come from the loop
-    index, so the one range check is that the walks have at most
+    copy) and compared in the walks' own dtype; the hits are widened
+    inside the ``int64`` multiply.  Hops come from the loop index, so
+    the one range check is that the walks have at most
     ``packer.length`` hops (:class:`~repro.errors.ParameterError`
     otherwise).
     """
@@ -66,39 +89,98 @@ def first_visit_records(
         )
     columns = np.ascontiguousarray(walks.T)
     batch = columns.shape[1]
-    # Pass 1: one first-visit mask per hop, so the output is sized once.
+    # Pass 1: the first-visit mask, one row per hop; it sizes the output.
     fresh = np.empty((length, batch), dtype=bool)
-    differs = np.empty(batch, dtype=bool)
-    for hop in range(1, length + 1):
-        mask = fresh[hop - 1]
-        np.not_equal(columns[hop], columns[0], out=mask)
-        for prev in range(1, hop):
-            np.not_equal(columns[hop], columns[prev], out=differs)
-            mask &= differs
-    sizes = np.count_nonzero(fresh, axis=1)
-    # Pass 2: pack each hop's records straight into their output slice.
-    total = int(sizes.sum())
+    if _scan_by_node(packer.num_nodes, length):
+        _first_visits_by_node(columns, fresh, packer.num_nodes)
+    else:
+        _first_visits_pairwise(columns, fresh)
+    total = int(np.count_nonzero(fresh))
     if out is not None and out.size >= total:
         packed = out[:total]
     else:
         packed = np.empty(total, dtype=np.int64)
-    counts = np.zeros(packer.num_nodes, dtype=np.int64)
-    shifted_states = np.left_shift(states, packer.hop_bits, dtype=np.int64)
+    # Pass 2: pack each block's hop columns whole, keep the first visits.
+    hop_counts = np.zeros(length, dtype=np.int64)
     stride = np.int64(packer.num_states << packer.hop_bits)
-    lo = 0
-    for hop in range(1, length + 1):
-        hi = lo + int(sizes[hop - 1])
-        if hi == lo:
-            continue
-        mask = fresh[hop - 1]
-        hits = columns[hop][mask]
-        counts += np.bincount(hits, minlength=packer.num_nodes)
-        out = packed[lo:hi]
-        np.multiply(hits, stride, out=out, dtype=np.int64)
-        out += shifted_states[mask]
-        out |= hop
-        lo = hi
-    return packed, counts
+    size = min(batch, _EXTRACT_BLOCK)
+    value_block = np.empty(size, dtype=np.int64)
+    base_block = np.empty(size, dtype=np.int64)
+    at = 0
+    for lo in range(0, batch, _EXTRACT_BLOCK):
+        hi = min(lo + _EXTRACT_BLOCK, batch)
+        value, base = value_block[: hi - lo], base_block[: hi - lo]
+        np.left_shift(states[lo:hi], packer.hop_bits, out=base, dtype=np.int64)
+        for hop in range(1, length + 1):
+            mask = fresh[hop - 1, lo:hi]
+            count = int(np.count_nonzero(mask))
+            if not count:
+                continue
+            np.multiply(columns[hop, lo:hi], stride, out=value, dtype=np.int64)
+            value += base
+            value |= hop
+            np.compress(mask, value, out=packed[at : at + count])
+            at += count
+            hop_counts[hop - 1] += count
+    return packed, hop_counts
+
+
+def _scan_by_node(num_nodes: int, length: int) -> bool:
+    """Whether :func:`_first_visits_by_node` fills the mask faster.
+
+    Measured per walk row on 10^5 random rows (DESIGN.md §15.1): the
+    pairwise compares cost about ``0.12 L**2`` ns and the per-node scan
+    about ``n (20 + 0.42 L)`` ns, so the scan wins once ``L**2`` exceeds
+    about ``4 n (L + 48)``; for ``L <= 16`` it never does.
+    """
+    return 4 * num_nodes * (length + 48) < length * length
+
+
+def _first_visits_pairwise(columns: np.ndarray, fresh: np.ndarray) -> None:
+    """Fill ``fresh[h - 1]`` with "hop ``h`` differs from every earlier
+    position", comparing the hop columns pairwise, block by block."""
+    length, batch = fresh.shape
+    differs_block = np.empty(min(batch, _EXTRACT_BLOCK), dtype=bool)
+    for lo in range(0, batch, _EXTRACT_BLOCK):
+        hi = min(lo + _EXTRACT_BLOCK, batch)
+        block = columns[:, lo:hi]
+        differs = differs_block[: hi - lo]
+        for hop in range(1, length + 1):
+            mask = fresh[hop - 1, lo:hi]
+            np.not_equal(block[hop], block[0], out=mask)
+            for prev in range(1, hop):
+                np.not_equal(block[hop], block[prev], out=differs)
+                mask &= differs
+
+
+def _first_visits_by_node(
+    columns: np.ndarray, fresh: np.ndarray, num_nodes: int
+) -> None:
+    """Fill the same mask as :func:`_first_visits_pairwise` by one scan
+    per node: a row's first hop on ``v`` is a first visit unless the row
+    starts at ``v``.  ``O(n L)`` compares per row instead of
+    ``O(L**2)``."""
+    length, batch = fresh.shape
+    if length == 0:
+        return
+    step = max(1, _SCAN_POSITIONS // length)
+    for lo in range(0, batch, step):
+        hi = min(lo + step, batch)
+        hops = np.ascontiguousarray(columns[1:, lo:hi].T)
+        starts = columns[0, lo:hi]
+        row_starts = np.arange(0, hops.size, length)
+        marks = np.zeros(hops.shape, dtype=bool)
+        on_node = np.empty(hops.shape, dtype=bool)
+        for node in range(num_nodes):
+            np.equal(hops, node, out=on_node)
+            # Flat position of each row's first hop on ``node`` (its
+            # hop 1 when the row never visits it).
+            first = on_node.argmax(axis=1)
+            first += row_starts
+            hit = on_node.reshape(-1).take(first)
+            hit &= starts != node
+            marks.reshape(-1)[first[hit]] = True
+        fresh[:, lo:hi] = marks.T
 
 
 def canonical_record_key(
@@ -140,7 +222,8 @@ class RecordPacker:
     sorter's buffer, spill runs and merge; ``FlatWalkIndex._from_records``;
     the dynamic index) shares this one format.  A mask reads the hop
     back, a shift the key, and ``key % num_states`` the state
-    (:meth:`decode`, :meth:`decode_into`).
+    (:meth:`decode`, :meth:`decode_into`), and a binary search of the
+    sorted records each node's offsets (:meth:`indptr`).
     :func:`first_visit_records` packs as it extracts; :meth:`pack` packs
     record triples that come from elsewhere (the paper-oracle
     conversion, tests).
@@ -238,7 +321,29 @@ class RecordPacker:
         quotients *= self.num_states
         np.subtract(keys, quotients, out=state, casting="unsafe")
 
-    def sort_decode(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sort ``packed`` in place, then :meth:`decode` it."""
+    def indptr(self, packed: np.ndarray) -> np.ndarray:
+        """The ``int64`` ``indptr`` of the value-sorted records ``packed``.
+
+        Hit ``v``'s records start at the first value ``>= v · (nR << b)``,
+        so ``n - 1`` binary searches give every node's offset.  Only
+        ``v <= n - 1`` is multiplied out: the packer accepts ``(n · nR)
+        << b == 2**63``, where the product for ``v = n`` would wrap.
+        """
+        num_nodes = self.num_nodes
+        indptr = np.empty(num_nodes + 1, dtype=np.int64)
+        indptr[0] = 0
+        indptr[num_nodes] = packed.size
+        if num_nodes > 1:
+            firsts = np.arange(1, num_nodes, dtype=np.int64)
+            firsts *= self.num_states << self.hop_bits
+            indptr[1:num_nodes] = np.searchsorted(packed, firsts)
+        return indptr
+
+    def sort_decode(
+        self, packed: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, keys, hops)``: sort ``packed`` in place, read its
+        :meth:`indptr`, then :meth:`decode` it."""
         packed.sort()
-        return self.decode(packed)
+        indptr = self.indptr(packed)
+        return (indptr, *self.decode(packed))

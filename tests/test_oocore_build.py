@@ -166,23 +166,19 @@ class TestEdgeCases:
 
 
 def _chunk(sink, hits, states, hops):
-    """One ``consume`` chunk from record triples: ``RecordPacker.pack``
-    plus ``np.bincount``, the pair ``first_visit_records`` returns."""
-    packer = sink.packer
-    return (
-        packer.pack(hits, states, hops),
-        np.bincount(hits, minlength=packer.num_nodes),
-    )
+    """One ``consume`` chunk from record triples: the packed records
+    ``first_visit_records`` returns, made by ``RecordPacker.pack``."""
+    return sink.packer.pack(hits, states, hops)
 
 
 class TestSinkSeam:
     def test_sink_counts_and_dense_writer_roundtrip(self):
         sink = ExternalSortSink(5, 2, 4)
-        sink.consume(*_chunk(
+        sink.consume(_chunk(
             sink, np.array([3, 1, 3]), np.array([9, 0, 2]),
             np.array([2, 1, 1]),
         ))
-        sink.consume(*_chunk(
+        sink.consume(_chunk(
             sink, np.array([0]), np.array([7]), np.array([4])
         ))
         assert sink.total_records == 4
@@ -208,7 +204,7 @@ class TestSinkSeam:
         rng = np.random.default_rng(0)
         hits = rng.integers(0, 50, size=40)
         states = np.arange(40)
-        sink.consume(*_chunk(sink, hits, states, np.ones(40, dtype=np.int64)))
+        sink.consume(_chunk(sink, hits, states, np.ones(40, dtype=np.int64)))
         assert sink.spill_runs >= 1
         assert any(p.name.startswith(".rwidx-run-") for p in spills.iterdir())
         sink.close()
@@ -249,7 +245,7 @@ def _assemble(path, hits, states, hops, num_nodes, reps, length, spill_dir):
     )
     for lo in range(0, hits.size, step):
         sl = slice(lo, lo + step)
-        sink.consume(*_chunk(sink, hits[sl], states[sl], hops[sl]))
+        sink.consume(_chunk(sink, hits[sl], states[sl], hops[sl]))
     if path == "spill" and hits.size > 5:
         assert sink.spill_runs >= 2
     return sink.finalize(DenseEntryWriter(num_nodes, reps))
@@ -310,7 +306,7 @@ class TestPackedRecords:
         sink = ExternalSortSink(100, 2, 3, memory_budget=79,
                                 spill_dir=tmp_path)
         for lo in range(0, 100, 10):
-            sink.consume(*_chunk(sink, hits[lo:lo + 10], states[lo:lo + 10],
+            sink.consume(_chunk(sink, hits[lo:lo + 10], states[lo:lo + 10],
                                  hops[lo:lo + 10]))
         assert sink.spill_runs == 10
         assert sink.spilled_bytes == 8 * 100
@@ -366,10 +362,11 @@ class TestPackedRecords:
         walks = np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0]], dtype=np.int32)
         with pytest.raises(ParameterError, match="L=3"):
             first_visit_records(walks, np.array([0, 1]), packer)
-        packed, counts = first_visit_records(
+        packed, hop_counts = first_visit_records(
             walks[:, :4], np.array([0, 1]), packer
         )
-        assert packed.size == counts.sum() == 6
+        assert packed.size == 6
+        np.testing.assert_array_equal(hop_counts, [2, 2, 2])
 
 
 class TestRecordBuffer:
@@ -384,10 +381,10 @@ class TestRecordBuffer:
     def test_consume_past_capacity_raises(self):
         sink = ExternalSortSink(5, 2, 1)
         hits = np.arange(10) % 5
-        sink.consume(*_chunk(sink, hits, np.arange(10), np.ones(10, int)))
+        sink.consume(_chunk(sink, hits, np.arange(10), np.ones(10, int)))
         assert sink.total_records == sink.capacity == 10
         with pytest.raises(ParameterError, match="= 10 records"):
-            sink.consume(*_chunk(sink, np.array([0]), np.array([9]),
+            sink.consume(_chunk(sink, np.array([0]), np.array([9]),
                                  np.array([1])))
         assert sink.total_records == 10
         sink.close()
@@ -399,11 +396,11 @@ class TestRecordBuffer:
             graph, walker_major_starts(n, reps), length, seed=8
         )
         sink = ExternalSortSink(n, reps, length)
-        packed, counts = first_visit_records(
+        packed, _ = first_visit_records(
             walks, _walker_major_states(n, reps), sink.packer,
             out=sink.vacant(),
         )
-        sink.consume(packed, counts)
+        sink.consume(packed)
         assert sink.buffered == packed.size
         emitted = []
 
@@ -423,11 +420,11 @@ class TestRecordBuffer:
 
     def test_other_arrays_are_copied_in(self):
         sink = ExternalSortSink(5, 2, 4)
-        chunk, counts = _chunk(
+        chunk = _chunk(
             sink, np.array([3, 1]), np.array([9, 0]), np.array([2, 1])
         )
         before = chunk.copy()
-        sink.consume(chunk, counts)
+        sink.consume(chunk)
         assert sink.buffered == 2
         np.testing.assert_array_equal(chunk, before)  # not sorted in place
         sink.close()
@@ -439,8 +436,8 @@ class TestRecordBuffer:
         hits, states, hops = _random_records(rng, 100, 2, 3, 10, np.int64)
         sink = ExternalSortSink(100, 2, 3, memory_budget=79,
                                 spill_dir=tmp_path)
-        chunk, counts = _chunk(sink, hits, states, hops)
-        sink.consume(chunk, counts)
+        chunk = _chunk(sink, hits, states, hops)
+        sink.consume(chunk)
         assert sink.spill_runs == 1 and sink.buffered == 0
         assert np.all(np.diff(chunk) > 0)
         (run,) = tmp_path.iterdir()
@@ -454,9 +451,9 @@ class TestRecordBuffer:
                                 spill_dir=tmp_path)
         rng = np.random.default_rng(7)
         hits, states, hops = _random_records(rng, 100, 2, 3, 12, np.int64)
-        sink.consume(*_chunk(sink, hits[:6], states[:6], hops[:6]))
+        sink.consume(_chunk(sink, hits[:6], states[:6], hops[:6]))
         assert sink.spill_runs == 0 and sink.buffered == 6
-        sink.consume(*_chunk(sink, hits[6:], states[6:], hops[6:]))
+        sink.consume(_chunk(sink, hits[6:], states[6:], hops[6:]))
         assert sink.spill_runs == 1 and sink.buffered == 6
         indptr, state, hop = sink.finalize(DenseEntryWriter(100, 2))
         want = _lexsort_reference(hits, states, hops, 100)

@@ -81,6 +81,30 @@ def compare(
     return parity_failures, absolute_failures, ratio_failures, notes
 
 
+def ratio_context(
+    current: dict, baseline: dict, ratio_failures: "list[str]"
+) -> list[str]:
+    """The ``*_s`` measurements of each key group with a flagged ratio.
+
+    A ratio key divides one measured time by another, so it fails both
+    when the program slows and when its reference speeds up; the group's
+    times beside their baselines tell the two apart.  The group is the
+    key's prefix before the first dot.
+    """
+    groups = sorted({
+        failure.split(":", 1)[0].split(".", 1)[0] for failure in ratio_failures
+    })
+    lines = []
+    for group in groups:
+        for key in sorted(current):
+            if not (key.startswith(group + ".") and key.endswith("_s")):
+                continue
+            base = baseline.get(key)
+            base_text = "no baseline" if base is None else f"baseline {base:.4g} s"
+            lines.append(f"{key} {current[key]:.4g} s ({base_text})")
+    return lines
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", type=Path, help="fresh --json report")
@@ -117,6 +141,8 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"{'warning' if soft_absolute else 'FAIL'}: {failure}")
     for failure in ratio_failures:
         print(f"{'warning' if args.soft_timing else 'FAIL'}: {failure}")
+    for line in ratio_context(current, baseline, ratio_failures):
+        print(f"  {line}")
     for failure in parity_failures:
         print(f"FAIL: {failure}")
 
